@@ -2,6 +2,8 @@
 // REAL host time (not simulated): the lock-free MPSC command ring and the
 // request pool. These validate that the structures the paper's ~140 ns
 // command-post figure depends on are in fact O(100ns) operations.
+// BM_FiberSwitch times the simulator itself: the host cost of one fiber
+// switch, which bounds how many simulated threads a run can afford.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -9,6 +11,7 @@
 #include "core/command.hpp"
 #include "core/mpsc_ring.hpp"
 #include "core/request_pool.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -78,6 +81,27 @@ void BM_RequestPoolCompleteCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RequestPoolCompleteCheck);
+
+// Two fibers alternate through sim::yield() in one Engine::run. A switch is
+// one scheduler dispatch into a fiber (EngineStats::context_switches): an
+// event-queue push and pop plus a stack switch in and out. `per_switch` is
+// host CPU time divided by that count.
+void BM_FiberSwitch(benchmark::State& state) {
+  sim::Engine engine;
+  bool done = false;
+  engine.spawn("timed", [&] {
+    for (auto _ : state) sim::yield();
+    done = true;
+  });
+  engine.spawn("partner", [&] {
+    while (!done) sim::yield();
+  });
+  engine.run();
+  state.counters["per_switch"] = benchmark::Counter(
+      static_cast<double>(engine.stats().context_switches),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FiberSwitch);
 
 }  // namespace
 

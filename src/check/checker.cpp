@@ -278,9 +278,8 @@ int Checker::choose(int n) {
 
 // ---------------------------------------------------------------- threads ---
 
-void Checker::trampoline(unsigned int hi, unsigned int lo) {
-  auto* t = reinterpret_cast<detail::ModelThread*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
+void Checker::thread_main(void* thread) {
+  auto* t = static_cast<detail::ModelThread*>(thread);
   Checker* ck = t->ck;
   try {
     t->body();
@@ -294,8 +293,7 @@ void Checker::trampoline(unsigned int hi, unsigned int lo) {
   }
   t->done = true;
   ck->trace(detail::Ev::kDone, -1, 0, 0, std::memory_order_relaxed);
-  swapcontext(&t->ctx, &ck->main_ctx_);
-  // Never resumed.
+  sim::switch_context(t->ctx, ck->main_ctx_);  // never resumed
 }
 
 void Checker::resume(int tid) {
@@ -303,13 +301,13 @@ void Checker::resume(int tid) {
   current_tid_ = tid;
   t.yielded = false;
   last_voluntary_ = false;
-  swapcontext(&main_ctx_, &t.ctx);
+  sim::switch_context(main_ctx_, t.ctx);
   current_tid_ = 0;
 }
 
 void Checker::schedule_suspend() {
   detail::ModelThread& t = *threads_[static_cast<std::size_t>(current_tid_)];
-  swapcontext(&t.ctx, &main_ctx_);
+  sim::switch_context(t.ctx, main_ctx_);
 }
 
 void Checker::run_threads(std::vector<std::function<void()>> bodies) {
@@ -335,14 +333,8 @@ void Checker::run_threads(std::vector<std::function<void()>> bodies) {
       // per execution, dominating exploration time.
       t->stack.reset(new char[kFiberStack]);
     }
-    getcontext(&t->ctx);
-    t->ctx.uc_stack.ss_sp = t->stack.get();
-    t->ctx.uc_stack.ss_size = kFiberStack;
-    t->ctx.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(t.get());
-    makecontext(&t->ctx, reinterpret_cast<void (*)()>(&Checker::trampoline), 2,
-                static_cast<unsigned int>(p >> 32),
-                static_cast<unsigned int>(p & 0xffffffffu));
+    sim::make_context(t->ctx, t->stack.get(), kFiberStack,
+                      &Checker::thread_main, t.get());
     trace(detail::Ev::kSpawn, -1, static_cast<std::uint64_t>(t->tid), 0,
           std::memory_order_relaxed);
     threads_.push_back(std::move(t));

@@ -26,8 +26,6 @@
 // consume is treated as acquire.
 #pragma once
 
-#include <ucontext.h>
-
 #include <array>
 #include <atomic>  // std::memory_order
 #include <cstdint>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "check/clock.hpp"
+#include "sim/context.hpp"
 
 namespace chk {
 
@@ -196,7 +195,7 @@ struct TraceEvent {
 struct ModelThread {
   int tid = 0;
   std::function<void()> body;
-  ucontext_t ctx{};
+  sim::Context ctx;
   std::unique_ptr<char[]> stack;
   bool done = false;
   bool yielded = false;
@@ -265,7 +264,8 @@ class Checker {
              std::memory_order mo);
   std::string format_trace() const;
 
-  static void trampoline(unsigned int hi, unsigned int lo);
+  /// Entry of a model thread's stack: runs the body, then leaves for good.
+  static void thread_main(void* thread);
 
   Options opt_;
   // Per-run state.
@@ -281,7 +281,7 @@ class Checker {
   std::vector<std::unique_ptr<detail::ModelThread>> threads_;  // [0] = main
   std::vector<detail::TraceEvent> events_;
   VectorClock sc_clock_;
-  ucontext_t main_ctx_{};
+  sim::Context main_ctx_;
   int current_tid_ = 0;
   int last_tid_ = -1;
   bool last_voluntary_ = false;

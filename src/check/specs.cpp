@@ -110,17 +110,20 @@ Result check_lane(const Options& opt, const LaneCfg& cfg) {
   return explore(opt, [&cfg](Sim& sim) {
     core::SpscLane<int, ModelAtomics> lane(cfg.capacity);
     int popped = 0;  // consumer-local; read by the main body after join
+    // The producer's batch buffer. The body owns it because a failed
+    // execution abandons suspended threads without unwinding them, so a
+    // thread-owned heap buffer would leak.
+    std::vector<int> batch;
 
     sim.threads({
         // Producer: first half pushed singly, second half published through
         // one try_push_n batch, retrying the unconsumed suffix — this drives
         // both the single-item and the batched tail-publish paths.
-        [&lane, &cfg] {
+        [&lane, &cfg, &batch] {
           const int half = cfg.items / 2;
           for (int i = 0; i < half; ++i) {
             while (!lane.try_push(i)) Sim::yield();
           }
-          std::vector<int> batch;
           for (int i = half; i < cfg.items; ++i) batch.push_back(i);
           std::span<int> rest(batch);
           while (!rest.empty()) {

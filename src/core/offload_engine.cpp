@@ -1043,8 +1043,7 @@ bool OffloadChannel::steal_round(Engine& e) {
     std::size_t budget = opts_.steal_bound;
     std::size_t stolen = 0;
     Command cmd;
-    const std::size_t rows = opts_.lane_count;
-    for (std::size_t row = 0; row < rows && budget > 0; ++row) {
+    for (std::size_t row = 0; row < next_lane_ && budget > 0; ++row) {
       Lane& lane = *lanes_[row * n + v.index];
       while (budget > 0 && lane.ring.try_pop(cmd)) {
         san::channel_pop(&lane);
@@ -1079,9 +1078,9 @@ bool OffloadChannel::steal_round(Engine& e) {
 
 bool OffloadChannel::submissions_pending(const Engine& e) const {
   if (!e.ring.empty_approx()) return true;
-  const std::size_t rows = opts_.lane_count;
+  // Rows at or past next_lane_ were never bound to a submitter: always empty.
   const std::size_t n = engines_.size();
-  for (std::size_t row = 0; row < rows; ++row) {
+  for (std::size_t row = 0; row < next_lane_; ++row) {
     if (!lanes_[row * n + e.index]->ring.empty_approx()) return true;
   }
   return false;

@@ -38,15 +38,13 @@ Fiber::Fiber(Engine* engine, std::uint64_t id, std::string name, Body body,
       id_(id),
       name_(std::move(name)),
       body_(std::move(body)),
-      stack_(new char[stack_bytes]),
-      stack_bytes_(stack_bytes) {}
+      stack_(new char[stack_bytes]) {
+  make_context(
+      ctx_, stack_.get(), stack_bytes,
+      [](void* self) { static_cast<Fiber*>(self)->run_body(); }, this);
+}
 
 Fiber::~Fiber() = default;
-
-void Fiber::trampoline(unsigned int hi, unsigned int lo) {
-  auto ptr = (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
-  reinterpret_cast<Fiber*>(ptr)->run_body();
-}
 
 void Fiber::run_body() {
   try {
@@ -55,30 +53,17 @@ void Fiber::run_body() {
     engine_->capture_exception(std::current_exception());
   }
   state_ = FiberState::kDone;
-  // Return control to the scheduler permanently.
-  swapcontext(&ctx_, &engine_->scheduler_ctx_);
-  // Unreachable: a done fiber is never resumed.
-  assert(false && "resumed a finished fiber");
+  // Return control to the scheduler permanently: a done fiber is never
+  // resumed.
+  switch_context(ctx_, engine_->scheduler_ctx_);
 }
 
-void Fiber::switch_in(ucontext_t* from) {
-  if (state_ == FiberState::kCreated || state_ == FiberState::kRunnable) {
-    if (ctx_.uc_stack.ss_sp == nullptr) {
-      getcontext(&ctx_);
-      ctx_.uc_stack.ss_sp = stack_.get();
-      ctx_.uc_stack.ss_size = stack_bytes_;
-      ctx_.uc_link = nullptr;
-      auto ptr = reinterpret_cast<std::uintptr_t>(this);
-      makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                  static_cast<unsigned int>(ptr >> 32),
-                  static_cast<unsigned int>(ptr & 0xffffffffu));
-    }
-  }
+void Fiber::switch_in(Context& from) {
   state_ = FiberState::kRunning;
-  swapcontext(from, &ctx_);
+  switch_context(from, ctx_);
 }
 
-void Fiber::switch_out(ucontext_t* to) { swapcontext(&ctx_, to); }
+void Fiber::switch_out(Context& to) { switch_context(ctx_, to); }
 
 // --------------------------------------------------------------- Engine ----
 
@@ -130,7 +115,7 @@ void Engine::advance(Time dt) {
                                        f->id() + 1, "cpu", "sim");
   }
   schedule_fiber(*f, now_ + dt);
-  f->switch_out(&scheduler_ctx_);
+  f->switch_out(scheduler_ctx_);
 }
 
 void Engine::yield() { advance(Time::zero()); }
@@ -139,7 +124,7 @@ void Engine::block() {
   Fiber* f = current_fiber_;
   assert(f != nullptr && "block() called outside a fiber");
   f->state_ = FiberState::kBlocked;
-  f->switch_out(&scheduler_ctx_);
+  f->switch_out(scheduler_ctx_);
 }
 
 void Engine::unblock(Fiber& f, Time delay) {
@@ -165,7 +150,7 @@ void Engine::dispatch(Event& ev) {
                                         ev.fiber->id() + 1, "ctx", "sim");
     }
     san::on_switch(ev.fiber->id() + 1, ev.fiber->name().c_str(), now_.ns());
-    ev.fiber->switch_in(&scheduler_ctx_);
+    ev.fiber->switch_in(scheduler_ctx_);
     current_fiber_ = nullptr;
   } else {
     san::event_fire(ev.seq, now_.ns());

@@ -6,18 +6,17 @@
 // deterministic: interleaving is decided by the virtual-time event queue, not
 // by the host scheduler.
 //
-// Implementation uses POSIX ucontext. It is marked obsolescent by POSIX but
-// remains the portable no-dependency way to get stackful coroutines on Linux,
-// and is what several production fiber runtimes are built on.
+// A fiber's stack is switched by sim::switch_context (sim/context.hpp): a
+// register-only switch on x86-64, the POSIX context calls elsewhere.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+
+#include "sim/context.hpp"
 
 namespace sim {
 
@@ -66,11 +65,10 @@ class Fiber {
 
   /// Switch from the scheduler into this fiber. Returns when the fiber
   /// suspends or finishes.
-  void switch_in(ucontext_t* from);
+  void switch_in(Context& from);
   /// Switch from this fiber back to the scheduler context.
-  void switch_out(ucontext_t* to);
+  void switch_out(Context& to);
 
-  static void trampoline(unsigned int hi, unsigned int lo);
   void run_body();
 
   Engine* engine_;
@@ -83,8 +81,7 @@ class Fiber {
   int trace_pid_ = 0;
 
   std::unique_ptr<char[]> stack_;
-  std::size_t stack_bytes_;
-  ucontext_t ctx_{};
+  Context ctx_;
 };
 
 }  // namespace sim

@@ -212,8 +212,10 @@ TEST(FaultPlan, SameSeedSameScheduleAndResults) {
 
 // ------------------------------------------------------------- the soak ----
 
+// The mix is a std::string, not a const char*: gtest names each instance
+// after its printed parameter, and a pointer prints as its address.
 class FaultSoak
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::string>> {};
 
 TEST_P(FaultSoak, AllProxiesBitIdenticalToFaultFreeRun) {
   const auto [seed, mix] = GetParam();

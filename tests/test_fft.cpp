@@ -73,6 +73,14 @@ struct DistCase {
   Approach approach;
 };
 
+// gtest names each instance after its printed parameter; without this it
+// would dump the struct's bytes, uninitialised padding included, and the
+// test names would change from build to build.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << "ranks=" << c.ranks << " rows=" << c.rows << " cols=" << c.cols << " "
+      << core::approach_name(c.approach);
+}
+
 class DistFft : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistFft, MatchesNaiveDft) {

@@ -33,9 +33,10 @@ TEST_P(RmaProxies, PutIntoNeighborWindow) {
     const int me = rc.rank(), np = rc.nranks();
     std::vector<int> window(static_cast<std::size_t>(np), -1);
     Win w = p->win_create(window.data(), window.size() * sizeof(int));
-    // Everyone writes its rank into slot `me` of every peer's window.
+    // Everyone writes its rank into slot `me` of every peer's window. The
+    // origin buffer must stay alive until the fence completes the puts.
+    const int v = me;
     for (int t = 0; t < np; ++t) {
-      const int v = me;
       p->put(&v, sizeof(int), t, static_cast<std::size_t>(me) * sizeof(int), w);
     }
     p->fence(w);

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -231,6 +234,160 @@ TEST(Engine, ManyFibersLargeFanout) {
   }
   e.run();
   EXPECT_EQ(done, 2000);
+}
+
+// ---- Stack-switch contract (sim/context.hpp), checked through fibers ----
+
+namespace {
+
+// Address of a 16-byte-aligned local in a fresh frame. It is read back
+// through a volatile so the compiler cannot fold the alignment it assumes.
+[[gnu::noinline]] std::uintptr_t aligned_local_address() {
+  alignas(16) char probe[16];
+  volatile std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(probe);
+  return addr;
+}
+
+// Recurse `depth` frames, yield at the bottom, then throw `value`: the
+// unwinder must walk frames that lived across a switch.
+[[gnu::noinline]] void yield_then_throw(int depth, int value) {
+  if (depth > 0) {
+    yield_then_throw(depth - 1, value);
+    return;
+  }
+  yield();
+  throw std::runtime_error(std::to_string(value));
+}
+
+}  // namespace
+
+TEST(FiberSwitch, StackIs16ByteAlignedAtEntryAndAfterResumes) {
+  Engine e;
+  int checks = 0;
+  int misaligned = 0;
+  for (int f = 0; f < 3; ++f) {
+    e.spawn("f", [&, f] {
+      misaligned += aligned_local_address() % 16 != 0;
+      ++checks;
+      for (int i = 0; i < 50; ++i) {
+        advance(Time(1 + f));
+        misaligned += aligned_local_address() % 16 != 0;
+        ++checks;
+      }
+    });
+  }
+  e.run();
+  EXPECT_EQ(checks, 3 * 51);
+  EXPECT_EQ(misaligned, 0);
+}
+
+TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
+  const int caller_mode = std::fegetround();
+  ASSERT_NE(caller_mode, FE_UPWARD);
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+
+  Engine e;
+  int other_mode = -1;
+  double other_third = 0.0;
+  int resumed_mode = -1;
+  double resumed_third = 0.0;
+  e.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    yield();  // "other" runs while this fiber is suspended
+    resumed_mode = std::fegetround();
+    resumed_third = one / three;
+  });
+  e.spawn("other", [&] {
+    other_mode = std::fegetround();
+    other_third = one / three;
+  });
+  e.run();
+  const int after_run = std::fegetround();
+  std::fesetround(caller_mode);
+
+  EXPECT_EQ(after_run, caller_mode);
+  EXPECT_EQ(other_mode, caller_mode);
+  EXPECT_EQ(other_third, nearest_third);
+  EXPECT_EQ(resumed_mode, FE_UPWARD);
+  EXPECT_GT(resumed_third, nearest_third);  // SSE division rounded upward
+}
+
+TEST(FiberSwitch, ExceptionsCaughtInsideFibersSurviveManySwitches) {
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 300;
+  Engine e;
+  std::vector<int> caught(kFibers, 0);
+  for (int f = 0; f < kFibers; ++f) {
+    e.spawn("thrower", [&caught, f] {
+      for (int i = 0; i < kRounds; ++i) {
+        const int value = f * kRounds + i;
+        try {
+          yield_then_throw(i % 8, value);
+        } catch (const std::runtime_error& err) {
+          if (std::stoi(err.what()) == value) ++caught[static_cast<std::size_t>(f)];
+        }
+        advance(Time(1 + f));
+      }
+    });
+  }
+  e.run();
+  EXPECT_TRUE(e.all_fibers_done());
+  for (int f = 0; f < kFibers; ++f) {
+    EXPECT_EQ(caught[static_cast<std::size_t>(f)], kRounds) << "fiber " << f;
+  }
+}
+
+TEST(FiberSwitch, EscapingExceptionIsRethrownByRunAfterOthersFinish) {
+  Engine e;
+  int finished = 0;
+  for (int f = 0; f < 3; ++f) {
+    e.spawn("worker", [&] {
+      for (int i = 0; i < 100; ++i) yield();
+      ++finished;
+    });
+  }
+  e.spawn("fails", [] { yield_then_throw(4, 42); });
+  std::string what;
+  try {
+    e.run();
+  } catch (const std::runtime_error& err) {
+    what = err.what();
+  }
+  EXPECT_EQ(what, "42");
+  EXPECT_EQ(finished, 3);
+  EXPECT_TRUE(e.all_fibers_done());
+}
+
+TEST(FiberSwitch, DeepStackSurvivesThousandsOfSwitches) {
+  // Fibers get 128 KiB stacks; fill ~96 KiB of one and switch under it.
+  constexpr std::size_t kBytes = 96 * 1024;
+  constexpr int kSwitches = 4000;
+  const auto pattern = [](std::size_t i) {
+    return static_cast<unsigned char>(i * 131 + 7);
+  };
+  Engine e;
+  std::size_t corrupted = kBytes;
+  int shallow_runs = 0;
+  e.spawn("deep", [&] {
+    unsigned char buf[kBytes];
+    volatile unsigned char* p = buf;
+    for (std::size_t i = 0; i < kBytes; ++i) p[i] = pattern(i);
+    for (int i = 0; i < kSwitches; ++i) yield();
+    corrupted = 0;
+    for (std::size_t i = 0; i < kBytes; ++i) corrupted += p[i] != pattern(i);
+  });
+  e.spawn("shallow", [&] {
+    for (int i = 0; i < kSwitches; ++i) {
+      ++shallow_runs;
+      yield();
+    }
+  });
+  e.run();
+  EXPECT_EQ(corrupted, 0u);
+  EXPECT_EQ(shallow_runs, kSwitches);
+  EXPECT_TRUE(e.all_fibers_done());
 }
 
 TEST(Rng, DeterministicAndRoughlyUniform) {
