@@ -296,10 +296,10 @@ A7Cell a7_run(std::size_t lanes, bool batch, int threads) {
         std::vector<core::PReq> reqs(kPerThread);
         const sim::Time t0 = sim::now();
         if (batch) {
-          std::vector<core::BatchOp> ops;
+          std::vector<core::Command> ops;
           ops.reserve(kPerThread);
           for (int i = 0; i < kPerThread; ++i) {
-            ops.push_back(core::BatchOp::isend(nullptr, 8, smpi::Datatype::kByte,
+            ops.push_back(core::Command::isend(nullptr, 8, smpi::Datatype::kByte,
                                                1, tid * 1000 + i));
           }
           p.post_batch(ops, reqs);

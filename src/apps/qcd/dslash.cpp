@@ -244,20 +244,20 @@ void DistributedDslash::apply(SpinorField& out) {
   // Post the whole boundary exchange (2 receives + 2 sends per partitioned
   // dim) as one batch: a single command-ring publish + doorbell under the
   // offload proxy instead of one per halo message.
-  std::vector<core::BatchOp> ops;
+  std::vector<core::Command> ops;
   for (int mu = 0; mu < 4; ++mu) {
     if (!dec_.partitioned(mu)) continue;
     const std::size_t n = recv_plus_[mu].size();
     const int up = dec_.neighbor_rank(mu, +1);
     const int dn = dec_.neighbor_rank(mu, -1);
     // Tags: 8 directions, mu*2 for data flowing -mu-ward, mu*2+1 for +mu-ward.
-    ops.push_back(core::BatchOp::irecv(recv_plus_[mu].data(), n,
+    ops.push_back(core::Command::irecv(recv_plus_[mu].data(), n,
                                        Datatype::kComplexFloat, up, mu * 2));
-    ops.push_back(core::BatchOp::irecv(recv_minus_[mu].data(), n,
+    ops.push_back(core::Command::irecv(recv_minus_[mu].data(), n,
                                        Datatype::kComplexFloat, dn, mu * 2 + 1));
-    ops.push_back(core::BatchOp::isend(send_minus_[mu].data(), n,
+    ops.push_back(core::Command::isend(send_minus_[mu].data(), n,
                                        Datatype::kComplexFloat, dn, mu * 2));
-    ops.push_back(core::BatchOp::isend(send_plus_[mu].data(), n,
+    ops.push_back(core::Command::isend(send_plus_[mu].data(), n,
                                        Datatype::kComplexFloat, up, mu * 2 + 1));
   }
   std::vector<core::PReq> reqs(ops.size());
@@ -312,7 +312,7 @@ void DistributedDslash::apply_chained(SpinorField& out) {
   // Same batched post as apply(); ops come in groups of four per partitioned
   // mu, the group's first op being the +mu-face receive whose continuation
   // does the face's U*psi work.
-  std::vector<core::BatchOp> ops;
+  std::vector<core::Command> ops;
   std::vector<int> mus;
   for (int mu = 0; mu < 4; ++mu) {
     if (!dec_.partitioned(mu)) continue;
@@ -320,13 +320,13 @@ void DistributedDslash::apply_chained(SpinorField& out) {
     const int up = dec_.neighbor_rank(mu, +1);
     const int dn = dec_.neighbor_rank(mu, -1);
     mus.push_back(mu);
-    ops.push_back(core::BatchOp::irecv(recv_plus_[mu].data(), n,
+    ops.push_back(core::Command::irecv(recv_plus_[mu].data(), n,
                                        Datatype::kComplexFloat, up, mu * 2));
-    ops.push_back(core::BatchOp::irecv(recv_minus_[mu].data(), n,
+    ops.push_back(core::Command::irecv(recv_minus_[mu].data(), n,
                                        Datatype::kComplexFloat, dn, mu * 2 + 1));
-    ops.push_back(core::BatchOp::isend(send_minus_[mu].data(), n,
+    ops.push_back(core::Command::isend(send_minus_[mu].data(), n,
                                        Datatype::kComplexFloat, dn, mu * 2));
-    ops.push_back(core::BatchOp::isend(send_plus_[mu].data(), n,
+    ops.push_back(core::Command::isend(send_plus_[mu].data(), n,
                                        Datatype::kComplexFloat, up, mu * 2 + 1));
   }
   std::vector<core::PReq> reqs(ops.size());

@@ -1,9 +1,14 @@
-// Serialized MPI-call commands exchanged through the MPSC ring.
+// The one op vocabulary: every MPI call a Proxy accepts is spelled as a
+// Command, whichever approach then issues it.
 #pragma once
 
 #include <cstdint>
 
 #include "mpi/types.hpp"
+
+namespace smpi {
+class RankCtx;
+}
 
 namespace core {
 
@@ -17,21 +22,20 @@ enum class CmdOp : std::uint8_t {
   kIallreduce,
   kIalltoall,
   kIallgather,
-  kIgather,
-  kIscatter,
   kWinCreate,
   kWinFree,
   kPut,
   kGet,
   kIfence,
-  /// Re-arm a persistent offload request: `count` carries the channel's
-  /// persistent-slot index, nothing else — the envelope already lives in the
-  /// engine's slot, which is why this command is cheap to publish
-  /// (Profile::cmd_enqueue_persist).
+  /// Re-arm a persistent request. As a Proxy::post_batch element `count`
+  /// carries the PersistentReq handle; on an offload engine's queues
+  /// `proxy` names the request's pinned pool slot and nothing else — the
+  /// envelope already lives in the persistent record, which is why this
+  /// command is cheap to publish (Profile::cmd_enqueue_persist).
   kStartPersistent,
-  /// Tear down a persistent slot's MPI-level requests and release its pool
-  /// slot; `count` carries the persistent-slot index. Ring FIFO guarantees
-  /// it runs after every start of that slot.
+  /// Tear down an offload persistent request's MPI-level requests and
+  /// release its pinned pool slot (`proxy`). Ring FIFO guarantees it runs
+  /// after every start of that request.
   kFreePersistent,
 };
 
@@ -47,8 +51,6 @@ constexpr const char* cmd_op_name(CmdOp op) {
     case CmdOp::kIallreduce: return "cmd:iallreduce";
     case CmdOp::kIalltoall:  return "cmd:ialltoall";
     case CmdOp::kIallgather: return "cmd:iallgather";
-    case CmdOp::kIgather:    return "cmd:igather";
-    case CmdOp::kIscatter:   return "cmd:iscatter";
     case CmdOp::kWinCreate:  return "cmd:win-create";
     case CmdOp::kWinFree:    return "cmd:win-free";
     case CmdOp::kPut:        return "cmd:put";
@@ -60,8 +62,27 @@ constexpr const char* cmd_op_name(CmdOp op) {
   return "cmd:?";
 }
 
-/// One offloaded MPI call, parameters serialized into a flat struct (the
-/// paper's "call-specific structure"). `proxy` is the RequestPool slot whose
+/// Proxy-level request handle. Meaning is proxy-specific (real smpi request
+/// index for direct proxies; RequestPool slot + 1 for offload). Zero is the
+/// null handle for every proxy — a default-constructed PReq is null, and
+/// completion calls null handles they release, so waiting twice is safe.
+struct PReq {
+  std::uint64_t v = 0;
+  [[nodiscard]] bool is_null() const { return v == 0; }
+};
+
+/// Persistent (init-once/start-many) request handle: index + 1 of the
+/// proxy's persistent record, under every approach. Unlike PReq, completion
+/// calls do NOT consume it: wait/test return it to the inactive state,
+/// ready for the next start(); only request_free() retires it. Zero is the
+/// null handle.
+struct PersistentReq {
+  std::uint64_t v = 0;
+  [[nodiscard]] bool is_null() const { return v == 0; }
+};
+
+/// One MPI call, parameters serialized into a flat struct (the paper's
+/// "call-specific structure"). `proxy` is the offload RequestPool slot whose
 /// done flag signals completion back to the application thread.
 struct Command {
   CmdOp op = CmdOp::kShutdown;
@@ -78,6 +99,29 @@ struct Command {
   smpi::Win win{};
   smpi::Win* win_out = nullptr;  ///< result slot for kWinCreate
   std::uint64_t offset = 0;      ///< target window offset
+
+  // The point-to-point shapes Proxy::post_batch accepts.
+  static Command isend(const void* b, std::uint64_t n, smpi::Datatype dt,
+                       int dst, int tag, smpi::Comm c = smpi::kCommWorld) {
+    return {.op = CmdOp::kIsend, .sbuf = b, .count = n, .dtype = dt,
+            .peer = dst, .tag = tag, .comm = c};
+  }
+  static Command irecv(void* b, std::uint64_t n, smpi::Datatype dt, int src,
+                       int tag, smpi::Comm c = smpi::kCommWorld) {
+    return {.op = CmdOp::kIrecv, .rbuf = b, .count = n, .dtype = dt,
+            .peer = src, .tag = tag, .comm = c};
+  }
+  /// Start an initialized persistent request inside a batch; its `out`
+  /// slot stays null (the persistent handle itself is how the caller waits).
+  static Command start(PersistentReq r) {
+    return {.op = CmdOp::kStartPersistent, .count = r.v};
+  }
 };
+
+/// Issue `cmd` on `rc`: the one place an op becomes a RankCtx call, shared
+/// by the direct proxies (caller's thread) and the offload engines. Ops that
+/// complete inside the call (window create/free, put, get) return a null
+/// request; kShutdown and the persistent ops are not issuable here.
+smpi::Request execute(smpi::RankCtx& rc, const Command& cmd);
 
 }  // namespace core

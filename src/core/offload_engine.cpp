@@ -100,12 +100,6 @@ std::size_t OffloadChannel::engine_of(const Command& cmd) {
       return by(0x776e0000ull ^
                 static_cast<std::uint64_t>(
                     static_cast<std::uint32_t>(cmd.win.idx)));
-    case CmdOp::kStartPersistent:
-    case CmdOp::kFreePersistent:
-      // The slot's home engine was fixed at init (engine_of of the
-      // equivalent one-shot command), so every generation of one request
-      // lands in one engine's queues in submission order.
-      return persist_.at(static_cast<std::size_t>(cmd.count))->home_engine;
     case CmdOp::kShutdown:
       return 0;  // never routed: shutdown() broadcasts to every engine
     default:
@@ -259,20 +253,7 @@ std::uint32_t OffloadChannel::submit(Command cmd) {
   cmd.proxy = alloc_slot();
   // Serialize parameters + lock-free enqueue.
   sim::advance(p.cmd_enqueue);
-  const std::size_t eidx = engine_of(cmd);
-  bool overflow = false;
-  if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-    push_lane(*lane, cmd);
-    ++stats_.lane_submits;
-    ++lane->stats.submits;
-  } else {
-    push_shared_locked(*engines_[eidx], cmd);
-    ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
-  }
-  // Ring the doorbell: the offload fibers' poll loops notice new work after
-  // their detection latency.
-  trace::instant("doorbell", "offload");
-  rc_.arrivals().signal();
+  push_to_engine(engine_of(cmd), cmd);
   return cmd.proxy;
 }
 
@@ -381,225 +362,96 @@ void OffloadChannel::push_to_engine(std::size_t eidx, const Command& cmd) {
     push_shared_locked(*engines_[eidx], cmd);
     ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
   }
+  // Ring the doorbell: the offload fibers' poll loops notice new work after
+  // their detection latency.
   trace::instant("doorbell", "offload");
   rc_.arrivals().signal();
 }
 
 // ------------------------------------------- persistent application side ----
 
-namespace {
-[[noreturn]] void persist_throw(int rank, const char* call, const char* what) {
-  san::mpi_persist_misuse(rank, call, what);
-  throw std::logic_error(std::string(call) + ": " + what);
+void Persistent::create_requests(smpi::RankCtx& rc) {
+  const std::uint32_t n = std::max<std::uint32_t>(partitions, 1);
+  const std::uint64_t bytes = cmd.count * smpi::datatype_size(cmd.dtype);
+  reqs.resize(n);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    Command c = cmd;
+    if (partitions != 0) {
+      const std::uint64_t lo = bytes * p / n;
+      if (is_send()) {
+        c.sbuf = static_cast<const char*>(c.sbuf) + lo;
+      } else {
+        c.rbuf = static_cast<char*>(c.rbuf) + lo;
+      }
+      c.count = bytes * (p + 1) / n - lo;
+      c.dtype = smpi::Datatype::kByte;
+      c.tag = smpi::part_wire_tag(cmd.tag, static_cast<int>(p));
+    }
+    reqs[p] =
+        is_send()
+            ? rc.send_init(c.sbuf, c.count, c.dtype, c.peer, c.tag, c.comm)
+            : rc.recv_init(c.rbuf, c.count, c.dtype, c.peer, c.tag, c.comm);
+  }
 }
-}  // namespace
 
-std::uint32_t OffloadChannel::persist_init(const Command& cmd,
-                                           std::uint32_t partitions) {
-  if (cmd.op != CmdOp::kIsend && cmd.op != CmdOp::kIrecv) {
-    throw std::invalid_argument("persist_init: only isend/irecv envelopes");
-  }
-  if (partitions != 0) {
-    if (partitions > static_cast<std::uint32_t>(smpi::kMaxPartitions)) {
-      persist_throw(rc_.rank(), "persist_init", "too many partitions");
-    }
-    if (cmd.tag < 0 || cmd.tag >= smpi::kMaxPartBaseTag) {
-      persist_throw(rc_.rank(), "persist_init",
-                    "partitioned base tag out of range");
-    }
-    if (cmd.peer == smpi::kAnySource) {
-      // Partition frames are invisible to wildcard matching by design.
-      persist_throw(rc_.rank(), "persist_init",
-                    "partitioned ops require a specific peer");
-    }
-  }
+void OffloadChannel::persist_init(Persistent& ps) {
   trace::Scope tsc("persist:init", "offload");
-  const auto& p = rc_.profile();
   // Init pays the full serialize cost once — that is the bargain: every
   // subsequent start pays only cmd_enqueue_persist.
-  sim::advance(p.cmd_enqueue);
-  auto ps = std::make_unique<PersistSlot>();
-  ps->is_send = cmd.op == CmdOp::kIsend;
-  ps->sbuf = cmd.sbuf;
-  ps->rbuf = cmd.rbuf;
-  ps->count = cmd.count;
-  ps->dtype = cmd.dtype;
-  ps->peer = cmd.peer;
-  ps->tag = cmd.tag;
-  ps->comm = cmd.comm;
-  ps->partitions = partitions;
-  ps->proxy = alloc_slot();  // pinned for the lifetime of the request
-  ps->home_engine = engine_of(cmd);
-  if (partitions != 0) {
-    const std::size_t words = (partitions + 63) / 64;
-    ps->ready = std::vector<PartReadyWord>(words);
-    ps->shipped.assign(words, 0);
+  sim::advance(rc_.profile().cmd_enqueue);
+  ps.cmd.proxy = alloc_slot();  // pinned for the lifetime of the request
+  ps.home_engine = engine_of(ps.cmd);
+  ps.shipped.assign(ps.ready.size(), 0);
+  if (slot_persist_.size() <= ps.cmd.proxy) {
+    slot_persist_.resize(static_cast<std::size_t>(ps.cmd.proxy) + 1, nullptr);
   }
-  if (slot_persist_.size() <= ps->proxy) {
-    slot_persist_.resize(static_cast<std::size_t>(ps->proxy) + 1, 0);
-  }
-  const auto idx = static_cast<std::uint32_t>(persist_.size());
-  slot_persist_[ps->proxy] = idx + 1;
-  persist_.push_back(std::move(ps));
-  return idx;
+  slot_persist_[ps.cmd.proxy] = &ps;
+  persist_.push_back(&ps);
 }
 
-void OffloadChannel::persist_start(std::uint32_t idx) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_start", "request was freed");
-  }
-  if (ps.state == PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_start",
-                  "previous generation still in flight");
-  }
+void OffloadChannel::persist_start(Persistent& ps) {
   trace::Scope tsc("persist:start", "offload");
   const auto& p = rc_.profile();
   // Re-arm the pinned pool slot and the continuation claim; both are
   // quiescent (previous generation consumed, next start not yet published).
   sim::advance(p.request_pool_op);
-  pool_.rearm(ps.proxy);
-  cont_.reset(ps.proxy);
-  for (PartReadyWord& w : ps.ready) w.reset();
-  ps.marked = 0;
-  ps.state = PState::kStarted;
-  Command cmd;
-  cmd.op = CmdOp::kStartPersistent;
-  cmd.proxy = ps.proxy;
-  cmd.count = idx;
-  cmd.peer = ps.peer;
-  cmd.comm = ps.comm;
+  pool_.rearm(ps.cmd.proxy);
+  cont_.reset(ps.cmd.proxy);
+  ps.open();
   if (Engine* e = engine_for_current_fiber(); e != nullptr) {
     // A continuation restarting its own request: issue directly, like every
     // other engine-context post.
     sim::advance(p.cmd_dequeue);
-    engine_start_persistent(*e, idx);
+    engine_start_persistent(*e, ps);
     return;
   }
-  // The thin re-arm publish: a slot index, not an envelope.
+  // The thin re-arm publish: a slot index, not an envelope. Every
+  // generation goes to the home engine fixed at init (engine_of of the
+  // envelope), so one request's generations issue in submission order.
   sim::advance(p.cmd_enqueue_persist);
-  push_to_engine(ps.home_engine, cmd);
+  push_to_engine(ps.home_engine,
+                 {.op = CmdOp::kStartPersistent, .proxy = ps.cmd.proxy});
 }
 
-void OffloadChannel::persist_pready(std::uint32_t idx, std::uint32_t lo,
-                                    std::uint32_t hi) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (!ps.is_send || ps.partitions == 0) {
-    persist_throw(rc_.rank(), "persist_pready",
-                  "request is not a partitioned send");
-  }
-  if (ps.state != PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_pready", "no generation started");
-  }
-  if (lo > hi || hi >= ps.partitions) {
-    persist_throw(rc_.rank(), "persist_pready", "partition out of range");
-  }
-  const auto& p = rc_.profile();
-  for (std::uint32_t part = lo; part <= hi; ++part) {
-    sim::advance(p.pready_publish);
-    // One release-RMW: publishes the partition's payload bytes to the
-    // engine that observes the bit. The previous value is the double-mark
-    // check for free.
-    const std::uint64_t prev = ps.ready[part / 64].mark(part % 64);
-    if ((prev >> (part % 64)) & 1u) {
-      persist_throw(rc_.rank(), "persist_pready",
-                    "partition marked ready twice in one generation");
-    }
-    ++ps.marked;
-  }
-  trace::instant("pready", "offload");
-  // Doorbell: a sleeping engine re-checks persistent_ready_pending against
-  // this signal's count before committing to sleep.
-  rc_.arrivals().signal();
-}
-
-void OffloadChannel::persist_wait(std::uint32_t idx, smpi::Status* st) {
-  if (in_engine()) {
-    throw std::logic_error(
-        san::engine_block_message("OffloadChannel::persist_wait"));
-  }
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_wait", "request was freed");
-  }
-  if (ps.state == PState::kInactive) {
-    if (st != nullptr) *st = smpi::Status{};
-    return;  // trivially complete, like MPI_Wait on an inactive request
-  }
-  if (ps.is_send && ps.partitions != 0 && ps.marked != ps.partitions) {
-    persist_throw(rc_.rank(), "persist_wait",
-                  "wait with unmarked partitions (the send can never "
-                  "complete; pready every partition first)");
-  }
-  trace::Scope tsc("wait:flag", "offload");
-  const auto& p = rc_.profile();
-  for (;;) {
-    sim::advance(p.done_flag_check);
-    if (pool_.done(ps.proxy)) break;
-    const std::uint64_t seen = completions_.count();
-    if (pool_.done(ps.proxy)) break;
-    completions_.wait_beyond(seen);
-  }
-  san::acquire(&pool_, ps.proxy);  // done-flag acquire: Status visible
-  if (st != nullptr) *st = pool_.status(ps.proxy);
-  // Consume the completion WITHOUT freeing the pinned slot: the request
-  // returns to kInactive, ready for the next start.
-  ps.state = PState::kInactive;
-}
-
-bool OffloadChannel::persist_test(std::uint32_t idx, smpi::Status* st) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) {
-    persist_throw(rc_.rank(), "persist_test", "request was freed");
-  }
-  if (ps.state == PState::kInactive) {
-    if (st != nullptr) *st = smpi::Status{};
-    return true;
-  }
-  const auto& p = rc_.profile();
-  sim::advance(p.done_flag_check);
-  if (!pool_.done(ps.proxy)) return false;
-  san::acquire(&pool_, ps.proxy);
-  if (st != nullptr) *st = pool_.status(ps.proxy);
-  ps.state = PState::kInactive;
-  return true;
-}
-
-void OffloadChannel::persist_free(std::uint32_t idx) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state == PState::kFreed) return;  // freeing twice is a no-op
-  if (ps.state == PState::kStarted) {
-    persist_throw(rc_.rank(), "persist_free", "generation still in flight");
-  }
-  ps.state = PState::kFreed;
-  Command cmd;
-  cmd.op = CmdOp::kFreePersistent;
-  cmd.proxy = ps.proxy;
-  cmd.count = idx;
-  cmd.peer = ps.peer;
-  cmd.comm = ps.comm;
-  if (Engine* e = engine_for_current_fiber(); e != nullptr) {
+void OffloadChannel::persist_free(Persistent& ps) {
+  if (engine_for_current_fiber() != nullptr) {
     sim::advance(rc_.profile().cmd_dequeue);
-    engine_free_persistent(*e, idx);
+    engine_free_persistent(ps);
     return;
   }
   sim::advance(rc_.profile().cmd_enqueue_persist);
-  push_to_engine(ps.home_engine, cmd);
+  push_to_engine(ps.home_engine,
+                 {.op = CmdOp::kFreePersistent, .proxy = ps.cmd.proxy});
 }
 
-bool OffloadChannel::persist_attach_continuation(std::uint32_t idx,
-                                                 ContFn fn) {
-  PersistSlot& ps = *persist_.at(idx);
-  if (ps.state != PState::kStarted) {
-    persist_throw(rc_.rank(), "attach_continuation",
-                  "no generation started on this persistent request");
-  }
-  // Same arm/fire protocol as one-shot slots; the persistent-aware free
-  // paths (slot_persist_) reset the slot to kInactive instead of freeing it.
-  return attach_continuation(ps.proxy, std::move(fn));
+void OffloadChannel::free_slot(std::uint32_t proxy) {
+  sim::advance(rc_.profile().request_pool_op);
+  san::release(&pool_, proxy);  // hand the slot to the next alloc()
+  pool_.free(proxy);
 }
 
-void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st) {
+void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
+                               bool keep) {
   if (in_engine()) {
     throw std::logic_error(
         san::engine_block_message("OffloadChannel::wait_done"));
@@ -615,21 +467,19 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st) {
   }
   san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
   if (st != nullptr) *st = pool_.status(proxy);
-  sim::advance(p.request_pool_op);
-  san::release(&pool_, proxy);  // hand the slot to the next alloc()
-  pool_.free(proxy);
+  if (keep) return;
+  free_slot(proxy);
   completions_.signal();  // a freed slot may unblock a pool-exhausted submit
 }
 
-bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st) {
-  const auto& p = rc_.profile();
-  sim::advance(p.done_flag_check);
+bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st,
+                               bool keep) {
+  sim::advance(rc_.profile().done_flag_check);
   if (!pool_.done(proxy)) return false;
   san::acquire(&pool_, proxy);
   if (st != nullptr) *st = pool_.status(proxy);
-  sim::advance(p.request_pool_op);
-  san::release(&pool_, proxy);
-  pool_.free(proxy);
+  if (keep) return true;
+  free_slot(proxy);
   completions_.signal();
   return true;
 }
@@ -650,25 +500,10 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
     return false;
   }
   // Already fired: the completion's Status/payload are visible (failed-CAS
-  // acquire), so run the callback inline on this thread and free the slot.
+  // acquire), so run the callback inline on this thread.
   san::acquire(&cont_, proxy);  // completer's publish (failed-CAS acquire)
-  san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-  ContFn f = std::move(cont_fns_[proxy]);
-  cont_fns_[proxy] = nullptr;
-  const smpi::Status st = pool_.status(proxy);
-  cont_.reset(proxy);
-  const std::uint32_t pers =
-      proxy < slot_persist_.size() ? slot_persist_[proxy] : 0;
-  if (pers != 0) {
-    // Persistent: consume the completion (kInactive) but keep the pinned
-    // slot — the inline callback may restart the request.
-    persist_[pers - 1]->state = PState::kInactive;
-  } else {
-    sim::advance(p.request_pool_op);
-    san::release(&pool_, proxy);
-    pool_.free(proxy);
-    completions_.signal();
-  }
+  smpi::Status st;
+  ContFn f = consume_fired(proxy, st);
   ++stats_.cont_inline;
   {
     trace::Scope tsc("cont:inline", "offload");
@@ -728,86 +563,63 @@ void OffloadChannel::complete_slot(Engine& e, std::uint32_t proxy,
   }
 }
 
-void OffloadChannel::issue(Engine& e, const Command& cmd) {
-  using smpi::Datatype;
-  smpi::Request real{};
-  // Ops with no (or immediate) MPI-level completion are finished inline.
-  switch (cmd.op) {
-    case CmdOp::kWinCreate:
-      *cmd.win_out = rc_.win_create(cmd.rbuf, cmd.count, cmd.comm);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kWinFree:
-      rc_.win_free(cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kPut:
-      rc_.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kGet:
-      rc_.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      complete_slot(e, cmd.proxy, smpi::Status{});
-      return;
-    case CmdOp::kIfence:
-      track_inflight(e, rc_.ifence(cmd.win), cmd.proxy);
-      return;
-    case CmdOp::kStartPersistent:
-      engine_start_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
-    case CmdOp::kFreePersistent:
-      engine_free_persistent(e, static_cast<std::uint32_t>(cmd.count));
-      return;
-    default:
-      break;
-  }
+smpi::Request execute(smpi::RankCtx& rc, const Command& cmd) {
   switch (cmd.op) {
     case CmdOp::kIsend:
-      real = rc_.isend(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag, cmd.comm);
-      break;
+      return rc.isend(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                      cmd.comm);
     case CmdOp::kIrecv:
-      real = rc_.irecv(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag, cmd.comm);
-      break;
+      return rc.irecv(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                      cmd.comm);
     case CmdOp::kIbarrier:
-      real = rc_.ibarrier(cmd.comm);
-      break;
+      return rc.ibarrier(cmd.comm);
     case CmdOp::kIbcast:
-      real = rc_.ibcast(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.comm);
-      break;
+      return rc.ibcast(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.comm);
     case CmdOp::kIreduce:
-      real = rc_.ireduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
-                         cmd.peer, cmd.comm);
-      break;
+      return rc.ireduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
+                        cmd.peer, cmd.comm);
     case CmdOp::kIallreduce:
-      real = rc_.iallreduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
-                            cmd.comm);
-      break;
+      return rc.iallreduce(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.rop,
+                           cmd.comm);
     case CmdOp::kIalltoall:
-      real = rc_.ialltoall(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
-      break;
+      return rc.ialltoall(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
     case CmdOp::kIallgather:
-      real = rc_.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
-      break;
-    case CmdOp::kIgather:
-      real = rc_.igather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.peer,
-                         cmd.comm);
-      break;
-    case CmdOp::kIscatter:
-      real = rc_.iscatter(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.peer,
-                          cmd.comm);
-      break;
-    case CmdOp::kShutdown:
-      throw std::logic_error("shutdown reached issue()");
-    default:  // RMA ops return from the inline-completion switch above
-      throw std::logic_error("inline-completed op fell through to issue()");
+      return rc.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
+    case CmdOp::kIfence:
+      return rc.ifence(cmd.win);
+    case CmdOp::kWinCreate:
+      *cmd.win_out = rc.win_create(cmd.rbuf, cmd.count, cmd.comm);
+      return {};
+    case CmdOp::kWinFree:
+      rc.win_free(cmd.win);
+      return {};
+    case CmdOp::kPut:
+      rc.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      return {};
+    case CmdOp::kGet:
+      rc.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
+      return {};
+    default:
+      throw std::logic_error(std::string(cmd_op_name(cmd.op)) +
+                             " is not an issuable op");
   }
-  track_inflight(e, real, cmd.proxy);
+}
+
+void OffloadChannel::issue(Engine& e, const Command& cmd) {
+  if (cmd.op == CmdOp::kStartPersistent) {
+    engine_start_persistent(e, *persistent_at(cmd.proxy));
+  } else if (cmd.op == CmdOp::kFreePersistent) {
+    engine_free_persistent(*persistent_at(cmd.proxy));
+  } else if (const smpi::Request real = execute(rc_, cmd); real.is_null()) {
+    complete_slot(e, cmd.proxy, smpi::Status{});  // completed inside the call
+  } else {
+    track_inflight(e, real, cmd.proxy);
+  }
 }
 
 void OffloadChannel::track_inflight(Engine& e, smpi::Request real,
-                                    std::uint32_t proxy,
-                                    std::uint32_t persist) {
-  e.inflight.push_back({real, proxy, sim::now(), false, persist});
+                                    std::uint32_t proxy) {
+  e.inflight.push_back({real, proxy, sim::now(), false});
   e.scratch_reqs.push_back(real);
   ++e.live_inflight;
   std::size_t live_total = 0;
@@ -819,47 +631,13 @@ void OffloadChannel::track_inflight(Engine& e, smpi::Request real,
 
 // ------------------------------------------------ persistent engine side ----
 
-void OffloadChannel::engine_start_persistent(Engine& e, std::uint32_t idx) {
-  PersistSlot& ps = *persist_.at(idx);
-  const std::uint32_t pidx = idx + 1;  // Inflight.persist tag
-  if (ps.partitions == 0) {
-    // Plain persistent: the rc_-level persistent request is created lazily
-    // on the first start (init never enters MPI from the engine), then every
-    // generation is a bare MPI_Start on the same handle.
-    if (ps.mpi.is_null()) {
-      ps.mpi = ps.is_send ? rc_.send_init(ps.sbuf, ps.count, ps.dtype,
-                                          ps.peer, ps.tag, ps.comm)
-                          : rc_.recv_init(ps.rbuf, ps.count, ps.dtype,
-                                          ps.peer, ps.tag, ps.comm);
-    }
-    rc_.start(ps.mpi);
-    ps.remaining = 1;
-    track_inflight(e, ps.mpi, ps.proxy, pidx);
-    return;
-  }
-  // Partitioned: one rc_-level persistent request per partition, each a byte
-  // slice of the buffer under its partition wire tag (wildcard receives can
-  // never match these frames — matching.cpp rejects tag-bit-30).
-  const std::uint64_t bytes = ps.count * smpi::datatype_size(ps.dtype);
-  if (ps.parts.empty()) {
-    ps.parts.resize(ps.partitions);
-    for (std::uint32_t p = 0; p < ps.partitions; ++p) {
-      const std::uint64_t lo = bytes * p / ps.partitions;
-      const std::uint64_t hi = bytes * (p + 1) / ps.partitions;
-      const int wtag = smpi::part_wire_tag(ps.tag, static_cast<int>(p));
-      if (ps.is_send) {
-        ps.parts[p] =
-            rc_.send_init(static_cast<const char*>(ps.sbuf) + lo, hi - lo,
-                          smpi::Datatype::kByte, ps.peer, wtag, ps.comm);
-      } else {
-        ps.parts[p] =
-            rc_.recv_init(static_cast<char*>(ps.rbuf) + lo, hi - lo,
-                          smpi::Datatype::kByte, ps.peer, wtag, ps.comm);
-      }
-    }
-  }
-  ps.remaining = ps.partitions;
-  if (ps.is_send) {
+void OffloadChannel::engine_start_persistent(Engine& e, Persistent& ps) {
+  // The rc_-level persistent requests are created lazily on the first start
+  // (init never enters MPI from the engine); every generation after that is
+  // a bare MPI_Start per request.
+  if (ps.reqs.empty()) ps.create_requests(rc_);
+  ps.remaining = static_cast<std::uint32_t>(ps.reqs.size());
+  if (ps.is_send() && ps.partitions != 0) {
     // Arm only: partitions ship from pump_persistent as pready bits land,
     // which is the whole point — early partitions go to the wire while
     // sibling compute threads are still producing theirs.
@@ -880,30 +658,25 @@ void OffloadChannel::engine_start_persistent(Engine& e, std::uint32_t idx) {
     }
     return;
   }
-  // Partitioned receive: all partitions post immediately (the receiver has
+  // Plain, or a partitioned receive: everything posts now (the receiver has
   // no readiness to wait for).
-  for (std::uint32_t p = 0; p < ps.partitions; ++p) {
-    rc_.start(ps.parts[p]);
-    track_inflight(e, ps.parts[p], ps.proxy, pidx);
+  for (smpi::Request& r : ps.reqs) {
+    rc_.start(r);
+    track_inflight(e, r, ps.cmd.proxy);
   }
 }
 
-void OffloadChannel::engine_free_persistent(Engine& e, std::uint32_t idx) {
-  (void)e;
-  PersistSlot& ps = *persist_.at(idx);
-  if (!ps.mpi.is_null()) rc_.request_free(ps.mpi);
-  for (smpi::Request& r : ps.parts) {
+void OffloadChannel::engine_free_persistent(Persistent& ps) {
+  for (smpi::Request& r : ps.reqs) {
     if (!r.is_null()) rc_.request_free(r);
   }
-  ps.parts.clear();
-  slot_persist_[ps.proxy] = 0;
-  sim::advance(rc_.profile().request_pool_op);
-  san::release(&pool_, ps.proxy);
-  pool_.free(ps.proxy);
+  ps.reqs.clear();
+  slot_persist_[ps.cmd.proxy] = nullptr;
+  free_slot(ps.cmd.proxy);
   completions_.signal();
 }
 
-std::size_t OffloadChannel::partition_engine(const PersistSlot& ps,
+std::size_t OffloadChannel::partition_engine(const Persistent& ps,
                                              std::uint32_t p) const {
   const std::size_t n = engines_.size();
   if (n == 1) return 0;
@@ -913,17 +686,17 @@ std::size_t OffloadChannel::partition_engine(const PersistSlot& ps,
   // tags make them independent envelopes, so cross-engine issue is
   // order-safe.
   const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.comm.idx))
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.cmd.comm.idx))
        << 32) ^
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.peer)) ^
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.cmd.peer)) ^
       (static_cast<std::uint64_t>(p + 1) << 20);
   return static_cast<std::size_t>(mix64(key) >> 32) % n;
 }
 
 bool OffloadChannel::persistent_ready_pending(const Engine& e) const {
   if (armed_psends_ == 0) return false;
-  for (const auto& psp : persist_) {
-    const PersistSlot& ps = *psp;
+  for (const Persistent* psp : persist_) {
+    const Persistent& ps = *psp;
     if (!ps.armed) continue;
     for (std::size_t w = 0; w < ps.ready.size(); ++w) {
       std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
@@ -941,8 +714,10 @@ bool OffloadChannel::persistent_ready_pending(const Engine& e) const {
 bool OffloadChannel::pump_persistent(Engine& e) {
   if (armed_psends_ == 0) return false;
   bool any = false;
+  // By index: every ship yields, and a sibling fiber's persist_init may
+  // grow (reallocate) persist_ meanwhile. The records themselves never move.
   for (std::size_t i = 0; i < persist_.size(); ++i) {
-    PersistSlot& ps = *persist_[i];
+    Persistent& ps = *persist_[i];
     if (!ps.armed) continue;  // also gates slots whose start is still queued
     for (std::size_t w = 0; w < ps.ready.size(); ++w) {
       for (;;) {
@@ -961,9 +736,8 @@ bool OffloadChannel::pump_persistent(Engine& e) {
           ps.shipped[w] |= 1ull << bit;
           trace::Scope tsc("part:ship", "offload");
           sim::advance(rc_.profile().cmd_dequeue);
-          rc_.start(ps.parts[p]);
-          track_inflight(e, ps.parts[p], ps.proxy,
-                         static_cast<std::uint32_t>(i) + 1);
+          rc_.start(ps.reqs[p]);
+          track_inflight(e, ps.reqs[p], ps.cmd.proxy);
           any = true;
           shipped_one = true;
           break;
@@ -1110,28 +884,18 @@ void OffloadChannel::drive_progress(Engine& e) {
     ++stats_.testany_calls;
     const bool flag = rc_.testany(e.scratch_reqs, &idx, &st);
     if (!flag || idx < 0) break;
-    const auto i = static_cast<std::size_t>(idx);
-    if (const std::uint32_t pers = e.inflight[i].persist; pers != 0) {
-      // One generation (or one partition) of a persistent request. The proxy
-      // done flag publishes only when the whole generation is in: a
-      // partitioned send/recv is complete when its LAST partition lands.
-      PersistSlot& ps = *persist_[pers - 1];
-      if (--ps.remaining == 0) {
-        if (ps.armed) {
-          ps.armed = false;
-          --armed_psends_;
-        }
-        smpi::Status full = st;
-        if (ps.partitions != 0) {
-          // Synthesize the whole-message Status: base tag (the per-partition
-          // wire tags are an implementation detail) and total bytes.
-          full.tag = ps.tag;
-          full.bytes = ps.count * smpi::datatype_size(ps.dtype);
-        }
-        complete_slot(e, ps.proxy, full);
+    const std::uint32_t proxy = e.inflight[static_cast<std::size_t>(idx)].proxy;
+    // One generation (or one partition) of a persistent request publishes
+    // the done flag only when the whole generation is in: a partitioned
+    // send/recv is complete when its LAST partition lands. (The front end
+    // reports the whole-message Status.)
+    Persistent* ps = persistent_at(proxy);
+    if (ps == nullptr || --ps->remaining == 0) {
+      if (ps != nullptr && ps->armed) {
+        ps->armed = false;
+        --armed_psends_;
       }
-    } else {
-      complete_slot(e, e.inflight[i].proxy, st);
+      complete_slot(e, proxy, st);
     }
     --e.live_inflight;
     e.g_inflight.set(static_cast<double>(e.live_inflight));
@@ -1140,9 +904,21 @@ void OffloadChannel::drive_progress(Engine& e) {
   compact_inflight(e);
 }
 
+ContFn OffloadChannel::consume_fired(std::uint32_t proxy, smpi::Status& st) {
+  san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
+  ContFn fn = std::move(cont_fns_[proxy]);
+  cont_fns_[proxy] = nullptr;
+  st = pool_.status(proxy);
+  cont_.reset(proxy);
+  if (persistent_at(proxy) == nullptr) {
+    free_slot(proxy);
+    completions_.signal();
+  }
+  return fn;
+}
+
 bool OffloadChannel::run_continuations(Engine& e) {
   if (e.cont_ready.empty()) return false;
-  const auto& p = rc_.profile();
   // Bounded pass: callbacks may post follow-ups whose completions queue more
   // callbacks (drive_progress can run inside a post when the pool is tight),
   // so an unbounded drain could monopolize the engine. Leftovers run next
@@ -1152,26 +928,10 @@ bool OffloadChannel::run_continuations(Engine& e) {
   while (budget-- > 0 && !e.cont_ready.empty()) {
     const std::uint32_t proxy = e.cont_ready.front();
     e.cont_ready.pop_front();
-    san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-    ContFn fn = std::move(cont_fns_[proxy]);
-    cont_fns_[proxy] = nullptr;
-    const smpi::Status st = pool_.status(proxy);
-    // Free before running: the callback may post enough follow-ups to need
-    // this very slot, and the exactly-once claim already consumed it.
-    // Persistent slots are NOT freed — consuming the completion returns the
-    // request to kInactive first, so the callback may Start the next
-    // generation from inside itself.
-    cont_.reset(proxy);
-    const std::uint32_t pers =
-        proxy < slot_persist_.size() ? slot_persist_[proxy] : 0;
-    if (pers != 0) {
-      persist_[pers - 1]->state = PState::kInactive;
-    } else {
-      sim::advance(p.request_pool_op);
-      san::release(&pool_, proxy);
-      pool_.free(proxy);
-      completions_.signal();
-    }
+    // Consumed before running: the callback may post enough follow-ups to
+    // need this very slot, and the exactly-once claim already consumed it.
+    smpi::Status st;
+    ContFn fn = consume_fired(proxy, st);
     {
       trace::Scope tsc("cont:run", "offload");
       fn(st);
@@ -1314,13 +1074,18 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // check-layer doorbell spec forces exactly that interleaving.)
     const std::uint64_t armed = rc_.arrivals().count();
     if (submissions_pending(e) || !e.cont_ready.empty() ||
-        steal_work_available(e) || persistent_ready_pending(e)) {
+        steal_work_available(e) || persistent_ready_pending(e) ||
+        (shutdown_requested_ && e.live_inflight == 0)) {
       // (persistent_ready_pending: a pready published between our pump pass
       // and this snapshot would otherwise be stranded — its doorbell signal
       // may already be counted in `armed`.)
       // Own work re-checked under the armed snapshot — or a sibling still
       // has a backlog, which nothing would ring OUR doorbell for: keep
       // polling and retrying the steal instead of sleeping past it.
+      // (Shutdown with nothing in flight: the exit check above failed only
+      // because a thief still held our queues mid-steal. It drains the last
+      // command and rings no doorbell, so loop back to the exit check
+      // rather than sleep for good.)
       seen = armed;
       continue;
     }

@@ -73,11 +73,57 @@ namespace core {
 /// a blocking wait from engine context throws).
 using ContFn = std::function<void(const smpi::Status&)>;
 
-/// Lifecycle of a persistent (init-once/start-many) request, shared by the
-/// proxy API and the offload channel. kInactive -> kStarted at Start;
-/// kStarted -> kInactive when the completion is consumed (wait/test or a
-/// fired continuation); kFreed is terminal.
+/// Lifecycle of a persistent (init-once/start-many) request. kInactive ->
+/// kStarted at Start; kStarted -> kInactive when the completion is consumed
+/// (wait/test or a fired continuation); kFreed is terminal.
 enum class PState : std::uint8_t { kInactive, kStarted, kFreed };
+
+/// One persistent (or partitioned) request: the single record behind a
+/// PersistentReq under every approach. The Proxy front end owns it (and its
+/// state machine); the direct proxies keep rc_-level requests in it, the
+/// offload channel additionally its pinned pool slot and engine-side
+/// generation state. Envelope fields are written once at init; `ready` is
+/// the one lock-free handoff (core/part_ready.hpp).
+struct Persistent {
+  // ---- envelope (init-time) ----
+  Command cmd;                   ///< the equivalent one-shot kIsend/kIrecv;
+                                 ///  offload: cmd.proxy is the pinned slot
+  std::uint32_t partitions = 0;  ///< 0 = plain persistent
+  // ---- front end ----
+  PState state = PState::kInactive;
+  std::uint32_t marked = 0;  ///< partitions pready'd this generation
+  /// Partition-ready words, bit p%64 of word p/64 (partitioned sends).
+  std::vector<PartReadyWord> ready;
+  /// rc_-level persistent requests: one, or one per partition. Created at
+  /// init on the caller's thread (direct), lazily on the engine (offload).
+  std::vector<smpi::Request> reqs;
+  // ---- offload engine side ----
+  std::size_t home_engine = 0;         ///< engine_of of the envelope
+  std::vector<std::uint64_t> shipped;  ///< mirror mask: partitions issued
+  std::uint32_t remaining = 0;  ///< parts of this generation still in flight
+  bool armed = false;  ///< partitioned send: generation open for shipping
+
+  [[nodiscard]] bool is_send() const { return cmd.op == CmdOp::kIsend; }
+  /// A partitioned send that cannot complete yet: some partition unmarked.
+  [[nodiscard]] bool unmarked() const {
+    return is_send() && partitions != 0 && marked != partitions;
+  }
+  /// The whole-message Status of a partitioned request: the base tag (the
+  /// per-partition wire tags are an implementation detail), total bytes.
+  [[nodiscard]] smpi::Status whole_status() const {
+    return {cmd.peer, cmd.tag, cmd.count * smpi::datatype_size(cmd.dtype)};
+  }
+  /// Open a generation: forget the last one's marks, state -> kStarted.
+  void open() {
+    for (PartReadyWord& w : ready) w.reset();
+    marked = 0;
+    state = PState::kStarted;
+  }
+  /// Create `reqs` on `rc`: the envelope as is, or one byte slice of the
+  /// buffer per partition under its partition wire tag (wildcard receives
+  /// can never match these frames — matching.cpp rejects tag-bit-30).
+  void create_requests(smpi::RankCtx& rc);
+};
 
 struct OffloadStats {
   std::uint64_t commands = 0;
@@ -167,11 +213,16 @@ class OffloadChannel {
   void submit_batch(std::span<Command> cmds);
 
   /// Spin on the done flag of `proxy` (the paper's optimized MPI_Wait: no
-  /// MPI call, just a flag check). Frees the slot.
-  void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr);
-
-  /// Nonblocking flag check; frees the slot when done.
-  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr);
+  /// MPI call, just a flag check). Frees the slot unless `keep` (the pinned
+  /// slot of a persistent request).
+  void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr,
+                 bool keep = false);
+  /// Nonblocking wait_done.
+  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr,
+                 bool keep = false);
+  /// Return a completed, already-acquired slot to the pool. The caller
+  /// signals completions() (once per batch of frees).
+  void free_slot(std::uint32_t proxy);
 
   /// Bind `fn` to run exactly once when `proxy` completes. Consumes the
   /// slot: the side that runs the callback frees it, so the caller must not
@@ -208,50 +259,21 @@ class OffloadChannel {
 
   // ---------------- persistent / partitioned requests ----------------
   // A persistent offload request pins one RequestPool slot for its whole
-  // lifetime and keeps its envelope in an engine-side PersistSlot; every
-  // re-arm publishes only the slot index (CmdOp::kStartPersistent, charged
-  // at Profile::cmd_enqueue_persist instead of a full enqueue). Partitioned
-  // sends additionally carry a per-partition ready word the engines poll:
-  // pready(p) from any compute fiber publishes one bit, and the engine that
-  // owns partition p (partition-hash sharding) ships it while sibling
-  // partitions are still computing.
+  // lifetime; every re-arm publishes only that slot (CmdOp::kStartPersistent,
+  // charged at Profile::cmd_enqueue_persist instead of a full enqueue).
+  // Partitioned sends additionally carry a per-partition ready word the
+  // engines poll: pready(p) from any compute fiber publishes one bit, and the
+  // engine that owns partition p (partition-hash sharding) ships it while
+  // sibling partitions are still computing. Validation and the state machine
+  // are the Proxy front end's; these are the offload actions behind it.
 
-  /// Register a persistent envelope. `cmd` is the equivalent one-shot
-  /// kIsend/kIrecv command (buffer/count/dtype/peer/tag/comm); `partitions`
-  /// 0 = plain persistent, else the partition count (1..kMaxPartitions,
-  /// tag < kMaxPartBaseTag). Returns the channel's persistent-slot index.
-  std::uint32_t persist_init(const Command& cmd, std::uint32_t partitions);
-  /// Re-arm and publish one generation. Throws std::logic_error when the
-  /// previous generation's completion has not been consumed.
-  void persist_start(std::uint32_t idx);
-  /// Publish partitions [lo, hi] of a started partitioned send as ready.
-  /// Callable from any compute fiber; throws on double-mark or when no
-  /// generation is active.
-  void persist_pready(std::uint32_t idx, std::uint32_t lo, std::uint32_t hi);
-  /// Spin on the generation's done flag WITHOUT freeing the pool slot;
-  /// consuming the completion returns the request to kInactive. Trivially
-  /// complete (empty Status) when no generation is active.
-  void persist_wait(std::uint32_t idx, smpi::Status* st = nullptr);
-  /// Nonblocking persist_wait.
-  bool persist_test(std::uint32_t idx, smpi::Status* st = nullptr);
-  /// Tear down: requires kInactive. The engine frees the MPI-level requests
-  /// and the pool slot (ring FIFO runs it after every prior start).
-  void persist_free(std::uint32_t idx);
-  /// Bind `fn` to the CURRENT generation's completion. Unlike the one-shot
-  /// attach, the slot is NOT consumed — the callback (or an inline run)
-  /// returns the request to kInactive, so it may Start the next generation
-  /// from inside the callback. Returns true when run inline.
-  bool persist_attach_continuation(std::uint32_t idx, ContFn fn);
-  [[nodiscard]] PState persist_state(std::uint32_t idx) const {
-    return persist_.at(idx)->state;
-  }
-  [[nodiscard]] std::uint32_t persist_partitions(std::uint32_t idx) const {
-    return persist_.at(idx)->partitions;
-  }
-  /// The pool slot a persistent request pins (tests: slot-reuse assertions).
-  [[nodiscard]] std::uint32_t persist_pool_slot(std::uint32_t idx) const {
-    return persist_.at(idx)->proxy;
-  }
+  /// Pin a pool slot for `p` and pick its home engine. `p` must outlive the
+  /// channel's use of it (the Proxy keeps records at stable addresses).
+  void persist_init(Persistent& p);
+  /// Re-arm the pinned slot, open the generation and publish it.
+  void persist_start(Persistent& p);
+  /// Hand `p` to its engine for teardown (MPI-level requests + pool slot).
+  void persist_free(Persistent& p);
 
   /// Enqueue one shutdown command per engine (each engine exits after
   /// draining its lanes, its ring, its in-flight requests, and its
@@ -283,43 +305,6 @@ class OffloadChannel {
     std::uint32_t proxy;
     sim::Time issued_at;   ///< for the stuck-request watchdog
     bool flagged = false;  ///< already reported by the watchdog
-    /// Persistent-slot index + 1 when this in-flight is one generation (or
-    /// one partition) of a persistent request; 0 for one-shot requests. A
-    /// persistent completion decrements the slot's `remaining` instead of
-    /// completing the proxy slot directly.
-    std::uint32_t persist = 0;
-  };
-
-  /// Engine-side home of one persistent request. Envelope fields are written
-  /// once at init; generation state (armed/shipped/remaining, the lazily
-  /// created MPI requests) is touched only from engine context; `state` and
-  /// `marked` are app-side; `ready` is the one lock-free handoff (see
-  /// core/part_ready.hpp). Lives in a deque: stable addresses, slots are
-  /// never reused within a run.
-  struct PersistSlot {
-    // ---- envelope (init-time) ----
-    bool is_send = false;
-    const void* sbuf = nullptr;
-    void* rbuf = nullptr;
-    std::uint64_t count = 0;
-    smpi::Datatype dtype = smpi::Datatype::kByte;
-    int peer = -1;
-    int tag = 0;
-    smpi::Comm comm = smpi::kCommWorld;
-    std::uint32_t partitions = 0;  ///< 0 = plain persistent
-    std::uint32_t proxy = 0;       ///< pool slot pinned for the lifetime
-    std::size_t home_engine = 0;   ///< engine_of of the equivalent one-shot
-    // ---- app side ----
-    PState state = PState::kInactive;
-    std::uint32_t marked = 0;  ///< partitions pready'd this generation
-    /// Partition-ready words, bit p%64 of word p/64 (partitioned sends).
-    std::vector<PartReadyWord> ready;
-    // ---- engine side ----
-    smpi::Request mpi{};               ///< plain: the rc_ persistent request
-    std::vector<smpi::Request> parts;  ///< partitioned: one per partition
-    std::vector<std::uint64_t> shipped;  ///< mirror mask: partitions issued
-    std::uint32_t remaining = 0;  ///< parts of this generation still in flight
-    bool armed = false;  ///< partitioned send: generation open for shipping
   };
 
   /// One engine fiber's private state. Everything here is touched only by
@@ -408,21 +393,24 @@ class OffloadChannel {
   Engine* engine_for_current_fiber();
 
   void issue(Engine& e, const Command& cmd);
-  void track_inflight(Engine& e, smpi::Request real, std::uint32_t proxy,
-                      std::uint32_t persist = 0);
+  void track_inflight(Engine& e, smpi::Request real, std::uint32_t proxy);
   // ---- persistent engine side ----
+  /// The persistent record pinning pool slot `proxy`, or nullptr (one-shot).
+  [[nodiscard]] Persistent* persistent_at(std::uint32_t proxy) const {
+    return proxy < slot_persist_.size() ? slot_persist_[proxy] : nullptr;
+  }
   /// Process kStartPersistent: lazily create the MPI-level persistent
   /// request(s), then start (plain / partitioned recv) or arm for shipping
   /// (partitioned send).
-  void engine_start_persistent(Engine& e, std::uint32_t idx);
+  void engine_start_persistent(Engine& e, Persistent& ps);
   /// Process kFreePersistent: free the MPI-level requests and the pool slot.
-  void engine_free_persistent(Engine& e, std::uint32_t idx);
+  void engine_free_persistent(Persistent& ps);
   /// Ship every ready-but-unshipped partition owned by engine `e`
   /// (partition-hash sharding: disjoint per-engine sets, so sibling engines
   /// never race on a partition). Returns true when anything shipped.
   bool pump_persistent(Engine& e);
   /// Engine `e` owns partition `p` of slot `ps`.
-  [[nodiscard]] std::size_t partition_engine(const PersistSlot& ps,
+  [[nodiscard]] std::size_t partition_engine(const Persistent& ps,
                                              std::uint32_t p) const;
   /// A ready-but-unshipped partition owned by `e` exists: the engine must
   /// not sleep past it (pready rings the rank doorbell, and this is the
@@ -449,6 +437,10 @@ class OffloadChannel {
   /// sleeping — nothing rings our doorbell for a sibling's queue.
   [[nodiscard]] bool steal_work_available(const Engine& e) const;
   void drive_progress(Engine& e);
+  /// Take the callback and Status of a fired slot and reset its claim; a
+  /// one-shot slot is freed, a persistent one stays pinned (the callback may
+  /// restart its request).
+  ContFn consume_fired(std::uint32_t proxy, smpi::Status& st);
   /// Run up to ProxyOptions::cont_run_bound queued continuations; returns
   /// true when any ran (the engine re-drains before sleeping: callbacks
   /// post). Leftovers count into cont_deferred and run next pass.
@@ -472,12 +464,13 @@ class OffloadChannel {
   /// Communicators pinned to hash(comm) routing because a wildcard receive
   /// was posted on them (sticky; see engine_of).
   std::vector<int> wildcard_comms_;
-  /// Persistent slots, by index (deque: stable addresses; never reused
+  /// Persistent records in init order (owned by the Proxy; never reused
   /// within a run — persistent requests are long-lived by design).
-  std::deque<std::unique_ptr<PersistSlot>> persist_;
-  /// Pool slot -> persistent index + 1 (0 = one-shot). The continuation
-  /// paths consult this to reset instead of free a persistent slot.
-  std::vector<std::uint32_t> slot_persist_;
+  std::vector<Persistent*> persist_;
+  /// Pool slot -> the persistent record pinning it (nullptr = one-shot).
+  /// Completion and continuation paths consult this to count parts and to
+  /// keep instead of free a persistent slot.
+  std::vector<Persistent*> slot_persist_;
   /// Armed partitioned sends (fast-path gate for pump_persistent).
   std::size_t armed_psends_ = 0;
   /// Signalled by an engine whenever it publishes a done flag; application

@@ -40,32 +40,18 @@ smpi::ThreadLevel required_thread_level(Approach a) {
                                   : smpi::ThreadLevel::kFunneled;
 }
 
-// ------------------------------------------------------- default blocking ----
+// -------------------------------------------------------------- front end ----
 
-void Proxy::send(const void* b, std::size_t n, smpi::Datatype dt, int dst,
-                 int tag, smpi::Comm c) {
-  PReq r = isend(b, n, dt, dst, tag, c);
-  wait(r);
-}
-
-void Proxy::recv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-                 smpi::Comm c, smpi::Status* st) {
-  PReq r = irecv(b, n, dt, src, tag, c);
-  wait(r, st);
-}
-
-void Proxy::post_batch(std::span<const BatchOp> ops, std::span<PReq> out) {
+void Proxy::post_batch(std::span<const Command> ops, std::span<PReq> out) {
   if (ops.size() != out.size()) {
     throw std::invalid_argument("post_batch: ops/out span size mismatch");
   }
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const BatchOp& o = ops[i];
-    if (o.op == CmdOp::kIsend) {
-      out[i] = isend(o.sbuf, o.count, o.dtype, o.peer, o.tag, o.comm);
-    } else if (o.op == CmdOp::kIrecv) {
-      out[i] = irecv(o.rbuf, o.count, o.dtype, o.peer, o.tag, o.comm);
+    const Command& o = ops[i];
+    if (o.op == CmdOp::kIsend || o.op == CmdOp::kIrecv) {
+      out[i] = post(o);
     } else if (o.op == CmdOp::kStartPersistent) {
-      PersistentReq pr{o.persist};
+      PersistentReq pr{o.count};
       start(pr);
       out[i] = PReq{};  // completion goes through the persistent handle
     } else {
@@ -75,335 +61,145 @@ void Proxy::post_batch(std::span<const BatchOp> ops, std::span<PReq> out) {
   }
 }
 
-void Proxy::waitall(std::span<PReq> rs) {
-  for (PReq& r : rs) wait(r);
-}
+// Persistent requests: one record (core::Persistent) and one state machine
+// for every approach; the persist_* actions are all an approach supplies.
 
-void Proxy::barrier(smpi::Comm c) {
-  PReq r = ibarrier(c);
-  wait(r);
-}
-
-void Proxy::bcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                  smpi::Comm c) {
-  PReq r = ibcast(b, n, dt, root, c);
-  wait(r);
-}
-
-void Proxy::reduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                   smpi::Op op, int root, smpi::Comm c) {
-  PReq rq = ireduce(s, r, n, dt, op, root, c);
-  wait(rq);
-}
-
-void Proxy::allreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                      smpi::Op op, smpi::Comm c) {
-  PReq rq = iallreduce(s, r, n, dt, op, c);
-  wait(rq);
-}
-
-void Proxy::alltoall(const void* s, void* r, std::size_t n_per,
-                     smpi::Datatype dt, smpi::Comm c) {
-  PReq rq = ialltoall(s, r, n_per, dt, c);
-  wait(rq);
-}
-
-void Proxy::allgather(const void* s, void* r, std::size_t n_per,
-                      smpi::Datatype dt, smpi::Comm c) {
-  PReq rq = iallgather(s, r, n_per, dt, c);
-  wait(rq);
-}
-
-// ---------------------------------------------- generic persistent (base) ----
-// Serves the direct approaches: one rc_-level persistent MPI request per
-// handle (or per partition). The calling thread enters MPI itself, so
-// pready(p) ships its partition immediately — the offload proxy overrides
-// all of this onto its channel's ready-word machinery.
-
-namespace {
-[[noreturn]] void persist_misuse(int rank, const char* call,
-                                 const char* what) {
-  san::mpi_persist_misuse(rank, call, what);
+void Proxy::misuse(const char* call, const char* what) {
+  san::mpi_persist_misuse(rc_.rank(), call, what);
   throw std::logic_error(std::string(call) + ": " + what);
 }
-}  // namespace
 
-Proxy::PersistentOp& Proxy::pop_of(const PersistentReq& r, const char* call) {
-  if (r.is_null() || r.v > pops_.size()) {
+Persistent& Proxy::persistent_of(const PersistentReq& r, const char* call) {
+  if (r.is_null() || r.v > persist_.size()) {
     throw std::logic_error(std::string(call) +
                            ": null or invalid persistent request handle");
   }
-  return *pops_[static_cast<std::size_t>(r.v - 1)];
+  return persist_[static_cast<std::size_t>(r.v - 1)];
 }
 
-PersistentReq Proxy::send_init(const void* b, std::size_t n, smpi::Datatype dt,
-                               int dst, int tag, smpi::Comm c) {
-  auto pop = std::make_unique<PersistentOp>();
-  pop->is_send = true;
-  pop->peer = dst;
-  pop->tag = tag;
-  pop->bytes = n * smpi::datatype_size(dt);
-  pop->req = rc_.send_init(b, n, dt, dst, tag, c);
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
-}
-
-PersistentReq Proxy::recv_init(void* b, std::size_t n, smpi::Datatype dt,
-                               int src, int tag, smpi::Comm c) {
-  auto pop = std::make_unique<PersistentOp>();
-  pop->peer = src;
-  pop->tag = tag;
-  pop->bytes = n * smpi::datatype_size(dt);
-  pop->req = rc_.recv_init(b, n, dt, src, tag, c);
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
-}
-
-namespace {
-void validate_partitioned(int rank, const char* call, int tag,
-                          std::uint32_t partitions, int peer) {
+std::uint32_t Proxy::checked_partitions(const char* call,
+                                        std::uint32_t partitions, int tag,
+                                        int peer) {
   if (partitions == 0 ||
       partitions > static_cast<std::uint32_t>(smpi::kMaxPartitions)) {
-    persist_misuse(rank, call, "partition count out of range");
+    misuse(call, "partition count out of range");
   }
   if (tag < 0 || tag >= smpi::kMaxPartBaseTag) {
-    persist_misuse(rank, call, "partitioned base tag out of range");
+    misuse(call, "partitioned base tag out of range");
   }
   if (peer == smpi::kAnySource) {
     // Partition frames are invisible to wildcard matching by design
     // (mpi/matching.cpp); a wildcard partitioned receive would never match.
-    persist_misuse(rank, call, "partitioned ops require a specific peer");
+    misuse(call, "partitioned ops require a specific peer");
   }
-}
-}  // namespace
-
-PersistentReq Proxy::psend_init(const void* b, std::size_t n,
-                                smpi::Datatype dt, int dst, int tag,
-                                std::uint32_t partitions, smpi::Comm c) {
-  validate_partitioned(rc_.rank(), "psend_init", tag, partitions, dst);
-  auto pop = std::make_unique<PersistentOp>();
-  pop->is_send = true;
-  pop->partitions = partitions;
-  pop->peer = dst;
-  pop->tag = tag;
-  const std::uint64_t bytes = n * smpi::datatype_size(dt);
-  pop->bytes = bytes;
-  pop->parts.resize(partitions);
-  pop->part_started.assign(partitions, false);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const std::uint64_t lo = bytes * p / partitions;
-    const std::uint64_t hi = bytes * (p + 1) / partitions;
-    pop->parts[p] = rc_.send_init(
-        static_cast<const char*>(b) + lo, hi - lo, smpi::Datatype::kByte, dst,
-        smpi::part_wire_tag(tag, static_cast<int>(p)), c);
-  }
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
+  return partitions;
 }
 
-PersistentReq Proxy::precv_init(void* b, std::size_t n, smpi::Datatype dt,
-                                int src, int tag, std::uint32_t partitions,
-                                smpi::Comm c) {
-  validate_partitioned(rc_.rank(), "precv_init", tag, partitions, src);
-  auto pop = std::make_unique<PersistentOp>();
-  pop->partitions = partitions;
-  pop->peer = src;
-  pop->tag = tag;
-  const std::uint64_t bytes = n * smpi::datatype_size(dt);
-  pop->bytes = bytes;
-  pop->parts.resize(partitions);
-  for (std::uint32_t p = 0; p < partitions; ++p) {
-    const std::uint64_t lo = bytes * p / partitions;
-    const std::uint64_t hi = bytes * (p + 1) / partitions;
-    pop->parts[p] = rc_.recv_init(
-        static_cast<char*>(b) + lo, hi - lo, smpi::Datatype::kByte, src,
-        smpi::part_wire_tag(tag, static_cast<int>(p)), c);
-  }
-  pops_.push_back(std::move(pop));
-  return PersistentReq{pops_.size()};
+PersistentReq Proxy::persistent_init(const Command& cmd,
+                                     std::uint32_t partitions) {
+  // The handle is fixed before binding: binding yields, and sibling fibers
+  // may init their own requests meanwhile.
+  PersistentReq r{persist_.size() + 1};
+  Persistent& p = persist_.emplace_back();
+  p.cmd = cmd;
+  p.partitions = partitions;
+  p.ready = std::vector<PartReadyWord>((partitions + 63) / 64);
+  persist_bind(p);
+  return r;
 }
 
 void Proxy::start(PersistentReq& r) {
-  PersistentOp& pop = pop_of(r, "start");
-  if (pop.state == PState::kFreed) {
-    persist_misuse(rc_.rank(), "start", "request was freed");
+  Persistent& p = persistent_of(r, "start");
+  if (p.state == PState::kFreed) misuse("start", "request was freed");
+  if (p.state == PState::kStarted) {
+    misuse("start", "previous generation still in flight");
   }
-  if (pop.state == PState::kStarted) {
-    persist_misuse(rc_.rank(), "start",
-                   "previous generation still in flight");
-  }
-  pop.state = PState::kStarted;
-  if (pop.partitions == 0) {
-    rc_.start(pop.req);
-    return;
-  }
-  pop.part_started.assign(pop.partitions, false);
-  pop.started_parts = 0;
-  // Sends arm only — pready ships each partition; receives post everything
-  // now (the receiver has no readiness to wait for).
-  if (!pop.is_send) rc_.startall(pop.parts);
-}
-
-void Proxy::startall(std::span<PersistentReq> rs) {
-  if (rs.empty()) return;  // MPI_Startall(0, ...) is a no-op
-  for (PersistentReq& r : rs) start(r);
-}
-
-void Proxy::pready(PersistentReq& r, std::uint32_t p) {
-  PersistentOp& pop = pop_of(r, "pready");
-  if (!pop.is_send || pop.partitions == 0) {
-    persist_misuse(rc_.rank(), "pready", "request is not a partitioned send");
-  }
-  if (pop.state != PState::kStarted) {
-    persist_misuse(rc_.rank(), "pready", "no generation started");
-  }
-  if (p >= pop.partitions) {
-    persist_misuse(rc_.rank(), "pready", "partition out of range");
-  }
-  if (pop.part_started[p]) {
-    persist_misuse(rc_.rank(), "pready",
-                   "partition marked ready twice in one generation");
-  }
-  pop.part_started[p] = true;
-  ++pop.started_parts;
-  rc_.start(pop.parts[p]);  // direct approach: ships right here
+  persist_start(p);
 }
 
 void Proxy::pready_range(PersistentReq& r, std::uint32_t lo,
                          std::uint32_t hi) {
-  if (lo > hi) {
-    persist_misuse(rc_.rank(), "pready_range", "partition range is empty");
+  Persistent& p = persistent_of(r, "pready");
+  if (!p.is_send() || p.partitions == 0) {
+    misuse("pready", "request is not a partitioned send");
   }
-  for (std::uint32_t p = lo; p <= hi; ++p) pready(r, p);
+  if (p.state != PState::kStarted) misuse("pready", "no generation started");
+  if (lo > hi || hi >= p.partitions) misuse("pready", "partition out of range");
+  persist_pready(p, lo, hi);
+}
+
+void Proxy::mark_ready(Persistent& p, std::uint32_t part) {
+  // One release-RMW: publishes the partition's payload bytes to whoever
+  // observes the bit. The previous value is the double-mark check for free.
+  const std::uint64_t prev = p.ready[part / 64].mark(part % 64);
+  if ((prev >> (part % 64)) & 1u) {
+    misuse("pready", "partition marked ready twice in one generation");
+  }
+  ++p.marked;
 }
 
 void Proxy::wait(PersistentReq& r, smpi::Status* st) {
-  PersistentOp& pop = pop_of(r, "wait");
-  if (pop.state == PState::kFreed) {
-    persist_misuse(rc_.rank(), "wait", "request was freed");
-  }
-  if (pop.state == PState::kInactive) {
+  Persistent& p = persistent_of(r, "wait");
+  if (p.state == PState::kFreed) misuse("wait", "request was freed");
+  if (p.state == PState::kInactive) {
     if (st != nullptr) *st = smpi::Status{};
     return;  // trivially complete, like MPI_Wait on an inactive request
   }
-  if (pop.partitions == 0) {
-    rc_.wait(pop.req, st);  // persistent at the MPI layer: handle survives
-  } else {
-    if (pop.is_send && pop.started_parts != pop.partitions) {
-      persist_misuse(rc_.rank(), "wait",
-                     "wait with unmarked partitions (the send can never "
-                     "complete; pready every partition first)");
-    }
-    // waitall nulls array entries of completed persistent requests (the
-    // dead-slot contract) — wait on copies so the originals stay valid.
-    std::vector<smpi::Request> copies(pop.parts.begin(), pop.parts.end());
-    rc_.waitall(copies);
-    if (st != nullptr) {
-      st->source = pop.peer;
-      st->tag = pop.tag;
-      st->bytes = pop.bytes;
-    }
+  if (p.unmarked()) {
+    misuse("wait",
+           "wait with unmarked partitions (the send can never complete; "
+           "pready every partition first)");
   }
-  pop.state = PState::kInactive;
+  persist_complete(p, st, true);
+  if (st != nullptr && p.partitions != 0) *st = p.whole_status();
+  p.state = PState::kInactive;
 }
 
 bool Proxy::test(PersistentReq& r, smpi::Status* st) {
-  PersistentOp& pop = pop_of(r, "test");
-  if (pop.state == PState::kFreed) {
-    persist_misuse(rc_.rank(), "test", "request was freed");
-  }
-  if (pop.state == PState::kInactive) {
+  Persistent& p = persistent_of(r, "test");
+  if (p.state == PState::kFreed) misuse("test", "request was freed");
+  if (p.state == PState::kInactive) {
     if (st != nullptr) *st = smpi::Status{};
     return true;
   }
-  if (pop.partitions == 0) {
-    if (!rc_.test(pop.req, st)) return false;
-  } else {
-    // Unstarted partitions are inactive — hence settled — at the MPI layer
-    // and would wrongly pass a testall; an unfinished partitioned send is
-    // simply not complete yet.
-    if (pop.is_send && pop.started_parts != pop.partitions) return false;
-    std::vector<smpi::Request> copies(pop.parts.begin(), pop.parts.end());
-    if (!rc_.testall(copies)) return false;
-    if (st != nullptr) {
-      st->source = pop.peer;
-      st->tag = pop.tag;
-      st->bytes = pop.bytes;
-    }
-  }
-  pop.state = PState::kInactive;
+  if (!persist_complete(p, st, false)) return false;
+  if (st != nullptr && p.partitions != 0) *st = p.whole_status();
+  p.state = PState::kInactive;
   return true;
 }
 
 void Proxy::request_free(PersistentReq& r) {
   if (r.is_null()) return;
-  PersistentOp& pop = pop_of(r, "request_free");
-  if (pop.state == PState::kStarted) {
-    persist_misuse(rc_.rank(), "request_free", "generation still in flight");
+  Persistent& p = persistent_of(r, "request_free");
+  if (p.state == PState::kStarted) {
+    misuse("request_free", "generation still in flight");
   }
-  if (pop.state != PState::kFreed) {
-    if (!pop.req.is_null()) rc_.request_free(pop.req);
-    for (smpi::Request& part : pop.parts) {
-      if (!part.is_null()) rc_.request_free(part);
-    }
-    pop.state = PState::kFreed;
+  if (p.state != PState::kFreed) {
+    p.state = PState::kFreed;
+    persist_free(p);
   }
   r = PersistentReq{};
 }
 
 void Proxy::attach_continuation(PersistentReq& r, ContFn fn) {
-  PersistentOp& pop = pop_of(r, "attach_continuation");
-  if (pop.state != PState::kStarted) {
-    persist_misuse(rc_.rank(), "attach_continuation",
-                   "no generation started on this persistent request");
+  Persistent& p = persistent_of(r, "attach_continuation");
+  if (p.state != PState::kStarted) {
+    misuse("attach_continuation",
+           "no generation started on this persistent request");
   }
-  PersistentOp* p = &pop;  // stable: pops_ holds unique_ptrs
-  if (pop.partitions == 0) {
-    PReq pr{static_cast<std::uint64_t>(pop.req.idx)};
-    attach_continuation(pr, [p, f = std::move(fn)](const smpi::Status& st) {
-      // Consumed first: the callback observes kInactive and may start() the
-      // next generation from inside itself.
-      p->state = PState::kInactive;
-      f(st);
-    });
-    return;
+  if (p.unmarked()) {
+    // An unmarked partition can never ship, so the generation — and the
+    // continuation — could never complete.
+    misuse("attach_continuation",
+           "attach with unmarked partitions (pready every partition first)");
   }
-  if (pop.is_send && pop.started_parts != pop.partitions) {
-    // An armed-but-unmarked partition would leave the when-all counter
-    // permanently short — the continuation could never fire.
-    persist_misuse(rc_.rank(), "attach_continuation",
-                   "attach with unmarked partitions (pready every partition "
-                   "first)");
-  }
-  auto remaining = std::make_shared<std::uint32_t>(pop.partitions);
-  auto cb = std::make_shared<ContFn>(std::move(fn));
-  for (const smpi::Request part : pop.parts) {
-    PReq pr{static_cast<std::uint64_t>(part.idx)};
-    attach_continuation(pr, [p, remaining, cb](const smpi::Status&) {
-      if (--*remaining != 0) return;
-      p->state = PState::kInactive;
-      smpi::Status st;
-      st.source = p->peer;
-      st.tag = p->tag;
-      st.bytes = p->bytes;
-      (*cb)(st);
-    });
-  }
+  persist_attach(p, [&p, f = std::move(fn)](const smpi::Status& st) {
+    // Consumed first: the callback observes kInactive and may start() the
+    // next generation from inside itself.
+    p.state = PState::kInactive;
+    f(p.partitions == 0 ? st : p.whole_status());
+  });
 }
-
-smpi::Win Proxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
-  return rc_.win_create(base, bytes, c);
-}
-void Proxy::win_free(smpi::Win w) { rc_.win_free(w); }
-void Proxy::put(const void* origin, std::size_t bytes, int target,
-                std::size_t target_offset, smpi::Win w) {
-  rc_.put(origin, bytes, target, target_offset, w);
-}
-void Proxy::get(void* origin, std::size_t bytes, int target,
-                std::size_t target_offset, smpi::Win w) {
-  rc_.get(origin, bytes, target, target_offset, w);
-}
-void Proxy::fence(smpi::Win w) { rc_.win_fence(w); }
 
 // ------------------------------------------------------------ DirectProxy ----
 
@@ -412,14 +208,67 @@ PReq wrap(smpi::Request r) { return PReq{static_cast<std::uint64_t>(r.idx)}; }
 smpi::Request unwrap(PReq r) { return smpi::Request{static_cast<int>(r.v)}; }
 }  // namespace
 
-PReq DirectProxy::isend(const void* b, std::size_t n, smpi::Datatype dt,
-                        int dst, int tag, smpi::Comm c) {
-  return wrap(rc_.isend(b, n, dt, dst, tag, c));
+PReq DirectProxy::post(const Command& cmd) { return wrap(execute(rc_, cmd)); }
+
+void DirectProxy::persist_bind(Persistent& p) { p.create_requests(rc_); }
+
+void DirectProxy::persist_start(Persistent& p) {
+  p.open();
+  // A partitioned send arms only — pready ships each partition; everything
+  // else posts now (a receiver has no readiness to wait for).
+  if (p.partitions == 0) {
+    rc_.start(p.reqs[0]);
+  } else if (!p.is_send()) {
+    rc_.startall(p.reqs);
+  }
 }
-PReq DirectProxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                        int tag, smpi::Comm c) {
-  return wrap(rc_.irecv(b, n, dt, src, tag, c));
+
+void DirectProxy::persist_pready(Persistent& p, std::uint32_t lo,
+                                 std::uint32_t hi) {
+  for (std::uint32_t part = lo; part <= hi; ++part) {
+    mark_ready(p, part);
+    rc_.start(p.reqs[part]);  // direct approach: ships right here
+  }
 }
+
+bool DirectProxy::persist_complete(Persistent& p, smpi::Status* st,
+                                   bool block) {
+  if (p.partitions == 0) {
+    // Persistent at the MPI layer: the handle survives completion.
+    if (!block) return rc_.test(p.reqs[0], st);
+    rc_.wait(p.reqs[0], st);
+    return true;
+  }
+  // Unstarted partitions are inactive — hence settled — at the MPI layer
+  // and would wrongly pass a testall; an unfinished partitioned send is
+  // simply not complete yet.
+  if (p.unmarked()) return false;
+  // waitall nulls array entries of completed persistent requests (the
+  // dead-slot contract) — complete copies so the originals stay valid.
+  std::vector<smpi::Request> copies(p.reqs);
+  if (!block) return rc_.testall(copies);
+  rc_.waitall(copies);
+  return true;
+}
+
+void DirectProxy::persist_attach(Persistent& p, ContFn fn) {
+  // `fn` fires once every rc_-level request of the generation completed.
+  auto remaining = std::make_shared<std::size_t>(p.reqs.size());
+  auto cb = std::make_shared<ContFn>(std::move(fn));
+  for (const smpi::Request req : p.reqs) {
+    PReq pr = wrap(req);
+    attach_continuation(pr, [remaining, cb](const smpi::Status& st) {
+      if (--*remaining == 0) (*cb)(st);
+    });
+  }
+}
+
+void DirectProxy::persist_free(Persistent& p) {
+  for (smpi::Request& req : p.reqs) {
+    if (!req.is_null()) rc_.request_free(req);
+  }
+}
+
 void DirectProxy::wait(PReq& r, smpi::Status* st) {
   smpi::Request rq = unwrap(r);
   rc_.wait(rq, st);
@@ -456,28 +305,6 @@ bool DirectProxy::testall(std::span<PReq> rs) {
   const bool done = rc_.testall(reqs);
   for (std::size_t i = 0; i < rs.size(); ++i) rs[i] = wrap(reqs[i]);
   return done;
-}
-PReq DirectProxy::ibarrier(smpi::Comm c) { return wrap(rc_.ibarrier(c)); }
-PReq DirectProxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                         smpi::Comm c) {
-  return wrap(rc_.ibcast(b, n, dt, root, c));
-}
-PReq DirectProxy::ireduce(const void* s, void* r, std::size_t n,
-                          smpi::Datatype dt, smpi::Op op, int root,
-                          smpi::Comm c) {
-  return wrap(rc_.ireduce(s, r, n, dt, op, root, c));
-}
-PReq DirectProxy::iallreduce(const void* s, void* r, std::size_t n,
-                             smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
-  return wrap(rc_.iallreduce(s, r, n, dt, op, c));
-}
-PReq DirectProxy::ialltoall(const void* s, void* r, std::size_t n_per,
-                            smpi::Datatype dt, smpi::Comm c) {
-  return wrap(rc_.ialltoall(s, r, n_per, dt, c));
-}
-PReq DirectProxy::iallgather(const void* s, void* r, std::size_t n_per,
-                             smpi::Datatype dt, smpi::Comm c) {
-  return wrap(rc_.iallgather(s, r, n_per, dt, c));
 }
 
 void DirectProxy::attach_continuation(PReq& r, ContFn fn) {
@@ -619,35 +446,46 @@ void OffloadProxy::stop() {
   }
 }
 
-namespace {
-Command base_cmd(CmdOp op, smpi::Comm c) {
-  Command cmd;
-  cmd.op = op;
-  cmd.comm = c;
-  return cmd;
+PReq OffloadProxy::post(const Command& cmd) {
+  return preq_of(channel_.submit(cmd));
 }
-}  // namespace
 
-PReq OffloadProxy::isend(const void* b, std::size_t n, smpi::Datatype dt,
-                         int dst, int tag, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return preq_of(channel_.submit(cmd));
+void OffloadProxy::post_batch(std::span<const Command> ops,
+                              std::span<PReq> out) {
+  const auto is_start = [](const Command& o) {
+    return o.op == CmdOp::kStartPersistent;
+  };
+  if (ops.size() != out.size() ||
+      std::any_of(ops.begin(), ops.end(), is_start)) {
+    // (The base rejects mismatched spans.) Persistent starts carry a
+    // pre-pinned pool slot and a different command shape than the
+    // alloc-as-you-publish batch path — post mixed groups element-wise
+    // (each start is already the cheap re-arm form).
+    Proxy::post_batch(ops, out);
+    return;
+  }
+  const std::size_t flush = channel_.options().batch_flush;
+  // Per-call scratch: submit_batch advances virtual time (and a real enqueue
+  // would block), so another fiber can enter post_batch concurrently — a
+  // shared member buffer would be clobbered mid-flush.
+  std::vector<Command> scratch;
+  for (std::size_t base = 0; base < ops.size(); base += flush) {
+    const std::size_t n = std::min(flush, ops.size() - base);
+    scratch.assign(ops.begin() + static_cast<std::ptrdiff_t>(base),
+                   ops.begin() + static_cast<std::ptrdiff_t>(base + n));
+    for (const Command& o : scratch) {
+      if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
+        throw std::invalid_argument(
+            "post_batch: only isend/irecv/start ops batch");
+      }
+    }
+    channel_.submit_batch(scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[base + i] = preq_of(scratch[i].proxy);
+    }
+  }
 }
-PReq OffloadProxy::irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                         int tag, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return preq_of(channel_.submit(cmd));
-}
+
 void OffloadProxy::wait(PReq& r, smpi::Status* st) {
   if (r.is_null()) return;
   channel_.wait_done(slot_of(r), st);
@@ -658,6 +496,17 @@ bool OffloadProxy::test(PReq& r, smpi::Status* st) {
   if (!channel_.test_done(slot_of(r), st)) return false;
   r = PReq{};
   return true;
+}
+bool OffloadProxy::release(std::span<PReq> rs) {
+  bool freed = false;
+  for (PReq& r : rs) {
+    if (r.is_null()) continue;
+    san::acquire(&channel_.pool(), slot_of(r));  // completer's publish
+    channel_.free_slot(slot_of(r));
+    r = PReq{};
+    freed = true;
+  }
+  return freed;
 }
 void OffloadProxy::waitall(std::span<PReq> rs) {
   if (rs.empty()) return;  // no-op: no flags to scan, no doorbell to ring
@@ -684,14 +533,7 @@ void OffloadProxy::waitall(std::span<PReq> rs) {
     if (all_done) break;
     channel_.completions().wait_beyond(seen);
   }
-  for (PReq& r : rs) {
-    if (r.is_null()) continue;
-    sim::advance(p.request_pool_op);
-    san::acquire(&pool, slot_of(r));  // completer's done-flag publish
-    san::release(&pool, slot_of(r));  // hand the slot to the next alloc()
-    pool.free(slot_of(r));
-    r = PReq{};
-  }
+  release(rs);
   channel_.completions().signal();  // freed slots may unblock a full pool
 }
 int OffloadProxy::waitany(std::span<PReq> rs, smpi::Status* st) {
@@ -710,13 +552,10 @@ int OffloadProxy::waitany(std::span<PReq> rs, smpi::Status* st) {
       sim::advance(p.done_flag_check);
       const std::uint32_t slot = slot_of(rs[i]);
       if (!pool.done(slot)) continue;
-      san::acquire(&pool, slot);
+      san::acquire(&pool, slot);  // done-flag acquire: Status visible
       if (st != nullptr) *st = pool.status(slot);
-      sim::advance(p.request_pool_op);
-      san::release(&pool, slot);
-      pool.free(slot);
+      release(rs.subspan(i, 1));
       channel_.completions().signal();
-      rs[i] = PReq{};
       return static_cast<int>(i);
     }
     if (!any_active) return -1;
@@ -732,207 +571,45 @@ bool OffloadProxy::testall(std::span<PReq> rs) {
     sim::advance(p.done_flag_check);
     if (!pool.done(slot_of(r))) return false;
   }
-  bool freed = false;
-  for (PReq& r : rs) {
-    if (r.is_null()) continue;
-    sim::advance(p.request_pool_op);
-    san::acquire(&pool, slot_of(r));
-    san::release(&pool, slot_of(r));
-    pool.free(slot_of(r));
-    r = PReq{};
-    freed = true;
-  }
-  if (freed) channel_.completions().signal();
+  if (release(rs)) channel_.completions().signal();
   return true;
 }
-void OffloadProxy::post_batch(std::span<const BatchOp> ops,
-                              std::span<PReq> out) {
-  if (ops.size() != out.size()) {
-    throw std::invalid_argument("post_batch: ops/out span size mismatch");
+
+// Persistent & partitioned: the pinned pool slot and the engines' ready-word
+// machinery (OffloadChannel::persist_*).
+
+void OffloadProxy::persist_bind(Persistent& p) { channel_.persist_init(p); }
+
+void OffloadProxy::persist_start(Persistent& p) { channel_.persist_start(p); }
+
+void OffloadProxy::persist_pready(Persistent& p, std::uint32_t lo,
+                                  std::uint32_t hi) {
+  for (std::uint32_t part = lo; part <= hi; ++part) {
+    sim::advance(rc_.profile().pready_publish);
+    mark_ready(p, part);
   }
-  for (const BatchOp& o : ops) {
-    if (o.op == CmdOp::kStartPersistent) {
-      // Persistent starts carry a pre-pinned pool slot and a different
-      // command shape than the alloc-as-you-publish batch path — post mixed
-      // groups element-wise (each start is already the cheap re-arm form).
-      Proxy::post_batch(ops, out);
-      return;
-    }
-  }
-  const std::size_t flush = channel_.options().batch_flush;
-  // Per-call scratch: submit_batch advances virtual time (and a real enqueue
-  // would block), so another fiber can enter post_batch concurrently — a
-  // shared member buffer would be clobbered mid-flush.
-  std::vector<Command> scratch;
-  scratch.reserve(std::min(flush, ops.size()));
-  for (std::size_t base = 0; base < ops.size(); base += flush) {
-    const std::size_t n = std::min(flush, ops.size() - base);
-    scratch.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const BatchOp& o = ops[base + i];
-      if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
-        throw std::invalid_argument("post_batch: only isend/irecv ops batch");
-      }
-      Command cmd = base_cmd(o.op, o.comm);
-      cmd.sbuf = o.sbuf;
-      cmd.rbuf = o.rbuf;
-      cmd.count = o.count;
-      cmd.dtype = o.dtype;
-      cmd.peer = o.peer;
-      cmd.tag = o.tag;
-      scratch.push_back(cmd);
-    }
-    channel_.submit_batch(scratch);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[base + i] = preq_of(scratch[i].proxy);
-    }
-  }
-}
-PReq OffloadProxy::ibarrier(smpi::Comm c) {
-  return preq_of(channel_.submit(base_cmd(CmdOp::kIbarrier, c)));
-}
-PReq OffloadProxy::ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                          smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIbcast, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = root;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::ireduce(const void* s, void* r, std::size_t n,
-                           smpi::Datatype dt, smpi::Op op, int root,
-                           smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIreduce, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.rop = op;
-  cmd.peer = root;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::iallreduce(const void* s, void* r, std::size_t n,
-                              smpi::Datatype dt, smpi::Op op, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIallreduce, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.rop = op;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::ialltoall(const void* s, void* r, std::size_t n_per,
-                             smpi::Datatype dt, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIalltoall, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n_per;
-  cmd.dtype = dt;
-  return preq_of(channel_.submit(cmd));
-}
-PReq OffloadProxy::iallgather(const void* s, void* r, std::size_t n_per,
-                              smpi::Datatype dt, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIallgather, c);
-  cmd.sbuf = s;
-  cmd.rbuf = r;
-  cmd.count = n_per;
-  cmd.dtype = dt;
-  return preq_of(channel_.submit(cmd));
+  trace::instant("pready", "offload");
+  // Doorbell: a sleeping engine re-checks persistent_ready_pending against
+  // this signal's count before committing to sleep.
+  rc_.arrivals().signal();
 }
 
-// Persistent & partitioned: every call maps onto the channel's PersistSlot
-// machinery (persistent-slot index biased by one so the null handle stays 0).
-
-namespace {
-std::uint32_t persist_idx(PersistentReq r, const char* call) {
-  if (r.is_null()) {
-    throw std::logic_error(std::string(call) +
-                           ": null persistent request handle");
-  }
-  return static_cast<std::uint32_t>(r.v - 1);
-}
-}  // namespace
-
-PersistentReq OffloadProxy::send_init(const void* b, std::size_t n,
-                                      smpi::Datatype dt, int dst, int tag,
-                                      smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, 0)) + 1};
+bool OffloadProxy::persist_complete(Persistent& p, smpi::Status* st,
+                                    bool block) {
+  // Consume the completion WITHOUT freeing the pinned slot: the request
+  // returns to kInactive, ready for the next start.
+  if (!block) return channel_.test_done(p.cmd.proxy, st, true);
+  channel_.wait_done(p.cmd.proxy, st, true);
+  return true;
 }
 
-PersistentReq OffloadProxy::recv_init(void* b, std::size_t n,
-                                      smpi::Datatype dt, int src, int tag,
-                                      smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, 0)) + 1};
+void OffloadProxy::persist_attach(Persistent& p, ContFn fn) {
+  // Same arm/fire protocol as one-shot slots; the channel keeps instead of
+  // frees a persistent slot once its callback is consumed.
+  channel_.attach_continuation(p.cmd.proxy, std::move(fn));
 }
 
-PersistentReq OffloadProxy::psend_init(const void* b, std::size_t n,
-                                       smpi::Datatype dt, int dst, int tag,
-                                       std::uint32_t partitions,
-                                       smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIsend, c);
-  cmd.sbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = dst;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, partitions)) + 1};
-}
-
-PersistentReq OffloadProxy::precv_init(void* b, std::size_t n,
-                                       smpi::Datatype dt, int src, int tag,
-                                       std::uint32_t partitions,
-                                       smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kIrecv, c);
-  cmd.rbuf = b;
-  cmd.count = n;
-  cmd.dtype = dt;
-  cmd.peer = src;
-  cmd.tag = tag;
-  return PersistentReq{
-      static_cast<std::uint64_t>(channel_.persist_init(cmd, partitions)) + 1};
-}
-
-void OffloadProxy::start(PersistentReq& r) {
-  channel_.persist_start(persist_idx(r, "start"));
-}
-void OffloadProxy::pready(PersistentReq& r, std::uint32_t p) {
-  channel_.persist_pready(persist_idx(r, "pready"), p, p);
-}
-void OffloadProxy::pready_range(PersistentReq& r, std::uint32_t lo,
-                                std::uint32_t hi) {
-  channel_.persist_pready(persist_idx(r, "pready_range"), lo, hi);
-}
-void OffloadProxy::wait(PersistentReq& r, smpi::Status* st) {
-  channel_.persist_wait(persist_idx(r, "wait"), st);
-}
-bool OffloadProxy::test(PersistentReq& r, smpi::Status* st) {
-  return channel_.persist_test(persist_idx(r, "test"), st);
-}
-void OffloadProxy::request_free(PersistentReq& r) {
-  if (r.is_null()) return;
-  channel_.persist_free(persist_idx(r, "request_free"));
-  r = PersistentReq{};
-}
-void OffloadProxy::attach_continuation(PersistentReq& r, ContFn fn) {
-  channel_.persist_attach_continuation(persist_idx(r, "attach_continuation"),
-                                       std::move(fn));
-}
+void OffloadProxy::persist_free(Persistent& p) { channel_.persist_free(p); }
 
 void OffloadProxy::attach_continuation(PReq& r, ContFn fn) {
   if (r.is_null()) {
@@ -958,48 +635,6 @@ void OffloadProxy::cont_wait(const std::function<bool()>& done) {
     if (done()) break;
     channel_.completions().wait_beyond(seen);
   }
-}
-
-smpi::Win OffloadProxy::win_create(void* base, std::size_t bytes, smpi::Comm c) {
-  Command cmd = base_cmd(CmdOp::kWinCreate, c);
-  cmd.rbuf = base;
-  cmd.count = bytes;
-  smpi::Win out;
-  cmd.win_out = &out;
-  channel_.wait_done(channel_.submit(cmd));
-  return out;
-}
-void OffloadProxy::win_free(smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kWinFree, smpi::kCommWorld);
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::put(const void* origin, std::size_t bytes, int target,
-                       std::size_t target_offset, smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kPut, smpi::kCommWorld);
-  cmd.sbuf = origin;
-  cmd.count = bytes;
-  cmd.peer = target;
-  cmd.offset = target_offset;
-  cmd.win = w;
-  // Fire-and-forget at the MPI level: the engine completes the proxy slot as
-  // soon as the put is injected; remote completion is the fence's job.
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::get(void* origin, std::size_t bytes, int target,
-                       std::size_t target_offset, smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kGet, smpi::kCommWorld);
-  cmd.rbuf = origin;
-  cmd.count = bytes;
-  cmd.peer = target;
-  cmd.offset = target_offset;
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
-}
-void OffloadProxy::fence(smpi::Win w) {
-  Command cmd = base_cmd(CmdOp::kIfence, smpi::kCommWorld);
-  cmd.win = w;
-  channel_.wait_done(channel_.submit(cmd));
 }
 
 // ---------------------------------------------------------------- factory ----

@@ -3,7 +3,8 @@
 // Applications and benchmarks are written once against Proxy; selecting the
 // approach at run time reproduces the paper's property that no application
 // change is needed (the paper uses LD_PRELOAD interposition; we own the MPI
-// library, so a vtable stands in for the PLT).
+// library, so a non-virtual front end that spells every call as one Command
+// plus a small vtable stand in for the PLT).
 //
 //   baseline  — direct MPI calls from the application thread(s).
 //   iprobe    — baseline + progress_hint() mapped to MPI_Iprobe (the
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -40,75 +42,14 @@ Approach approach_from_string(const std::string& s);
 /// Thread level the underlying MPI must be initialized with.
 smpi::ThreadLevel required_thread_level(Approach a);
 
-/// Proxy-level request handle. Meaning is proxy-specific (real smpi request
-/// index for direct proxies; RequestPool slot + 1 for offload). Zero is the
-/// null handle for every proxy — a default-constructed PReq is null, and
-/// completion calls null handles they release, so waiting twice is safe.
-struct PReq {
-  std::uint64_t v = 0;
-  [[nodiscard]] bool is_null() const { return v == 0; }
-};
-
-/// Persistent (init-once/start-many) request handle. Unlike PReq, completion
-/// calls do NOT consume it: wait/test return it to the inactive state, ready
-/// for the next start(); only request_free() retires it. Meaning is
-/// proxy-specific (base PersistentOp-table index + 1 for the direct
-/// approaches, OffloadChannel persistent-slot index + 1 for offload); zero is
-/// the null handle everywhere.
-struct PersistentReq {
-  std::uint64_t v = 0;
-  [[nodiscard]] bool is_null() const { return v == 0; }
-};
-
-/// One operation of a batched nonblocking post (Proxy::post_batch). Only
-/// point-to-point ops batch: that is the halo-exchange shape the batching
-/// path exists for (N posts -> one lane publish + one doorbell). A
-/// kStartPersistent entry re-arms an initialized persistent request in the
-/// same group; its `out` slot stays null (the persistent handle itself is
-/// how the caller waits).
-struct BatchOp {
-  CmdOp op = CmdOp::kIsend;  ///< kIsend, kIrecv, or kStartPersistent
-  const void* sbuf = nullptr;
-  void* rbuf = nullptr;
-  std::size_t count = 0;
-  smpi::Datatype dtype = smpi::Datatype::kByte;
-  int peer = -1;
-  int tag = 0;
-  smpi::Comm comm = smpi::kCommWorld;
-  std::uint64_t persist = 0;  ///< PersistentReq::v for kStartPersistent
-
-  static BatchOp isend(const void* b, std::size_t n, smpi::Datatype dt,
-                       int dst, int tag, smpi::Comm c = smpi::kCommWorld) {
-    BatchOp o;
-    o.op = CmdOp::kIsend;
-    o.sbuf = b;
-    o.count = n;
-    o.dtype = dt;
-    o.peer = dst;
-    o.tag = tag;
-    o.comm = c;
-    return o;
-  }
-  static BatchOp irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                       int tag, smpi::Comm c = smpi::kCommWorld) {
-    BatchOp o;
-    o.op = CmdOp::kIrecv;
-    o.rbuf = b;
-    o.count = n;
-    o.dtype = dt;
-    o.peer = src;
-    o.tag = tag;
-    o.comm = c;
-    return o;
-  }
-  static BatchOp start(PersistentReq r) {
-    BatchOp o;
-    o.op = CmdOp::kStartPersistent;
-    o.persist = r.v;
-    return o;
-  }
-};
-
+/// The application-facing front end. Every nonblocking op is spelled once,
+/// as a Command handed to post(); the blocking forms and the RMA calls are
+/// post + wait (no wait when the op completed inside post). Persistent
+/// requests live in one record type (core::Persistent) whose validation,
+/// inactive -> started -> inactive state machine, misuse reporting and
+/// whole-message Status are all here.
+/// What an approach overrides is only what the paper varies: who issues a
+/// posted op and who discovers its completion.
 class Proxy {
  public:
   explicit Proxy(smpi::RankCtx& rc) : rc_(rc) {}
@@ -128,21 +69,32 @@ class Proxy {
   virtual void stop() {}
 
   // ---- point-to-point ----
-  virtual PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst,
-                     int tag, smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src,
-                     int tag, smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void send(const void* b, std::size_t n, smpi::Datatype dt, int dst,
-                    int tag, smpi::Comm c = smpi::kCommWorld);
-  virtual void recv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-                    smpi::Comm c = smpi::kCommWorld, smpi::Status* st = nullptr);
+  PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
+             smpi::Comm c = smpi::kCommWorld) {
+    return post(Command::isend(b, n, dt, dst, tag, c));
+  }
+  PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
+             smpi::Comm c = smpi::kCommWorld) {
+    return post(Command::irecv(b, n, dt, src, tag, c));
+  }
+  void send(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
+            smpi::Comm c = smpi::kCommWorld) {
+    PReq r = isend(b, n, dt, dst, tag, c);
+    wait(r);
+  }
+  void recv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
+            smpi::Comm c = smpi::kCommWorld, smpi::Status* st = nullptr) {
+    PReq r = irecv(b, n, dt, src, tag, c);
+    wait(r, st);
+  }
 
-  /// Post a group of nonblocking point-to-point operations; `out[i]`
-  /// receives the request for `ops[i]` (spans must be the same length). The
-  /// default posts one at a time; the offload proxy serializes whole chunks
-  /// into its submission lane with one publish and one doorbell each
+  /// Post a group of nonblocking point-to-point operations (Command::isend,
+  /// ::irecv or ::start); `out[i]` receives the request for `ops[i]` (spans
+  /// must be the same length; a start's entry stays null). The default
+  /// posts one at a time; the offload proxy serializes whole chunks into its
+  /// submission lane with one publish and one doorbell each
   /// (ProxyOptions::batch_flush commands per chunk).
-  virtual void post_batch(std::span<const BatchOp> ops, std::span<PReq> out);
+  virtual void post_batch(std::span<const Command> ops, std::span<PReq> out);
 
   // ---- persistent & partitioned point-to-point (MPI-4 style) ----
   // init-once/start-many: the envelope is registered once, then each
@@ -151,60 +103,71 @@ class Proxy {
   // Partitioned variants split the buffer into `partitions` contiguous byte
   // slices; pready(p), callable from ANY compute fiber, publishes slice p as
   // ready so it can ship while sibling slices are still being computed —
-  // under the offload approach the engines poll a per-partition ready word
-  // and issue early partitions without the sender ever entering MPI.
-  //
-  // The base implementations serve the direct approaches (the caller's
-  // thread enters MPI itself: pready ships its partition immediately);
-  // OffloadProxy overrides everything onto its channel.
+  // a direct approach ships it from the caller's thread right there, the
+  // offload engines poll a per-partition ready word and issue early
+  // partitions without the sender ever entering MPI.
 
-  virtual PersistentReq send_init(const void* b, std::size_t n,
-                                  smpi::Datatype dt, int dst, int tag,
-                                  smpi::Comm c = smpi::kCommWorld);
-  virtual PersistentReq recv_init(void* b, std::size_t n, smpi::Datatype dt,
-                                  int src, int tag,
-                                  smpi::Comm c = smpi::kCommWorld);
+  PersistentReq send_init(const void* b, std::size_t n, smpi::Datatype dt,
+                          int dst, int tag, smpi::Comm c = smpi::kCommWorld) {
+    return persistent_init(Command::isend(b, n, dt, dst, tag, c), 0);
+  }
+  PersistentReq recv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
+                          int tag, smpi::Comm c = smpi::kCommWorld) {
+    return persistent_init(Command::irecv(b, n, dt, src, tag, c), 0);
+  }
   /// Partitioned send: `partitions` contiguous byte slices of the buffer
-  /// (1..kMaxPartitions; tag < kMaxPartBaseTag). Every generation must mark
-  /// each partition ready exactly once via pready.
-  virtual PersistentReq psend_init(const void* b, std::size_t n,
-                                   smpi::Datatype dt, int dst, int tag,
-                                   std::uint32_t partitions,
-                                   smpi::Comm c = smpi::kCommWorld);
+  /// (1..kMaxPartitions; tag < kMaxPartBaseTag; a specific peer). Every
+  /// generation must mark each partition ready exactly once via pready.
+  PersistentReq psend_init(const void* b, std::size_t n, smpi::Datatype dt,
+                           int dst, int tag, std::uint32_t partitions,
+                           smpi::Comm c = smpi::kCommWorld) {
+    return persistent_init(
+        Command::isend(b, n, dt, dst, tag, c),
+        checked_partitions("psend_init", partitions, tag, dst));
+  }
   /// Partitioned receive: posts all partitions at start().
-  virtual PersistentReq precv_init(void* b, std::size_t n, smpi::Datatype dt,
-                                   int src, int tag, std::uint32_t partitions,
-                                   smpi::Comm c = smpi::kCommWorld);
+  PersistentReq precv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
+                           int tag, std::uint32_t partitions,
+                           smpi::Comm c = smpi::kCommWorld) {
+    return persistent_init(
+        Command::irecv(b, n, dt, src, tag, c),
+        checked_partitions("precv_init", partitions, tag, src));
+  }
   /// Begin one generation. Throws std::logic_error when the previous
   /// generation's completion has not been consumed or the request was freed.
-  virtual void start(PersistentReq& r);
+  void start(PersistentReq& r);
   /// start() every handle in `rs`; an empty span is a no-op.
-  virtual void startall(std::span<PersistentReq> rs);
+  void startall(std::span<PersistentReq> rs) {
+    for (PersistentReq& r : rs) start(r);
+  }
   /// Mark partition `p` of a started partitioned send ready. Throws on
   /// double-mark, on an inactive generation, or on a non-partitioned handle.
-  virtual void pready(PersistentReq& r, std::uint32_t p);
-  /// pready for every partition in [lo, hi].
-  virtual void pready_range(PersistentReq& r, std::uint32_t lo,
-                            std::uint32_t hi);
+  void pready(PersistentReq& r, std::uint32_t p) { pready_range(r, p, p); }
+  /// pready for every partition in [lo, hi]. The bounds are checked before
+  /// any partition is marked; a double-mark throws at the first repeated
+  /// partition, leaving the ones before it marked. Misuse is reported under
+  /// the call name "pready".
+  void pready_range(PersistentReq& r, std::uint32_t lo, std::uint32_t hi);
   /// Block until the current generation completes; the handle returns to
   /// the inactive state (NOT nulled — start it again or free it). Trivially
   /// complete with an empty Status when no generation is active. Throws when
   /// a partitioned send still has unmarked partitions.
-  virtual void wait(PersistentReq& r, smpi::Status* st = nullptr);
+  void wait(PersistentReq& r, smpi::Status* st = nullptr);
   /// Nonblocking wait(PersistentReq&). A partitioned send with unmarked
   /// partitions reports false (it can never complete yet).
-  virtual bool test(PersistentReq& r, smpi::Status* st = nullptr);
+  bool test(PersistentReq& r, smpi::Status* st = nullptr);
   /// Retire the request (requires no generation in flight); nulls `r`.
-  virtual void request_free(PersistentReq& r);
+  void request_free(PersistentReq& r);
   /// Bind `fn` to the CURRENT generation's completion. The handle is NOT
   /// consumed: the callback observes the request back in the inactive state
-  /// and may start() the next generation from inside itself.
-  virtual void attach_continuation(PersistentReq& r, ContFn fn);
+  /// and may start() the next generation from inside itself. Throws when
+  /// a partitioned send still has unmarked partitions.
+  void attach_continuation(PersistentReq& r, ContFn fn);
 
   // ---- completion ----
   virtual void wait(PReq& r, smpi::Status* st = nullptr) = 0;
   virtual bool test(PReq& r, smpi::Status* st = nullptr) = 0;
-  virtual void waitall(std::span<PReq> rs);
+  virtual void waitall(std::span<PReq> rs) = 0;
   /// MPI_Waitany: block until some active request completes, release it,
   /// null its entry, and return its index; -1 when every entry is null.
   virtual int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) = 0;
@@ -230,40 +193,79 @@ class Proxy {
   virtual void cont_wait(const std::function<bool()>& done) = 0;
 
   // ---- collectives ----
-  virtual void barrier(smpi::Comm c = smpi::kCommWorld);
-  virtual PReq ibarrier(smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void bcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                     smpi::Comm c = smpi::kCommWorld);
-  virtual PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-                      smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void reduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                      smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld);
-  virtual PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                       smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void allreduce(const void* s, void* r, std::size_t n,
-                         smpi::Datatype dt, smpi::Op op,
-                         smpi::Comm c = smpi::kCommWorld);
-  virtual PReq iallreduce(const void* s, void* r, std::size_t n,
-                          smpi::Datatype dt, smpi::Op op,
-                          smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void alltoall(const void* s, void* r, std::size_t n_per,
-                        smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
-  virtual PReq ialltoall(const void* s, void* r, std::size_t n_per,
-                         smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld) = 0;
-  virtual void allgather(const void* s, void* r, std::size_t n_per,
-                         smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld);
-  virtual PReq iallgather(const void* s, void* r, std::size_t n_per,
-                          smpi::Datatype dt, smpi::Comm c = smpi::kCommWorld) = 0;
+  PReq ibarrier(smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIbarrier, .comm = c});
+  }
+  PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
+              smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIbcast, .rbuf = b, .count = n, .dtype = dt,
+                 .peer = root, .comm = c});
+  }
+  PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
+               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIreduce, .sbuf = s, .rbuf = r, .count = n,
+                 .dtype = dt, .rop = op, .peer = root, .comm = c});
+  }
+  PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
+                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIallreduce, .sbuf = s, .rbuf = r, .count = n,
+                 .dtype = dt, .rop = op, .comm = c});
+  }
+  PReq ialltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
+                 smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIalltoall, .sbuf = s, .rbuf = r,
+                 .count = n_per, .dtype = dt, .comm = c});
+  }
+  PReq iallgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
+                  smpi::Comm c = smpi::kCommWorld) {
+    return post({.op = CmdOp::kIallgather, .sbuf = s, .rbuf = r,
+                 .count = n_per, .dtype = dt, .comm = c});
+  }
+  void barrier(smpi::Comm c = smpi::kCommWorld) { complete(ibarrier(c)); }
+  void bcast(void* b, std::size_t n, smpi::Datatype dt, int root,
+             smpi::Comm c = smpi::kCommWorld) {
+    complete(ibcast(b, n, dt, root, c));
+  }
+  void reduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
+              smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) {
+    complete(ireduce(s, r, n, dt, op, root, c));
+  }
+  void allreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
+                 smpi::Op op, smpi::Comm c = smpi::kCommWorld) {
+    complete(iallreduce(s, r, n, dt, op, c));
+  }
+  void alltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
+                smpi::Comm c = smpi::kCommWorld) {
+    complete(ialltoall(s, r, n_per, dt, c));
+  }
+  void allgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
+                 smpi::Comm c = smpi::kCommWorld) {
+    complete(iallgather(s, r, n_per, dt, c));
+  }
 
-  // ---- one-sided (RMA) ----
-  virtual smpi::Win win_create(void* base, std::size_t bytes,
-                               smpi::Comm c = smpi::kCommWorld);
-  virtual void win_free(smpi::Win w);
-  virtual void put(const void* origin, std::size_t bytes, int target,
-                   std::size_t target_offset, smpi::Win w);
-  virtual void get(void* origin, std::size_t bytes, int target,
-                   std::size_t target_offset, smpi::Win w);
-  virtual void fence(smpi::Win w);
+  // ---- one-sided (RMA): each call returns once its op has been issued
+  // (put/get: injected; remote completion is the fence's job) ----
+  smpi::Win win_create(void* base, std::size_t bytes,
+                       smpi::Comm c = smpi::kCommWorld) {
+    smpi::Win w;
+    complete(post({.op = CmdOp::kWinCreate, .rbuf = base, .count = bytes,
+                   .comm = c, .win_out = &w}));
+    return w;
+  }
+  void win_free(smpi::Win w) {
+    complete(post({.op = CmdOp::kWinFree, .win = w}));
+  }
+  void put(const void* origin, std::size_t bytes, int target,
+           std::size_t target_offset, smpi::Win w) {
+    complete(post({.op = CmdOp::kPut, .sbuf = origin, .count = bytes,
+                   .peer = target, .win = w, .offset = target_offset}));
+  }
+  void get(void* origin, std::size_t bytes, int target,
+           std::size_t target_offset, smpi::Win w) {
+    complete(post({.op = CmdOp::kGet, .rbuf = origin, .count = bytes,
+                   .peer = target, .win = w, .offset = target_offset}));
+  }
+  void fence(smpi::Win w) { complete(post({.op = CmdOp::kIfence, .win = w})); }
 
   /// Hook the application sprinkles into compute loops (Listing 1's
   /// PROGRESS). No-op except for the iprobe approach.
@@ -279,59 +281,70 @@ class Proxy {
   [[nodiscard]] virtual std::size_t inflight() const { return 0; }
 
  protected:
-  /// Generic persistent request record for the direct approaches: one (or
-  /// one-per-partition) rc_-level persistent MPI request. unique_ptr: stable
-  /// addresses (continuation callbacks capture the record), never reused.
-  struct PersistentOp {
-    PState state = PState::kInactive;
-    bool is_send = false;
-    std::uint32_t partitions = 0;  ///< 0 = plain persistent
-    int peer = -1;
-    int tag = 0;                   ///< base tag (partition tags derive)
-    std::uint64_t bytes = 0;       ///< whole-message size (Status synth)
-    smpi::Request req{};           ///< plain: the one rc_ request
-    std::vector<smpi::Request> parts;      ///< partitioned: per partition
-    std::vector<bool> part_started;        ///< this generation's pready marks
-    std::uint32_t started_parts = 0;       ///< count of marks this generation
-  };
-  /// Look up a handle, throwing on null/out-of-range.
-  PersistentOp& pop_of(const PersistentReq& r, const char* call);
+  /// Issue one op: a direct proxy executes it on the caller's thread, the
+  /// offload proxy serializes it to an engine. Ops that complete inside the
+  /// call may return a null handle.
+  virtual PReq post(const Command& cmd) = 0;
 
-  std::vector<std::unique_ptr<PersistentOp>> pops_;
+  // ---- persistent actions: what an approach does at each step of the
+  // front end's state machine (the checks have already passed) ----
+  /// Init: create the rc_-level requests (direct) or pin a pool slot.
+  virtual void persist_bind(Persistent& p) = 0;
+  /// Start: must call p.open() once the generation may be observed.
+  virtual void persist_start(Persistent& p) = 0;
+  /// pready [lo, hi]: mark each partition via mark_ready and ship or
+  /// publish it.
+  virtual void persist_pready(Persistent& p, std::uint32_t lo,
+                              std::uint32_t hi) = 0;
+  /// Consume the generation's completion (block or poll once); false while
+  /// it is still running.
+  virtual bool persist_complete(Persistent& p, smpi::Status* st,
+                                bool block) = 0;
+  /// Run `fn` once when the current generation completes.
+  virtual void persist_attach(Persistent& p, ContFn fn) = 0;
+  /// Release whatever persist_bind acquired.
+  virtual void persist_free(Persistent& p) = 0;
+
+  /// Mark one partition ready; a second mark in one generation is misuse.
+  void mark_ready(Persistent& p, std::uint32_t part);
+  /// Look up a handle, throwing on null/out-of-range.
+  Persistent& persistent_of(const PersistentReq& r, const char* call);
+
   smpi::RankCtx& rc_;
+
+ private:
+  /// Wait for an op unless it already completed inside post().
+  void complete(PReq r) {
+    if (!r.is_null()) wait(r);
+  }
+  [[noreturn]] void misuse(const char* call, const char* what);
+  std::uint32_t checked_partitions(const char* call, std::uint32_t partitions,
+                                   int tag, int peer);
+  PersistentReq persistent_init(const Command& cmd, std::uint32_t partitions);
+
+  /// deque: stable addresses (continuation callbacks and the offload
+  /// channel hold records), never reused.
+  std::deque<Persistent> persist_;
 };
 
 /// Direct-call proxy (baseline); also the base for iprobe and comm-self.
+/// The caller's thread enters MPI itself: post() executes the op, pready
+/// ships its partition immediately, completion calls are the MPI ones.
 class DirectProxy : public Proxy {
  public:
   using Proxy::Proxy;
-  // The PReq overrides below would hide the base's PersistentReq overloads
-  // (which serve the direct approaches as-is) — keep both visible.
+  // The PReq overrides below would hide the front end's PersistentReq
+  // overloads — keep both visible.
   using Proxy::wait;
   using Proxy::test;
   using Proxy::attach_continuation;
   [[nodiscard]] Approach approach() const override { return Approach::kBaseline; }
 
-  PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
-  PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;
   void waitall(std::span<PReq> rs) override;
   int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) override;
   bool testall(std::span<PReq> rs) override;
-  PReq ibarrier(smpi::Comm c = smpi::kCommWorld) override;
-  PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-              smpi::Comm c = smpi::kCommWorld) override;
-  PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) override;
-  PReq ialltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                 smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                  smpi::Comm c = smpi::kCommWorld) override;
 
   /// Direct approaches have no engine fiber: armed continuations live in a
   /// list the progress path pumps (each pump MPI_Tests the armed requests
@@ -343,6 +356,15 @@ class DirectProxy : public Proxy {
   }
 
  protected:
+  PReq post(const Command& cmd) override;
+  void persist_bind(Persistent& p) override;
+  void persist_start(Persistent& p) override;
+  void persist_pready(Persistent& p, std::uint32_t lo,
+                      std::uint32_t hi) override;
+  bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
+  void persist_attach(Persistent& p, ContFn fn) override;
+  void persist_free(Persistent& p) override;
+
   /// Test each armed request once; run + retire completed ones. Safe against
   /// re-entry (callbacks posting follow-ups or attaching more continuations
   /// land in armed_ and are picked up by the restarted scan).
@@ -387,6 +409,9 @@ class OffloadProxy : public Proxy {
   explicit OffloadProxy(smpi::RankCtx& rc);
   /// Explicit tuning (tests/ablations); the environment is NOT consulted.
   OffloadProxy(smpi::RankCtx& rc, const ProxyOptions& opts);
+  using Proxy::wait;
+  using Proxy::test;
+  using Proxy::attach_continuation;
   [[nodiscard]] Approach approach() const override { return Approach::kOffload; }
   void start_engine() override;
   void stop() override;
@@ -394,23 +419,15 @@ class OffloadProxy : public Proxy {
     return cores > 1 ? cores - 1 : cores;
   }
   [[nodiscard]] OffloadChannel& channel() { return channel_; }
+  /// The pool slot persistent request `r` pins for its whole lifetime.
+  [[nodiscard]] std::uint32_t pool_slot(const PersistentReq& r) {
+    return persistent_of(r, "pool_slot").cmd.proxy;
+  }
   [[nodiscard]] std::size_t inflight() const override {
     return channel_.pool().capacity() - channel_.pool().free_count();
   }
 
-  smpi::Win win_create(void* base, std::size_t bytes, smpi::Comm c) override;
-  void win_free(smpi::Win w) override;
-  void put(const void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) override;
-  void get(void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) override;
-  void fence(smpi::Win w) override;
-
-  PReq isend(const void* b, std::size_t n, smpi::Datatype dt, int dst, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
-  PReq irecv(void* b, std::size_t n, smpi::Datatype dt, int src, int tag,
-             smpi::Comm c = smpi::kCommWorld) override;
-  void post_batch(std::span<const BatchOp> ops, std::span<PReq> out) override;
+  void post_batch(std::span<const Command> ops, std::span<PReq> out) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;
   /// Tuned completion surface: one pass over the pool's done flags per wake,
@@ -418,17 +435,6 @@ class OffloadProxy : public Proxy {
   void waitall(std::span<PReq> rs) override;
   int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) override;
   bool testall(std::span<PReq> rs) override;
-  PReq ibarrier(smpi::Comm c = smpi::kCommWorld) override;
-  PReq ibcast(void* b, std::size_t n, smpi::Datatype dt, int root,
-              smpi::Comm c = smpi::kCommWorld) override;
-  PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
-                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) override;
-  PReq ialltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                 smpi::Comm c = smpi::kCommWorld) override;
-  PReq iallgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
-                  smpi::Comm c = smpi::kCommWorld) override;
 
   /// Delegates to OffloadChannel::attach_continuation — the engine fiber
   /// runs the callback from its completion pass (inline here only when the
@@ -436,30 +442,24 @@ class OffloadProxy : public Proxy {
   void attach_continuation(PReq& r, ContFn fn) override;
   void cont_wait(const std::function<bool()>& done) override;
 
-  // ---- persistent & partitioned: mapped onto the channel's PersistSlots.
-  // start publishes one cheap kStartPersistent command; pready publishes a
+ protected:
+  PReq post(const Command& cmd) override;
+  // Persistent & partitioned: a pinned pool slot per request; start
+  // publishes one cheap kStartPersistent command, pready publishes a
   // partition-ready bit the engines poll (early-partition shipping).
-  PersistentReq send_init(const void* b, std::size_t n, smpi::Datatype dt,
-                          int dst, int tag,
-                          smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq recv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
-                          int tag, smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq psend_init(const void* b, std::size_t n, smpi::Datatype dt,
-                           int dst, int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) override;
-  PersistentReq precv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
-                           int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) override;
-  void start(PersistentReq& r) override;
-  void pready(PersistentReq& r, std::uint32_t p) override;
-  void pready_range(PersistentReq& r, std::uint32_t lo,
-                    std::uint32_t hi) override;
-  void wait(PersistentReq& r, smpi::Status* st = nullptr) override;
-  bool test(PersistentReq& r, smpi::Status* st = nullptr) override;
-  void request_free(PersistentReq& r) override;
-  void attach_continuation(PersistentReq& r, ContFn fn) override;
+  void persist_bind(Persistent& p) override;
+  void persist_start(Persistent& p) override;
+  void persist_pready(Persistent& p, std::uint32_t lo,
+                      std::uint32_t hi) override;
+  bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
+  void persist_attach(Persistent& p, ContFn fn) override;
+  void persist_free(Persistent& p) override;
 
  private:
+  /// Release the done slots behind the non-null entries of `rs` and null
+  /// them; true when any was freed (the caller signals completions()).
+  bool release(std::span<PReq> rs);
+
   OffloadChannel channel_;
   /// One fiber per engine (ProxyOptions::proxy_count), in engine order.
   std::vector<sim::Fiber*> engine_fibers_;

@@ -103,10 +103,10 @@ TEST(OffloadLanes, SubmitBatchKeepsFifoOrderWithinLane) {
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kN);
-      std::vector<BatchOp> ops;
+      std::vector<Command> ops;
       for (int i = 0; i < kN; ++i) {
         vals[static_cast<std::size_t>(i)] = i;
-        ops.push_back(BatchOp::isend(&vals[static_cast<std::size_t>(i)], 1,
+        ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
                                      Datatype::kInt, 1, 7));
       }
       std::vector<PReq> reqs(kN);
@@ -146,10 +146,10 @@ TEST(OffloadLanes, ShutdownDrainsNonEmptyLanes) {
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kN);
-      std::vector<BatchOp> ops;
+      std::vector<Command> ops;
       for (int i = 0; i < kN; ++i) {
         vals[static_cast<std::size_t>(i)] = 1000 + i;
-        ops.push_back(BatchOp::isend(&vals[static_cast<std::size_t>(i)], 1,
+        ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
                                      Datatype::kInt, 1, i));
       }
       std::vector<PReq> reqs(kN);
@@ -476,10 +476,10 @@ TEST(OffloadLanes, IdleEnginesStealSkewedTraffic) {
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kN);
-      std::vector<BatchOp> ops;
+      std::vector<Command> ops;
       for (int i = 0; i < kN; ++i) {
         vals[static_cast<std::size_t>(i)] = i;
-        ops.push_back(BatchOp::isend(&vals[static_cast<std::size_t>(i)], 1,
+        ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
                                      Datatype::kInt, 1, 7));
       }
       std::vector<PReq> reqs(kN);

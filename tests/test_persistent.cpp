@@ -85,6 +85,9 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
       EXPECT_THROW(p->pready(ps, 4), std::logic_error);  // out of range
       EXPECT_THROW(p->wait(ps), std::logic_error);       // 3 unmarked
       EXPECT_FALSE(p->test(ps));                         // can never complete
+      // ... nor can a continuation bound to it ever fire.
+      EXPECT_THROW(p->attach_continuation(ps, [](const smpi::Status&) {}),
+                   std::logic_error);
       p->pready(ps, 0);
       // pready_range is inclusive and re-marking throws, so [1,1] then [3,3].
       p->pready_range(ps, 1, 1);
@@ -98,6 +101,10 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
       // Empty startall is a no-op.
       std::vector<PersistentReq> none;
       p->startall(none);
+      // A partitioned request needs at least one partition.
+      EXPECT_THROW(p->psend_init(buf.data(), buf.size(), Datatype::kByte, 1,
+                                 7, 0),
+                   std::logic_error);
     } else {
       core::PReq r0 = p->irecv(buf.data(), buf.size(), Datatype::kByte, 0, 5);
       p->wait(r0);
@@ -106,6 +113,12 @@ TEST_P(PersistentLifecycle, MisuseThrows) {
       p->start(pr);
       p->wait(pr);
       p->request_free(pr);
+      EXPECT_THROW(p->precv_init(buf.data(), buf.size(), Datatype::kByte, 0,
+                                 7, 0),
+                   std::logic_error);
+      EXPECT_THROW(p->precv_init(buf.data(), buf.size(), Datatype::kByte,
+                                 smpi::kAnySource, 7, 0),
+                   std::logic_error);
     }
     p->barrier();
     p->stop();
@@ -143,8 +156,7 @@ TEST(PersistentLifecycle, RestartReusesPoolSlot) {
     if (rc.rank() == 0) {
       PersistentReq s =
           p.send_init(buf.data(), buf.size(), Datatype::kByte, 1, 9);
-      const std::uint32_t slot = p.channel().persist_pool_slot(
-          static_cast<std::uint32_t>(s.v - 1));
+      const std::uint32_t slot = p.pool_slot(s);
       EXPECT_LT(slot, p.channel().pool().capacity());
       const std::size_t inflight0 = p.inflight();
       for (int g = 0; g < kGens; ++g) {
@@ -152,10 +164,7 @@ TEST(PersistentLifecycle, RestartReusesPoolSlot) {
         p.wait(s);
         // The envelope is init-once: every generation re-arms the SAME pool
         // slot instead of allocating a new one.
-        EXPECT_EQ(p.channel().persist_pool_slot(
-                      static_cast<std::uint32_t>(s.v - 1)),
-                  slot)
-            << "generation " << g;
+        EXPECT_EQ(p.pool_slot(s), slot) << "generation " << g;
         EXPECT_EQ(p.inflight(), inflight0) << "generation " << g;
       }
       p.request_free(s);
@@ -164,6 +173,132 @@ TEST(PersistentLifecycle, RestartReusesPoolSlot) {
     }
     p.barrier();
     p.stop();
+  });
+}
+
+TEST(PersistentLifecycle, HaloFreesAndStopsUnderShardedEngines) {
+  // 3x3x3 periodic halo, 12 persistent requests per rank, two engines per
+  // rank (the xeon profile default). An engine that processed its own
+  // shutdown while a sibling was mid-steal on its queues must still notice
+  // that it may exit: the thief drains the last command and rings no
+  // doorbell, so the pre-sleep re-check is the only place left to see it.
+  static constexpr int kDim = 3;
+  constexpr int kRanks = kDim * kDim * kDim;
+  constexpr int kGens = 3;
+  constexpr std::size_t kFace = 4096;
+  smpi::ClusterConfig cc = ccfg(kRanks);
+  cc.deadline = sim::Time::from_ms(1);
+  const core::ProxyOptions opts =
+      core::ProxyOptions::defaults_for(machine::xeon_fdr());
+  ASSERT_EQ(opts.proxy_count, 2u);
+  smpi::Cluster cluster(cc);
+  cluster.run([&](smpi::RankCtx& rc) {
+    auto p = core::make_proxy(Approach::kOffload, rc, opts);
+    p->start_engine();
+    const int me = rc.rank();
+    const int x = me % kDim, y = (me / kDim) % kDim, z = me / (kDim * kDim);
+    auto at = [](int i, int j, int k) {
+      auto w = [](int v) { return (v + kDim) % kDim; };
+      return w(i) + kDim * (w(j) + kDim * w(k));
+    };
+    // Direction d sends to nbr[d]; the face travelling in d arrives from
+    // nbr[d ^ 1] with tag d.
+    const int nbr[6] = {at(x + 1, y, z), at(x - 1, y, z), at(x, y + 1, z),
+                        at(x, y - 1, z), at(x, y, z + 1), at(x, y, z - 1)};
+    std::vector<std::vector<char>> sbuf(6, std::vector<char>(kFace)),
+        rbuf(6, std::vector<char>(kFace));
+    std::vector<PersistentReq> reqs(12);
+    for (int d = 0; d < 6; ++d) {
+      reqs[d] = p->recv_init(rbuf[d].data(), kFace, Datatype::kByte,
+                             nbr[d ^ 1], d);
+      reqs[6 + d] =
+          p->send_init(sbuf[d].data(), kFace, Datatype::kByte, nbr[d], d);
+    }
+    for (int g = 0; g < kGens; ++g) {
+      for (int d = 0; d < 6; ++d) {
+        sbuf[d].front() = static_cast<char>(me + d + g);
+      }
+      p->startall(reqs);
+      for (PersistentReq& r : reqs) p->wait(r);
+      for (int d = 0; d < 6; ++d) {
+        EXPECT_EQ(rbuf[d].front(), static_cast<char>(nbr[d ^ 1] + d + g))
+            << "rank " << me << " direction " << d << " generation " << g;
+      }
+    }
+    for (PersistentReq& r : reqs) p->request_free(r);
+    p->stop();
+  });
+}
+
+TEST(PersistentLifecycle, InitWhileEnginesShipPartitions) {
+  // A sibling fiber inits persistent requests while two engines ship a
+  // partitioned send. Every ship yields inside an engine's pass over the
+  // channel's persistent records, so that pass must survive the record list
+  // growing under it (the ASan leg turns a stale iterator into a failure).
+  constexpr std::uint32_t kParts = 64;
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kBytes = kParts * kChunk;
+  static constexpr int kExtra = 48;
+  smpi::Cluster cluster(ccfg(2));
+  cluster.run([&](smpi::RankCtx& rc) {
+    core::ProxyOptions opts;
+    opts.proxy_count = 2;
+    auto p = core::make_proxy(Approach::kOffload, rc, opts);
+    p->start_engine();
+    std::vector<char> buf(kBytes);
+    std::vector<int> vals(kExtra, -1);
+    if (rc.rank() == 0) {
+      PersistentReq s =
+          p->psend_init(buf.data(), kBytes, Datatype::kByte, 1, 7, kParts);
+      auto done = std::make_shared<bool>(false);
+      rc.cluster().spawn_on(0, "rank0.initer", [&p, &vals, done] {
+        std::vector<PersistentReq> extra;
+        for (int i = 0; i < kExtra; ++i) {
+          vals[static_cast<std::size_t>(i)] = i;
+          extra.push_back(p->send_init(&vals[static_cast<std::size_t>(i)], 1,
+                                       Datatype::kInt, 1, 100 + i));
+          sim::advance(sim::Time::from_us(1));
+        }
+        p->startall(extra);
+        for (PersistentReq& r : extra) {
+          p->wait(r);
+          p->request_free(r);
+        }
+        *done = true;
+      });
+      p->start(s);
+      // Spread the marks so the engines ship across the sibling's inits.
+      for (std::uint32_t part = 0; part < kParts; ++part) {
+        std::memset(buf.data() + part * kChunk,
+                    'a' + static_cast<int>(part % 26), kChunk);
+        p->pready(s, part);
+        sim::advance(sim::Time::from_us(1));
+      }
+      p->wait(s);
+      p->request_free(s);
+      while (!*done) sim::advance(sim::Time::from_us(1));
+    } else {
+      PersistentReq r =
+          p->precv_init(buf.data(), kBytes, Datatype::kByte, 0, 7, kParts);
+      p->start(r);
+      std::vector<core::PReq> extra;
+      for (int i = 0; i < kExtra; ++i) {
+        extra.push_back(p->irecv(&vals[static_cast<std::size_t>(i)], 1,
+                                 Datatype::kInt, 0, 100 + i));
+      }
+      p->wait(r);
+      p->waitall(extra);
+      for (std::uint32_t part = 0; part < kParts; ++part) {
+        EXPECT_EQ(buf[part * kChunk], static_cast<char>('a' + part % 26))
+            << "partition " << part;
+      }
+      for (int i = 0; i < kExtra; ++i) {
+        EXPECT_EQ(vals[static_cast<std::size_t>(i)], i) << "request " << i;
+      }
+      p->request_free(r);
+    }
+    p->barrier();
+    p->stop();
   });
 }
 

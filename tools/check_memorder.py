@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Cross-check documented memory-order inventories against actual uses.
 
-Each lock-free header under src/core/ documents its std::memory_order_*
-usage in a prose inventory plus one machine-readable line:
+Every file under src/core/ that uses a std::memory_order_* token in code
+documents that usage in a prose inventory plus one machine-readable line:
 
     // memorder-audit: relaxed=5 acquire=3 release=3 acq_rel=0 seq_cst=0
 
-This script counts the std::memory_order_* tokens actually present in the
-file (comments stripped, so the inventory prose itself is not counted) and
-fails when any count disagrees with the audit line. Run from anywhere:
+This script finds those files itself (so new lock-free code cannot slip
+past it), counts the std::memory_order_* tokens actually present in each
+(comments stripped, so the inventory prose itself is not counted) and fails
+when a file has no audit line or any count disagrees with it. Run from
+anywhere:
 
     python3 tools/check_memorder.py
 
@@ -20,14 +22,8 @@ import re
 import sys
 from pathlib import Path
 
-FILES = [
-    "src/core/spsc_lane.hpp",
-    "src/core/mpsc_ring.hpp",
-    "src/core/request_pool.hpp",
-    "src/core/cont_table.hpp",
-    "src/core/drain_claim.hpp",
-    "src/core/part_ready.hpp",
-]
+SCAN_DIR = "src/core"
+SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 ORDERS = ["relaxed", "acquire", "release", "acq_rel", "seq_cst"]
 
@@ -56,20 +52,22 @@ def count_orders(code: str) -> dict:
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     failed = False
-    for rel in FILES:
-        path = root / rel
-        if not path.is_file():
-            print(f"check_memorder: MISSING FILE {rel}")
-            failed = True
+    checked = 0
+    for path in sorted((root / SCAN_DIR).rglob("*")):
+        if path.suffix not in SUFFIXES or not path.is_file():
             continue
+        rel = path.relative_to(root).as_posix()
         text = path.read_text(encoding="utf-8")
+        actual = count_orders(strip_comments(text))
+        if not any(actual.values()):
+            continue  # no atomics with explicit orders: nothing to audit
+        checked += 1
         m = AUDIT_RE.search(text)
         if m is None:
             print(f"check_memorder: {rel}: no 'memorder-audit:' line found")
             failed = True
             continue
         documented = dict(zip(ORDERS, (int(g) for g in m.groups())))
-        actual = count_orders(strip_comments(text))
         if documented != actual:
             diffs = ", ".join(
                 f"{k}: documented {documented[k]} != actual {actual[k]}"
@@ -81,6 +79,9 @@ def main() -> int:
         else:
             summary = " ".join(f"{k}={actual[k]}" for k in ORDERS)
             print(f"check_memorder: {rel}: OK ({summary})")
+    if checked == 0:
+        print(f"check_memorder: no std::memory_order_* use under {SCAN_DIR}/")
+        failed = True
     return 1 if failed else 0
 
 

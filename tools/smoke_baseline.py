@@ -38,19 +38,19 @@ BENCHES = [
 ]
 
 
-def run_bench(binary: Path) -> str:
+def run_bench(binary: Path) -> tuple[int, str]:
     env = dict(os.environ, MPIOFF_BENCH_SMOKE="1", MPIOFF_STATS="1")
     env.pop("MPIOFF_TRACE", None)
-    done = subprocess.run([str(binary)], env=env, check=True,
-                          stdout=subprocess.PIPE)
-    return done.stdout.decode("utf-8")
+    done = subprocess.run([str(binary)], env=env, stdout=subprocess.PIPE)
+    return done.returncode, done.stdout.decode("utf-8")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("mode", choices=["check", "update"])
     ap.add_argument("--build-dir", default="build",
-                    help="CMake build tree holding bench/<bench> (default: build)")
+                    help="CMake build tree holding bench/<bench> "
+                         "(default: build)")
     args = ap.parse_args()
     root = Path(__file__).resolve().parent.parent
     build = Path(args.build_dir)
@@ -65,7 +65,11 @@ def main() -> int:
             print(f"smoke_baseline: {name}: no binary at {binary}")
             failed = True
             continue
-        out = run_bench(binary)
+        rc, out = run_bench(binary)
+        if rc != 0:
+            print(f"smoke_baseline: {name}: exited with status {rc}")
+            failed = True
+            continue
         path = base_dir / f"{name}.txt"
         if args.mode == "update":
             path.write_text(out, encoding="utf-8")
