@@ -2,10 +2,13 @@
 // REAL host time (not simulated): the lock-free MPSC command ring and the
 // request pool. These validate that the structures the paper's ~140 ns
 // command-post figure depends on are in fact O(100ns) operations.
-// BM_FiberSwitch times the simulator itself: the host cost of one fiber
-// switch, which bounds how many simulated threads a run can afford.
+// BM_FiberSwitch and BM_EventCallback time the simulator itself: the host
+// cost of one fiber switch and of one timed callback, which bound how many
+// simulated threads and messages a run can afford.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <thread>
 
 #include "core/command.hpp"
@@ -102,6 +105,27 @@ void BM_FiberSwitch(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FiberSwitch);
+
+// One Engine::call_at plus the dispatch of its callback, from scheduler
+// context: the path every wire delivery takes
+// (machine::Network::schedule_delivery). The closure captures 64 bytes,
+// too many for std::function's local buffer, so it lives on the heap like
+// a delivery closure does. `per_callback` is host CPU time divided by the
+// events fired.
+void BM_EventCallback(benchmark::State& state) {
+  sim::Engine engine;
+  std::uint64_t sum = 0;
+  const std::array<std::uint64_t, 7> words{1, 2, 3, 4, 5, 6, 7};
+  for (auto _ : state) {
+    engine.call_at(engine.now(), [out = &sum, words] { *out += words[6]; });
+    engine.run();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.counters["per_callback"] = benchmark::Counter(
+      static_cast<double>(engine.stats().events_fired),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventCallback);
 
 }  // namespace
 

@@ -37,14 +37,9 @@ OffloadChannel::OffloadChannel(smpi::RankCtx& rc, const ProxyOptions& opts)
     engines_.push_back(std::make_unique<Engine>(opts_.ring_capacity, rc_, i));
   }
   // Row-major lane grid: one row per potential submitter, one column per
-  // engine, so every (producer, consumer) pair has a private SPSC ring.
-  lanes_.reserve(opts_.lane_count * n);
-  for (std::size_t row = 0; row < opts_.lane_count; ++row) {
-    for (std::size_t e = 0; e < n; ++e) {
-      lanes_.push_back(std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(),
-                                              row * n + e));
-    }
-  }
+  // engine, so every (producer, consumer) pair has a private SPSC ring. A
+  // row's lanes are built when a submitter binds it (lane_for_caller).
+  lanes_.resize(opts_.lane_count * n);
 }
 
 // --------------------------------------------------------------- routing ----
@@ -119,12 +114,14 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
   const auto s = static_cast<std::size_t>(slot);
   if (s >= lane_of_slot_.size()) lane_of_slot_.resize(s + 1, kNoLane);
   std::uint32_t row = lane_of_slot_[s];
+  const std::size_t n = engines_.size();
   if (row == kNoLane) {
     if (next_lane_ < opts_.lane_count) {
       row = static_cast<std::uint32_t>(next_lane_++);
       lane_of_slot_[s] = row;
-      for (std::size_t e = 0; e < engines_.size(); ++e) {
-        lanes_[row * engines_.size() + e]->owner_slot = slot;
+      for (std::size_t i = row * n; i < (row + 1) * n; ++i) {
+        lanes_[i] = std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(), i);
+        lanes_[i]->owner_slot = slot;
       }
     } else {
       // More submitting fibers than lane rows: overflow to the shared rings.
@@ -137,7 +134,7 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
     overflow = true;
     return nullptr;
   }
-  return lanes_[row * engines_.size() + engine_idx].get();
+  return lanes_[row * n + engine_idx].get();
 }
 
 std::uint32_t OffloadChannel::alloc_slot() {
@@ -768,12 +765,17 @@ bool OffloadChannel::drain_lanes_round(Engine& e) {
   // lane_drain_bound commands per lane: the fairness bound keeps a
   // saturating lane from starving its neighbours or postponing the testany
   // pass indefinitely. Caller holds e.claim.
-  bool any = false;
+  //
+  // The pass visits rows drain_cursor..lane_count-1, then 0..drain_cursor-1,
+  // bound rows only. Rows bind in increasing order, so the first unbound row
+  // ends a segment; next_lane_ is re-read at every row because
+  // process_command yields and a sibling fiber may bind a row mid-pass.
   const std::size_t rows = opts_.lane_count;
   if (rows == 0) return false;
   const std::size_t n = engines_.size();
-  for (std::size_t k = 0; k < rows; ++k) {
-    Lane& lane = *lanes_[((e.drain_cursor + k) % rows) * n + e.index];
+  bool any = false;
+  const auto drain_row = [&](std::size_t row) {
+    Lane& lane = *lanes_[row * n + e.index];
     Command cmd;
     std::size_t popped = 0;
     while (popped < opts_.lane_drain_bound && lane.ring.try_pop(cmd)) {
@@ -784,6 +786,12 @@ bool OffloadChannel::drain_lanes_round(Engine& e) {
       process_command(e, cmd);
     }
     any = any || popped != 0;
+  };
+  for (std::size_t row = e.drain_cursor; row < next_lane_; ++row) {
+    drain_row(row);
+  }
+  for (std::size_t row = 0; row < e.drain_cursor && row < next_lane_; ++row) {
+    drain_row(row);
   }
   // Rotate the starting lane so equal backlogs drain at equal rates.
   e.drain_cursor = (e.drain_cursor + 1) % rows;

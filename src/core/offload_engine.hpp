@@ -189,8 +189,10 @@ class OffloadChannel {
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
   /// Total lanes in the grid (lane rows x engines; one row per submitter).
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
+  /// Counters of lane `i`; all zero while its row is unbound.
   [[nodiscard]] const LaneStats& lane_stats(std::size_t i) const {
-    return lanes_[i]->stats;
+    static const LaneStats kUnbound;
+    return lanes_[i] != nullptr ? lanes_[i]->stats : kUnbound;
   }
   /// Signalled whenever an engine publishes a done flag (or a waiter frees
   /// a slot); exposed so the proxy's waitany/testall can sleep on it.
@@ -456,8 +458,9 @@ class OffloadChannel {
   std::vector<std::unique_ptr<Engine>> engines_;
   /// Sharded per-(thread, engine) submission lanes, a row-major grid:
   /// lanes_[row * engines_.size() + engine]. A submitting fiber binds a row
-  /// on first use; engine e drains column e. (unique_ptr: Lane owns the
-  /// stable string its trace gauge points into.)
+  /// on first use, which builds the row's lanes; rows at or past next_lane_
+  /// hold null. Engine e drains column e. (unique_ptr: Lane owns the stable
+  /// string its trace gauge points into.)
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint32_t> lane_of_slot_;  ///< thread slot -> lane row
   std::size_t next_lane_ = 0;                ///< next unbound lane row

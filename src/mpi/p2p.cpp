@@ -69,7 +69,7 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     m.h2 = bytes;
     if (buf != nullptr) {
       m.payload.resize(bytes);
-      std::memcpy(m.payload.data(), buf, bytes);
+      if (bytes != 0) std::memcpy(m.payload.data(), buf, bytes);
     } else {
       m.wire_bytes = bytes;  // phantom payload: timing only
     }
@@ -115,7 +115,7 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     m.h2 = bytes;
     if (buf != nullptr) {
       m.payload.resize(bytes);
-      std::memcpy(m.payload.data(), buf, bytes);
+      if (bytes != 0) std::memcpy(m.payload.data(), buf, bytes);
     }
     m.wire_bytes = bytes;
     net_send(std::move(m));
@@ -302,6 +302,10 @@ void RankCtx::wait_until(MpiEntry& entry, const std::function<bool()>& done) {
   }
 }
 
+bool RankCtx::handle_ok(Request r, const char* call) {
+  return san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, call);
+}
+
 bool RankCtx::test_internal(RequestImpl& r, Status* st) {
   if (!r.settled()) return false;
   if (st != nullptr) *st = r.status;
@@ -390,7 +394,7 @@ bool RankCtx::test(Request& r, Status* st) {
     if (st != nullptr) *st = Status{};
     return true;
   }
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Test")) {
+  if (!handle_ok(r, "Test")) {
     r = kRequestNull;  // stale handle: treat as complete, as a real wait would
     if (st != nullptr) *st = Status{};
     return true;
@@ -407,7 +411,7 @@ bool RankCtx::test(Request& r, Status* st) {
 void RankCtx::wait(Request& r, Status* st) {
   MpiEntry entry(*this, false, "Wait");
   if (r.is_null()) return;
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Wait")) {
+  if (!handle_ok(r, "Wait")) {
     r = kRequestNull;
     if (st != nullptr) *st = Status{};
     return;
@@ -422,8 +426,7 @@ void RankCtx::wait(Request& r, Status* st) {
 void RankCtx::waitall(std::span<Request> rs) {
   MpiEntry entry(*this, false, "Waitall");
   for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitall")) {
+    if (!r.is_null() && !handle_ok(r, "Waitall")) {
       r = kRequestNull;
     }
   }
@@ -441,8 +444,7 @@ void RankCtx::waitall(std::span<Request> rs) {
 int RankCtx::waitany(std::span<Request> rs, Status* st) {
   MpiEntry entry(*this, false, "Waitany");
   for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitany")) {
+    if (!r.is_null() && !handle_ok(r, "Waitany")) {
       r = kRequestNull;
     }
   }
@@ -472,8 +474,7 @@ bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
   }
   MpiEntry entry(*this, false, "Testany");
   for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Testany")) {
+    if (!r.is_null() && !handle_ok(r, "Testany")) {
       r = kRequestNull;
     }
   }
@@ -495,8 +496,7 @@ bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
 bool RankCtx::testall(std::span<Request> rs) {
   MpiEntry entry(*this, false, "Testall");
   for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Testall")) {
+    if (!r.is_null() && !handle_ok(r, "Testall")) {
       r = kRequestNull;
     }
   }
@@ -514,8 +514,7 @@ std::vector<int> RankCtx::waitsome(std::span<Request> rs) {
   if (rs.empty()) return {};  // MPI_Waitsome(0, ...): no entry overhead
   MpiEntry entry(*this, false, "Waitsome");
   for (Request& r : rs) {
-    if (!r.is_null() &&
-        !san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Waitsome")) {
+    if (!r.is_null() && !handle_ok(r, "Waitsome")) {
       r = kRequestNull;
     }
   }
@@ -577,7 +576,7 @@ void RankCtx::start(Request r) {
     san::mpi_persist_misuse(rank_, "Start", "null request");
     throw std::logic_error("MPI_Start on the null request");
   }
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Start")) {
+  if (!handle_ok(r, "Start")) {
     throw std::logic_error("MPI_Start on a freed request handle");
   }
   start_internal(reqs_.get(r));
@@ -594,7 +593,7 @@ void RankCtx::startall(std::span<Request> rs) {
       san::mpi_persist_misuse(rank_, "Startall", "null request");
       throw std::logic_error("MPI_Startall on the null request");
     }
-    if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Startall")) {
+    if (!handle_ok(r, "Startall")) {
       throw std::logic_error("MPI_Startall on a freed request handle");
     }
     start_internal(reqs_.get(r));
@@ -604,7 +603,7 @@ void RankCtx::startall(std::span<Request> rs) {
 void RankCtx::request_free(Request& r) {
   MpiEntry entry(*this, false, "Request_free");
   if (r.is_null()) return;
-  if (!san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, "Request_free")) {
+  if (!handle_ok(r, "Request_free")) {
     r = kRequestNull;
     return;
   }

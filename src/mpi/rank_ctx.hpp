@@ -269,6 +269,10 @@ class RankCtx {
                       int src_global, std::uint32_t ctx, int tag, Comm comm);
   /// Start one persistent request (no entry overhead; caller is inside).
   void start_internal(RequestImpl& r);
+  /// Usage-lint check of non-null handle `r` on entry to `call`: false for a
+  /// stale handle, which the caller treats as null. An out-of-range handle
+  /// throws std::out_of_range.
+  bool handle_ok(Request r, const char* call);
   bool test_internal(RequestImpl& r, Status* st);
   void release_if_complete(Request& r, Status* st);
 

@@ -89,8 +89,17 @@ Fiber& Engine::spawn_at(Time start, std::string name, Fiber::Body body) {
 
 void Engine::call_at(Time when, std::function<void()> fn) {
   assert(when >= now_ && "scheduling into the past");
+  std::uint64_t slot = 0;
+  if (free_callbacks_.empty()) {
+    slot = callbacks_.size();
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
+  }
   san::event_post(next_seq_);  // snapshot the poster's clock under this seq
-  events_.push(Event{when, next_seq_++, nullptr, 0, std::move(fn)});
+  events_.push(Event{when, next_seq_++, nullptr, slot});
 }
 
 void Engine::call_after(Time delay, std::function<void()> fn) {
@@ -101,7 +110,7 @@ void Engine::schedule_fiber(Fiber& f, Time when) {
   assert(when >= now_ && "scheduling into the past");
   f.state_ = FiberState::kRunnable;
   f.sched_gen_ += 1;
-  events_.push(Event{when, next_seq_++, &f, f.sched_gen_, nullptr});
+  events_.push(Event{when, next_seq_++, &f, f.sched_gen_});
 }
 
 void Engine::advance(Time dt) {
@@ -133,14 +142,14 @@ void Engine::unblock(Fiber& f, Time delay) {
   schedule_fiber(f, now_ + delay);
 }
 
-void Engine::dispatch(Event& ev) {
+void Engine::dispatch(const Event& ev) {
   now_ = ev.when;
   ++stats_.events_fired;
   if (ev.fiber != nullptr) {
     // A fiber may have been re-scheduled and then blocked again before this
     // event fires; only resume if it is still runnable for this event.
     if (ev.fiber->state_ != FiberState::kRunnable ||
-        ev.fiber->sched_gen_ != ev.fiber_gen) {
+        ev.fiber->sched_gen_ != ev.aux) {
       return;
     }
     current_fiber_ = ev.fiber;
@@ -153,8 +162,14 @@ void Engine::dispatch(Event& ev) {
     ev.fiber->switch_in(scheduler_ctx_);
     current_fiber_ = nullptr;
   } else {
+    // Take the callable out and free its slot before the call: the callback
+    // may schedule callbacks that grow the slab under it, and its captures
+    // (a delivery's message, say) must die when it returns.
+    std::function<void()> fn = std::move(callbacks_[ev.aux]);
+    callbacks_[ev.aux] = nullptr;
+    free_callbacks_.push_back(ev.aux);
     san::event_fire(ev.seq, now_.ns());
-    ev.fn();
+    fn();
   }
 }
 
@@ -166,9 +181,8 @@ Time Engine::run_until(Time deadline) {
   Engine* prev = g_current_engine;
   g_current_engine = this;
   while (!events_.empty()) {
-    if (events_.top().when > deadline) break;
-    // priority_queue::top is const; move out via const_cast, standard trick.
-    Event ev = std::move(const_cast<Event&>(events_.top()));
+    const Event ev = events_.top();
+    if (ev.when > deadline) break;
     events_.pop();
     dispatch(ev);
   }

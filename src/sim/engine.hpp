@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -85,25 +85,32 @@ class Engine {
  private:
   friend class Fiber;
 
+  /// One queued event: 32 trivially copyable bytes, so heap moves are plain
+  /// copies. Callables live in callbacks_, not in the record.
   struct Event {
     Time when;
     std::uint64_t seq;
-    Fiber* fiber;                 // non-null: resume this fiber
-    std::uint64_t fiber_gen;      // must match fiber->sched_gen_ to be live
-    std::function<void()> fn;     // used when fiber == nullptr
+    Fiber* fiber;       // non-null: resume this fiber
+    std::uint64_t aux;  // fiber: sched_gen_ it must still match to be live;
+                        // callback: its slot in callbacks_
 
     bool operator>(const Event& o) const {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
     }
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
 
   void schedule_fiber(Fiber& f, Time when);
-  void dispatch(Event& ev);
+  void dispatch(const Event& ev);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  /// call_at callables by slot; a slot is cleared and recycled through
+  /// free_callbacks_ as its event fires.
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<std::uint64_t> free_callbacks_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   Fiber* current_fiber_ = nullptr;
   Context scheduler_ctx_;

@@ -521,3 +521,158 @@ TEST(OffloadLanes, EngineIdentityGuardsReentryAndClearsOnExit) {
     p.channel().engine_main(1);
   });
 }
+
+// A lane row is built when a submitter binds it. The second submitter here
+// binds its row only after the first one's traffic has drained and every
+// engine has gone to sleep on the doorbell, so its row appears while the
+// engines poll. Its messages must still arrive, in per-fiber FIFO order, under
+// one engine and under four (where idle siblings steal from the new row too).
+// A drain or steal scan that misses a row bound after the engines started, or
+// that touches an unbound row, fails here.
+class LaneRowsBuiltOnBind : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LaneRowsBuiltOnBind, LateSubmitterBindsWhileEnginesPoll) {
+  const std::size_t engines = GetParam();
+  constexpr std::size_t kRows = 4;
+  constexpr int kPer = 24;
+  Cluster c(cfg(2));
+  c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, ProxyOptions{.lane_count = kRows,
+                                    .lane_capacity = 8,
+                                    .lane_drain_bound = 2,
+                                    .proxy_count = engines});
+    // Before any submit the whole grid is addressable and reads zero.
+    ASSERT_EQ(p.channel().lane_count(), kRows * engines);
+    for (std::size_t i = 0; i < p.channel().lane_count(); ++i) {
+      const LaneStats& ls = p.channel().lane_stats(i);
+      EXPECT_EQ(ls.submits + ls.drained + ls.batches + ls.max_occupancy, 0u)
+          << "lane " << i;
+    }
+    p.start_engine();
+    // Each fiber sends kPer same-tag messages to rank 1, so matching order
+    // there is the order the engines issued that fiber's commands.
+    const auto burst = [&p](int tag) {
+      std::vector<int> vals(kPer);
+      std::vector<PReq> reqs(kPer);
+      for (int i = 0; i < kPer; ++i) {
+        vals[static_cast<std::size_t>(i)] = tag * 1000 + i;
+        reqs[static_cast<std::size_t>(i)] = p.isend(
+            &vals[static_cast<std::size_t>(i)], 1, Datatype::kInt, 1, tag);
+      }
+      p.waitall(reqs);
+    };
+    if (rc.rank() == 0) {
+      auto late_done = std::make_shared<bool>(false);
+      std::uint64_t sleeps_before_bind = 0;
+      rc.cluster().spawn_on(0, "late", [&, late_done] {
+        sim::advance(sim::Time::from_us(200));
+        sleeps_before_bind = p.channel().stats().engine_sleeps;
+        burst(2);
+        *late_done = true;
+      });
+      burst(1);
+      while (!*late_done) sim::advance(sim::Time::from_us(1));
+      EXPECT_GE(sleeps_before_bind, engines)
+          << "the late submitter was meant to bind while the engines slept";
+      int bound_lanes = 0;
+      for (std::size_t i = 0; i < p.channel().lane_count(); ++i) {
+        const LaneStats& ls = p.channel().lane_stats(i);
+        EXPECT_EQ(ls.drained, ls.submits) << "lane " << i;
+        if (i >= 2 * engines) {
+          EXPECT_EQ(ls.submits, 0u) << "lane " << i << " of an unbound row";
+        }
+        if (ls.submits != 0) ++bound_lanes;
+      }
+      EXPECT_EQ(bound_lanes, 2);  // one peer: one engine column per row
+    } else {
+      for (const int tag : {1, 2}) {
+        std::vector<int> got(kPer, -1);
+        std::vector<PReq> reqs(kPer);
+        for (int i = 0; i < kPer; ++i) {
+          reqs[static_cast<std::size_t>(i)] = p.irecv(
+              &got[static_cast<std::size_t>(i)], 1, Datatype::kInt, 0, tag);
+        }
+        p.waitall(reqs);
+        for (int i = 0; i < kPer; ++i) {
+          EXPECT_EQ(got[static_cast<std::size_t>(i)], tag * 1000 + i)
+              << "tag " << tag << " message " << i;
+        }
+      }
+    }
+    p.barrier();
+    p.stop();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, LaneRowsBuiltOnBind,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
+  // One engine, lane_drain_bound = 1: a pass pops at most one command per
+  // bound row, visiting rows in rotation from a start that advances by one
+  // row per pass (modulo lane_count = 4). Fiber A's eight sends sit in row 0;
+  // A1 is a 16 KiB eager send, and while the engine issues it (issuing
+  // yields) fiber B binds row 1 and publishes four sends. The rotation start
+  // is deterministic: the pass issuing A1 starts at row 2, finds rows 2 and 3
+  // unbound, wraps to row 0 (A1) and then row 1, which B bound meanwhile, so
+  // B0 goes out in that same pass. Later passes start at rows 3, 0, 1, ...
+  // Every message carries one tag to one peer, so rank 1's matching order is
+  // the engine's issue order. A scan that fixed the bound-row count at the
+  // start of the pass would issue B0 one pass later, after A2.
+  constexpr int kA = 8, kB = 4, kBig = 4096;
+  Cluster c(cfg(2));
+  std::vector<int> order;
+  c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 4,
+                                    .lane_drain_bound = 1,
+                                    .batch_flush = 8});
+    p.start_engine();
+    const auto post = [&p](std::vector<Command>& ops) {
+      std::vector<PReq> reqs(ops.size());
+      p.post_batch(ops, reqs);
+      p.waitall(reqs);
+    };
+    if (rc.rank() == 0) {
+      auto b_done = std::make_shared<bool>(false);
+      rc.cluster().spawn_on(0, "B", [&p, &post, b_done] {
+        // Wait until the engine has dequeued A1 (commands counts dequeues).
+        while (p.channel().stats().commands < 2) {
+          sim::advance(sim::Time::from_ns(10));
+        }
+        std::vector<int> vals(kB);
+        std::vector<Command> ops;
+        for (int i = 0; i < kB; ++i) {
+          vals[static_cast<std::size_t>(i)] = 100 + i;
+          ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
+                                       Datatype::kInt, 1, 5));
+        }
+        post(ops);
+        *b_done = true;
+      });
+      std::vector<int> big(kBig, 1);
+      std::vector<int> vals(kA);
+      std::vector<Command> ops;
+      for (int i = 0; i < kA; ++i) {
+        int* v = &vals[static_cast<std::size_t>(i)];
+        *v = i;
+        ops.push_back(i == 1 ? Command::isend(big.data(), kBig, Datatype::kInt,
+                                              1, 5)
+                             : Command::isend(v, 1, Datatype::kInt, 1, 5));
+      }
+      post(ops);
+      while (!*b_done) sim::advance(sim::Time::from_us(1));
+    } else {
+      std::vector<std::vector<int>> bufs(kA + kB, std::vector<int>(kBig, -1));
+      std::vector<PReq> reqs;
+      for (auto& b : bufs) {
+        reqs.push_back(p.irecv(b.data(), kBig, Datatype::kInt, 0, 5));
+      }
+      p.waitall(reqs);
+      for (const auto& b : bufs) order.push_back(b[0]);
+    }
+    p.barrier();
+    p.stop();
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 2, 101, 3, 102, 103, 4, 5, 6,
+                                     7}));
+}

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cfenv>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,6 +83,93 @@ TEST(Engine, CallAtRunsCallbacksAtTheRightTime) {
   e.call_at(2_us, [&] { at.push_back(Engine::current()->now().ns()); });
   e.run();
   EXPECT_EQ(at, (std::vector<std::int64_t>{2000, 5000}));
+}
+
+TEST(Engine, SameTimeWakesAndCallbacksFireInSchedulingOrder) {
+  // Fiber wakes and call_at callbacks share one queue and one (time, seq)
+  // order: scheduled interleaved for one timestamp, they fire as scheduled.
+  Engine e;
+  std::vector<int> order;
+  std::vector<Fiber*> sleepers;
+  for (int i = 0; i < 10; i += 2) {
+    sleepers.push_back(&e.spawn("s" + std::to_string(i), [&order, i] {
+      Engine::current()->block();
+      order.push_back(i);
+    }));
+  }
+  e.spawn("poster", [&] {
+    advance(1_us);
+    for (int i = 0; i < 10; ++i) {
+      Engine* eng = Engine::current();
+      if (i % 2 == 0) {
+        eng->unblock(*sleepers[static_cast<std::size_t>(i / 2)], 3_us);
+      } else {
+        eng->call_after(3_us, [&order, i] { order.push_back(i); });
+      }
+    }
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(e.now().ns(), 4000);
+}
+
+TEST(Engine, CallbackThatGrowsTheQueueKeepsItsCaptures) {
+  // The callback schedules 1500 callbacks, growing the callable storage
+  // under it, and only then reads its captures. Its two-word closure sits
+  // inside its std::function, so running it in place would read freed
+  // storage (ASan reports it; plain builds read allocator metadata).
+  Engine e;
+  std::vector<int> fired;
+  std::vector<int>* const sink = &fired;
+  const int key = 0x5eed;
+  e.call_at(1_us, [sink, key] {
+    Engine* eng = Engine::current();
+    for (int i = 0; i < 1500; ++i) {
+      eng->call_after(1_us, [sink, i] { sink->push_back(i); });
+    }
+    sink->push_back(key);
+  });
+  e.run();
+  ASSERT_EQ(fired.size(), 1501u);
+  EXPECT_EQ(fired[0], 0x5eed);
+  for (int i = 0; i < 1500; ++i) {
+    EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
+  }
+}
+
+TEST(Engine, CallbackCapturesDieWhenItReturns) {
+  // A callback's captures are destroyed as soon as it has run — by the next
+  // event, not when its storage happens to be reused. Delivery callbacks own
+  // their message, so a lingering closure would keep it alive.
+  Engine e;
+  auto token = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = token;
+  long during = -1, next_event = -1;
+  e.call_at(1_us, [token, &during, &watch] { during = watch.use_count(); });
+  e.spawn_at(2_us, "next", [&] { next_event = watch.use_count(); });
+  token.reset();
+  e.run();
+  EXPECT_EQ(during, 1);
+  EXPECT_EQ(next_event, 0);
+}
+
+TEST(Engine, EventScheduledAfterADeadlineStopFiresFirst) {
+  // run_until stops with the clock at the last event it fired. An event
+  // scheduled then, at or after now() but before everything still queued,
+  // is the first to fire when the run resumes.
+  Engine e;
+  std::vector<std::string> order;
+  e.call_at(1_us, [&] { order.push_back("first"); });
+  e.call_at(10_us, [&] { order.push_back("queued-cb"); });
+  e.spawn_at(10_us, "queued-fiber", [&] { order.push_back("queued-fiber"); });
+  e.run_until(5_us);
+  EXPECT_EQ(e.now().ns(), 1000);
+  EXPECT_EQ(order, (std::vector<std::string>{"first"}));
+  e.call_at(e.now() + 2_us, [&] { order.push_back("later"); });
+  e.call_at(e.now(), [&] { order.push_back("at-now"); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "at-now", "later",
+                                             "queued-cb", "queued-fiber"}));
 }
 
 TEST(Engine, BlockAndUnblock) {
