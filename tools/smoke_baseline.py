@@ -5,7 +5,8 @@ Runs each bench of the smoke deck with MPIOFF_BENCH_SMOKE=1 and
 MPIOFF_STATS=1 and compares its stdout byte for byte against the committed
 copy in bench/smoke_baseline/<bench>.txt. Everything the benches print is
 virtual time, event counts and payload digests of a deterministic
-simulator, so any difference is a behaviour change, never noise.
+simulator, so any difference is a behaviour change, never noise. The
+benches run concurrently, one per CPU, and are reported in list order.
 
     python3 tools/smoke_baseline.py check  [--build-dir build]
     python3 tools/smoke_baseline.py update [--build-dir build]
@@ -21,6 +22,7 @@ import difflib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 BENCHES = [
@@ -30,7 +32,13 @@ BENCHES = [
     "bench_fig05_icollective_latency",
     "bench_fig06_multithreaded_latency",
     "bench_fig07_osu_xeon",
+    "bench_fig08_osu_phi",
+    "bench_fig09_qcd_scaling",
     "bench_fig10_dslash_splitup",
+    "bench_fig11_qcd_solver",
+    "bench_fig12_qcd_thread_multiple",
+    "bench_fig13_fft_scaling",
+    "bench_fig14_cnn",
     "bench_fig15_serve",
     "bench_table1_qcd_dslash_phases",
     "bench_table2_fft_phases",
@@ -59,13 +67,17 @@ def main() -> int:
     base_dir = root / "bench" / "smoke_baseline"
     base_dir.mkdir(parents=True, exist_ok=True)
     failed = False
-    for name in BENCHES:
-        binary = build / "bench" / name
-        if not binary.is_file():
+    binaries = [build / "bench" / name for name in BENCHES]
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        runs = [pool.submit(run_bench, b) if b.is_file() else None
+                for b in binaries]
+        results = [r.result() if r is not None else None for r in runs]
+    for name, binary, result in zip(BENCHES, binaries, results):
+        if result is None:
             print(f"smoke_baseline: {name}: no binary at {binary}")
             failed = True
             continue
-        rc, out = run_bench(binary)
+        rc, out = result
         if rc != 0:
             print(f"smoke_baseline: {name}: exited with status {rc}")
             failed = True
