@@ -284,7 +284,6 @@ A7Cell a7_run(std::size_t lanes, bool batch, int threads) {
     opts.pool_capacity = 1u << 15;
     opts.lane_count = lanes;
     opts.lane_capacity = 256;
-    opts.batch_flush = 8;
     core::OffloadProxy p(rc, opts);
     p.start_engine();
     if (rc.rank() == 0) {
@@ -524,7 +523,6 @@ A10Cell a10_run(std::size_t proxies, bool skewed) {
     opts.lane_count = 16;
     opts.lane_capacity = 256;
     opts.proxy_count = proxies;
-    opts.steal_bound = 8;
     core::OffloadProxy p(rc, opts);
     p.start_engine();
     if (rc.rank() == 0) {

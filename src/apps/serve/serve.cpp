@@ -13,6 +13,7 @@
 #include "mpi/cluster.hpp"
 #include "mpi/continuation.hpp"
 #include "sim/sync.hpp"
+#include "util/env.hpp"
 #include "util/spec_parser.hpp"
 
 namespace serve {
@@ -597,7 +598,7 @@ ServeConfig apply_serve_spec(ServeConfig base, const std::string& spec) {
 }
 
 ServeConfig serve_config_from_env(ServeConfig base) {
-  const char* s = std::getenv("MPIOFF_SERVE");
+  const char* s = env_util::get("MPIOFF_SERVE");
   if (s == nullptr || *s == '\0') return base;
   return apply_serve_spec(base, s);
 }

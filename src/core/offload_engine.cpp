@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "san/san.hpp"
@@ -16,6 +17,9 @@ constexpr int kFullSpinBound = 1 << 16;
 // lane_of_slot_ sentinels: slot not yet bound / bound to the shared rings.
 constexpr std::uint32_t kNoLane = 0xffffffffu;
 constexpr std::uint32_t kSharedRing = 0xfffffffeu;
+// drain budget of an engine emptying its own ring: everything, including
+// commands published while it issues.
+constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
 
 // Fibonacci multiplicative mix: spreads consecutive peer/communicator keys
 // across engines without clustering.
@@ -110,80 +114,54 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
                                                       bool& overflow) {
   overflow = false;
   if (opts_.lane_count == 0) return nullptr;
-  const int slot = rc_.thread_slot();
-  const auto s = static_cast<std::size_t>(slot);
+  const auto s = static_cast<std::size_t>(rc_.thread_slot());
   if (s >= lane_of_slot_.size()) lane_of_slot_.resize(s + 1, kNoLane);
-  std::uint32_t row = lane_of_slot_[s];
+  std::uint32_t& row = lane_of_slot_[s];
   const std::size_t n = engines_.size();
-  if (row == kNoLane) {
-    if (next_lane_ < opts_.lane_count) {
-      row = static_cast<std::uint32_t>(next_lane_++);
-      lane_of_slot_[s] = row;
-      for (std::size_t i = row * n; i < (row + 1) * n; ++i) {
-        lanes_[i] = std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(), i);
-        lanes_[i]->owner_slot = slot;
-      }
-    } else {
-      // More submitting fibers than lane rows: overflow to the shared rings.
-      lane_of_slot_[s] = kSharedRing;
-      overflow = true;
-      return nullptr;
+  if (row == kNoLane && next_lane_ == opts_.lane_count) {
+    row = kSharedRing;  // more submitting fibers than lane rows
+  } else if (row == kNoLane) {
+    row = static_cast<std::uint32_t>(next_lane_++);
+    for (std::size_t i = row * n; i < (row + 1) * n; ++i) {
+      lanes_[i] = std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(), i);
     }
   }
-  if (row == kSharedRing) {
-    overflow = true;
-    return nullptr;
-  }
-  return lanes_[row * n + engine_idx].get();
+  overflow = row == kSharedRing;
+  return overflow ? nullptr : lanes_[row * n + engine_idx].get();
 }
 
-std::uint32_t OffloadChannel::alloc_slot() {
-  const auto& p = rc_.profile();
+std::uint32_t OffloadChannel::alloc_slot(Engine* e) {
   // Allocate the proxy request (lock-free pool op).
-  sim::advance(p.request_pool_op);
+  sim::advance(rc_.profile().request_pool_op);
   std::uint32_t proxy = pool_.alloc();
   for (int retries = 0; proxy == RequestPool::kNil; ++retries) {
-    // Pool exhausted: wait for another thread to recycle a slot. A
-    // single-threaded application that over-posts can never recycle, so a
-    // bounded wait converts that programming error into a clear failure
-    // instead of a silent deadlock.
+    // Pool exhausted. A single-threaded application that over-posts can
+    // never recycle, so a bounded wait converts that programming error into
+    // a clear failure instead of a silent deadlock.
     if (retries > 64) {
       throw std::runtime_error(
           "offload request pool exhausted: too many outstanding requests "
-          "(increase pool_capacity or wait on requests sooner)");
+          "(increase pool_capacity, wait on requests sooner or post smaller "
+          "follow-up graphs from continuations)");
     }
     ++stats_.pool_full_stalls;
     trace::instant("stall:pool-full", "offload");
-    const std::uint64_t seen = completions_.count();
-    completions_.wait_beyond_timeout(seen, sim::Time::from_us(200));
+    if (e == nullptr) {
+      // Wait for another thread to recycle a slot.
+      const std::uint64_t seen = completions_.count();
+      completions_.wait_beyond_timeout(seen, sim::Time::from_us(200));
+    } else {
+      // Engine context: blocking on completions_ would deadlock (the
+      // engines are its only signallers). Complete in-flight work instead,
+      // and advance the clock so application fibers get a chance to free
+      // finished slots.
+      drive_progress(*e);
+      sim::advance(sim::Time::from_us(1));
+    }
     proxy = pool_.alloc();
   }
   san::acquire(&pool_, proxy);  // HB edge from the releasing free()
   cont_.reset(proxy);  // recycle the slot's continuation state with it
-  return proxy;
-}
-
-std::uint32_t OffloadChannel::alloc_slot_engine(Engine& e) {
-  const auto& p = rc_.profile();
-  sim::advance(p.request_pool_op);
-  std::uint32_t proxy = pool_.alloc();
-  for (int retries = 0; proxy == RequestPool::kNil; ++retries) {
-    // Engine context: blocking on completions_ would deadlock (the engines
-    // are its only signallers). Complete in-flight work instead, and advance
-    // the clock so application fibers get a chance to free finished slots.
-    if (retries > 64) {
-      throw std::runtime_error(
-          "offload request pool exhausted while posting from a continuation "
-          "(increase pool_capacity or post smaller follow-up graphs)");
-    }
-    ++stats_.pool_full_stalls;
-    trace::instant("stall:pool-full", "offload");
-    drive_progress(e);
-    sim::advance(sim::Time::from_us(1));
-    proxy = pool_.alloc();
-  }
-  san::acquire(&pool_, proxy);
-  cont_.reset(proxy);
   return proxy;
 }
 
@@ -194,51 +172,74 @@ std::uint32_t OffloadChannel::submit_from_engine(Engine& e, Command cmd) {
   // This is also the no-deadlock rule: a full ring can never wedge a
   // posting callback.
   trace::Scope tsc("cont:post", "offload");
-  cmd.proxy = alloc_slot_engine(e);
+  cmd.proxy = alloc_slot(&e);
   ++stats_.cont_posts;
   process_command(e, cmd);
   return cmd.proxy;
 }
 
-void OffloadChannel::push_lane(Lane& lane, const Command& cmd) {
-  const auto& p = rc_.profile();
-  for (int spins = 0; !lane.ring.try_push(cmd); ++spins) {
-    if (spins > kFullSpinBound) {
+void OffloadChannel::publish(std::size_t eidx, std::span<Command> group,
+                             bool batched) {
+  bool overflow = false;
+  Lane* lane = lane_for_caller(eidx, overflow);
+  if (lane == nullptr) {
+    // No lane: the group still pays the tail cache-line transfer once.
+    Engine& e = *engines_[eidx];
+    push_ring(e, group);
+    e.g_ring.set(static_cast<double>(e.ring.size_approx()));
+    (overflow ? stats_.overflow_submits : stats_.shared_submits) +=
+        group.size();
+    return;
+  }
+  std::span<Command> rest = group;
+  for (int spins = 0;;) {
+    const std::size_t k = lane->ring.try_push_n(rest);
+    // SPSC publish: one tail store-release covers the pushed prefix.
+    if (k != 0) san::channel_push(lane, k);
+    rest = rest.subspan(k);
+    if (rest.empty()) break;
+    if (++spins > kFullSpinBound) {
       throw std::runtime_error(
           "offload submission lane stuck full: engine is not draining "
           "(increase lane_capacity or check the offload fibers are running)");
     }
     ++stats_.lane_full_stalls;
-    ++lane.stats.full_stalls;
+    ++lane->stats.full_stalls;
     trace::instant("stall:lane-full", "offload");
     rc_.arrivals().signal();
-    sim::advance(p.cmd_enqueue);  // retry cost
+    sim::advance(rc_.profile().cmd_enqueue);  // retry cost
   }
-  san::channel_push(&lane);  // SPSC publish: tail store-release
-  const std::size_t occ = lane.ring.size_approx();
-  lane.stats.max_occupancy =
-      std::max<std::uint64_t>(lane.stats.max_occupancy, occ);
-  lane.gauge.set(static_cast<double>(occ));
+  const std::size_t occ = lane->ring.size_approx();
+  lane->stats.max_occupancy =
+      std::max<std::uint64_t>(lane->stats.max_occupancy, occ);
+  lane->gauge.set(static_cast<double>(occ));
+  lane->stats.submits += group.size();
+  stats_.lane_submits += group.size();
+  if (batched) {
+    ++lane->stats.batches;
+    lane->stats.batched_commands += group.size();
+  }
 }
 
-void OffloadChannel::push_shared_locked(Engine& e, const Command& cmd) {
-  const auto& p = rc_.profile();
+void OffloadChannel::push_ring(Engine& e, std::span<const Command> group) {
   // The target ring's tail cache line: concurrent producers serialize here,
   // each acquisition charging Profile::mpsc_line_transfer.
   sim::LockGuard g(e.tail_line);
-  for (int spins = 0; !e.ring.try_push(cmd); ++spins) {
-    if (spins > kFullSpinBound) {
-      throw std::runtime_error(
-          "offload command ring stuck full: engine is not draining "
-          "(increase ring_capacity or check the offload fibers are running)");
+  for (const Command& c : group) {
+    for (int spins = 0; !e.ring.try_push(c); ++spins) {
+      if (spins > kFullSpinBound) {
+        throw std::runtime_error(
+            "offload command ring stuck full: engine is not draining "
+            "(increase ring_capacity or check the offload fibers are "
+            "running)");
+      }
+      ++stats_.ring_full_stalls;
+      trace::instant("stall:ring-full", "offload");
+      rc_.arrivals().signal();
+      sim::advance(rc_.profile().cmd_enqueue);  // retry cost
     }
-    ++stats_.ring_full_stalls;
-    trace::instant("stall:ring-full", "offload");
-    rc_.arrivals().signal();
-    sim::advance(p.cmd_enqueue);  // retry cost
+    san::channel_push(&e.ring);  // MPSC publish: seq store-release
   }
-  san::channel_push(&e.ring);  // MPSC publish: seq store-release
-  e.g_ring.set(static_cast<double>(e.ring.size_approx()));
 }
 
 std::uint32_t OffloadChannel::submit(Command cmd) {
@@ -247,7 +248,7 @@ std::uint32_t OffloadChannel::submit(Command cmd) {
   }
   trace::Scope tsc("cmd:enqueue", "offload");
   const auto& p = rc_.profile();
-  cmd.proxy = alloc_slot();
+  cmd.proxy = alloc_slot(nullptr);
   // Serialize parameters + lock-free enqueue.
   sim::advance(p.cmd_enqueue);
   push_to_engine(engine_of(cmd), cmd);
@@ -267,7 +268,7 @@ void OffloadChannel::submit_batch(std::span<Command> cmds) {
   }
   trace::Scope tsc("cmd:enqueue-batch", "offload");
   const auto& p = rc_.profile();
-  for (Command& c : cmds) c.proxy = alloc_slot();
+  for (Command& c : cmds) c.proxy = alloc_slot(nullptr);
   // The first command pays the full serialize+publish cost; the rest only
   // the marginal marshalling into already-hot cells.
   sim::advance(p.cmd_enqueue);
@@ -275,71 +276,17 @@ void OffloadChannel::submit_batch(std::span<Command> cmds) {
     sim::advance(sim::Time(p.cmd_enqueue_batch.ns() *
                            static_cast<std::int64_t>(cmds.size() - 1)));
   }
-  // Route once per command, in order (wildcard stickiness in engine_of is
-  // order-sensitive), then publish each run of same-engine commands as one
-  // group: relative order within an engine — the only order matching can
-  // observe — is exactly the batch's.
+  // Route every command, in order, before the first publish (wildcard
+  // stickiness in engine_of is order-sensitive), then publish each run of
+  // same-engine commands as one group: relative order within an engine —
+  // the only order matching can observe — is exactly the batch's.
   std::vector<std::size_t> target(cmds.size());
   for (std::size_t k = 0; k < cmds.size(); ++k) target[k] = engine_of(cmds[k]);
   std::size_t i = 0;
   while (i < cmds.size()) {
     std::size_t j = i + 1;
     while (j < cmds.size() && target[j] == target[i]) ++j;
-    std::span<Command> group = cmds.subspan(i, j - i);
-    const std::size_t eidx = target[i];
-    bool overflow = false;
-    if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-      std::span<Command> rest = group;
-      int spins = 0;
-      while (!rest.empty()) {
-        const std::size_t n = lane->ring.try_push_n(rest);
-        if (n != 0) san::channel_push(lane, n);  // one release covers the group
-        rest = rest.subspan(n);
-        if (rest.empty()) break;
-        if (++spins > kFullSpinBound) {
-          throw std::runtime_error(
-              "offload submission lane stuck full: engine is not draining "
-              "(increase lane_capacity or check the offload fibers are "
-              "running)");
-        }
-        ++stats_.lane_full_stalls;
-        ++lane->stats.full_stalls;
-        trace::instant("stall:lane-full", "offload");
-        rc_.arrivals().signal();
-        sim::advance(p.cmd_enqueue);  // retry cost
-      }
-      const std::size_t occ = lane->ring.size_approx();
-      lane->stats.max_occupancy =
-          std::max<std::uint64_t>(lane->stats.max_occupancy, occ);
-      lane->gauge.set(static_cast<double>(occ));
-      lane->stats.submits += group.size();
-      ++lane->stats.batches;
-      lane->stats.batched_commands += group.size();
-      stats_.lane_submits += group.size();
-    } else {
-      // No lane: the group still amortizes the doorbell and pays the tail
-      // cache-line transfer once per engine touched.
-      Engine& e = *engines_[eidx];
-      sim::LockGuard g(e.tail_line);
-      for (const Command& c : group) {
-        for (int spins = 0; !e.ring.try_push(c); ++spins) {
-          if (spins > kFullSpinBound) {
-            throw std::runtime_error(
-                "offload command ring stuck full: engine is not draining "
-                "(increase ring_capacity or check the offload fibers are "
-                "running)");
-          }
-          ++stats_.ring_full_stalls;
-          trace::instant("stall:ring-full", "offload");
-          rc_.arrivals().signal();
-          sim::advance(p.cmd_enqueue);  // retry cost
-        }
-        san::channel_push(&e.ring);
-      }
-      e.g_ring.set(static_cast<double>(e.ring.size_approx()));
-      (overflow ? stats_.overflow_submits : stats_.shared_submits) +=
-          group.size();
-    }
+    publish(target[i], cmds.subspan(i, j - i), true);
     i = j;
   }
   ++stats_.batches;
@@ -349,16 +296,8 @@ void OffloadChannel::submit_batch(std::span<Command> cmds) {
   rc_.arrivals().signal();
 }
 
-void OffloadChannel::push_to_engine(std::size_t eidx, const Command& cmd) {
-  bool overflow = false;
-  if (Lane* lane = lane_for_caller(eidx, overflow); lane != nullptr) {
-    push_lane(*lane, cmd);
-    ++stats_.lane_submits;
-    ++lane->stats.submits;
-  } else {
-    push_shared_locked(*engines_[eidx], cmd);
-    ++(overflow ? stats_.overflow_submits : stats_.shared_submits);
-  }
+void OffloadChannel::push_to_engine(std::size_t eidx, Command cmd) {
+  publish(eidx, {&cmd, 1}, false);
   // Ring the doorbell: the offload fibers' poll loops notice new work after
   // their detection latency.
   trace::instant("doorbell", "offload");
@@ -396,7 +335,7 @@ void OffloadChannel::persist_init(Persistent& ps) {
   // Init pays the full serialize cost once — that is the bargain: every
   // subsequent start pays only cmd_enqueue_persist.
   sim::advance(rc_.profile().cmd_enqueue);
-  ps.cmd.proxy = alloc_slot();  // pinned for the lifetime of the request
+  ps.cmd.proxy = alloc_slot(nullptr);  // pinned for the lifetime of the request
   ps.home_engine = engine_of(ps.cmd);
   ps.shipped.assign(ps.ready.size(), 0);
   if (slot_persist_.size() <= ps.cmd.proxy) {
@@ -408,37 +347,33 @@ void OffloadChannel::persist_init(Persistent& ps) {
 
 void OffloadChannel::persist_start(Persistent& ps) {
   trace::Scope tsc("persist:start", "offload");
-  const auto& p = rc_.profile();
   // Re-arm the pinned pool slot and the continuation claim; both are
   // quiescent (previous generation consumed, next start not yet published).
-  sim::advance(p.request_pool_op);
+  sim::advance(rc_.profile().request_pool_op);
   pool_.rearm(ps.cmd.proxy);
   cont_.reset(ps.cmd.proxy);
   ps.open();
-  if (Engine* e = engine_for_current_fiber(); e != nullptr) {
-    // A continuation restarting its own request: issue directly, like every
-    // other engine-context post.
-    sim::advance(p.cmd_dequeue);
-    engine_start_persistent(*e, ps);
-    return;
-  }
-  // The thin re-arm publish: a slot index, not an envelope. Every
-  // generation goes to the home engine fixed at init (engine_of of the
-  // envelope), so one request's generations issue in submission order.
-  sim::advance(p.cmd_enqueue_persist);
-  push_to_engine(ps.home_engine,
-                 {.op = CmdOp::kStartPersistent, .proxy = ps.cmd.proxy});
+  persist_post(ps, CmdOp::kStartPersistent);
 }
 
 void OffloadChannel::persist_free(Persistent& ps) {
-  if (engine_for_current_fiber() != nullptr) {
+  persist_post(ps, CmdOp::kFreePersistent);
+}
+
+void OffloadChannel::persist_post(Persistent& ps, CmdOp op) {
+  const Command cmd{.op = op, .proxy = ps.cmd.proxy};
+  if (Engine* e = engine_for_current_fiber(); e != nullptr) {
+    // A continuation restarting or freeing its own request: issue directly,
+    // like every other engine-context post.
     sim::advance(rc_.profile().cmd_dequeue);
-    engine_free_persistent(ps);
+    issue(*e, cmd);
     return;
   }
+  // The thin publish: a slot index, not an envelope. Every command of one
+  // request goes to the home engine fixed at init (engine_of of the
+  // envelope), so its generations issue in submission order.
   sim::advance(rc_.profile().cmd_enqueue_persist);
-  push_to_engine(ps.home_engine,
-                 {.op = CmdOp::kFreePersistent, .proxy = ps.cmd.proxy});
+  push_to_engine(ps.home_engine, cmd);
 }
 
 void OffloadChannel::free_slot(std::uint32_t proxy) {
@@ -462,23 +397,24 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
     if (pool_.done(proxy)) break;
     completions_.wait_beyond(seen);
   }
-  san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
-  if (st != nullptr) *st = pool_.status(proxy);
-  if (keep) return;
-  free_slot(proxy);
-  completions_.signal();  // a freed slot may unblock a pool-exhausted submit
+  consume_done(proxy, st, keep);
 }
 
 bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st,
                                bool keep) {
   sim::advance(rc_.profile().done_flag_check);
   if (!pool_.done(proxy)) return false;
-  san::acquire(&pool_, proxy);
-  if (st != nullptr) *st = pool_.status(proxy);
-  if (keep) return true;
-  free_slot(proxy);
-  completions_.signal();
+  consume_done(proxy, st, keep);
   return true;
+}
+
+void OffloadChannel::consume_done(std::uint32_t proxy, smpi::Status* st,
+                                  bool keep) {
+  san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
+  if (st != nullptr) *st = pool_.status(proxy);
+  if (keep) return;
+  free_slot(proxy);
+  completions_.signal();  // a freed slot may unblock a pool-exhausted submit
 }
 
 bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
@@ -511,30 +447,24 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
 }
 
 void OffloadChannel::shutdown() {
-  Command c;
-  c.op = CmdOp::kShutdown;
+  const Command c{.op = CmdOp::kShutdown};
   sim::advance(rc_.profile().cmd_enqueue);
   // One shutdown per engine, each through that engine's shared ring
   // regardless of lanes: an engine keeps draining its lanes until they are
   // empty even after seeing it, and a stolen shutdown still sets the
   // channel-wide flag — every engine exits once its own share is drained.
-  for (auto& ep : engines_) {
-    Engine& e = *ep;
-    sim::LockGuard g(e.tail_line);
-    while (!e.ring.try_push(c)) sim::advance(rc_.profile().cmd_enqueue);
-    san::channel_push(&e.ring);
-  }
+  for (auto& ep : engines_) push_ring(*ep, {&c, 1});
   rc_.arrivals().signal();
 }
 
 // ------------------------------------------------------------ engine side ----
 
-OffloadChannel::Engine* OffloadChannel::engine_for_current_fiber() {
+OffloadChannel::Engine* OffloadChannel::engine_for_current_fiber() const {
   sim::Engine* eng = sim::Engine::current();
   if (eng == nullptr) return nullptr;
   const sim::Fiber* f = eng->current_fiber();
   if (f == nullptr) return nullptr;
-  for (auto& e : engines_) {
+  for (const auto& e : engines_) {
     if (e->fiber == f) return e.get();
   }
   return nullptr;
@@ -690,19 +620,26 @@ std::size_t OffloadChannel::partition_engine(const Persistent& ps,
   return static_cast<std::size_t>(mix64(key) >> 32) % n;
 }
 
+int OffloadChannel::next_owned_ready(const Persistent& ps, std::size_t w,
+                                     const Engine& e) const {
+  std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
+  while (avail != 0) {
+    const int bit = std::countr_zero(avail);
+    const auto p =
+        static_cast<std::uint32_t>(w * 64 + static_cast<unsigned>(bit));
+    if (partition_engine(ps, p) == e.index) return bit;
+    avail &= avail - 1;
+  }
+  return -1;
+}
+
 bool OffloadChannel::persistent_ready_pending(const Engine& e) const {
   if (armed_psends_ == 0) return false;
   for (const Persistent* psp : persist_) {
     const Persistent& ps = *psp;
     if (!ps.armed) continue;
     for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
-      while (avail != 0) {
-        const auto p = static_cast<std::uint32_t>(
-            w * 64 + static_cast<unsigned>(std::countr_zero(avail)));
-        if (partition_engine(ps, p) == e.index) return true;
-        avail &= avail - 1;
-      }
+      if (next_owned_ready(ps, w, e) >= 0) return true;
     }
   }
   return false;
@@ -717,29 +654,19 @@ bool OffloadChannel::pump_persistent(Engine& e) {
     Persistent& ps = *persist_[i];
     if (!ps.armed) continue;  // also gates slots whose start is still queued
     for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      for (;;) {
-        // Re-read after every ship: rc_.start yields, and bits published
-        // meanwhile should go out in this same pass.
-        std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
-        bool shipped_one = false;
-        while (avail != 0) {
-          const auto bit = static_cast<unsigned>(std::countr_zero(avail));
-          avail &= avail - 1;
-          const auto p = static_cast<std::uint32_t>(w * 64 + bit);
-          if (partition_engine(ps, p) != e.index) continue;
-          // Shipped bit set BEFORE issuing: the issue yields, and our own
-          // next pass (or a sibling's re-check) must see the partition as
-          // taken.
-          ps.shipped[w] |= 1ull << bit;
-          trace::Scope tsc("part:ship", "offload");
-          sim::advance(rc_.profile().cmd_dequeue);
-          rc_.start(ps.reqs[p]);
-          track_inflight(e, ps.reqs[p], ps.cmd.proxy);
-          any = true;
-          shipped_one = true;
-          break;
-        }
-        if (!shipped_one) break;
+      // Re-read the word after every ship: rc_.start yields, and bits
+      // published meanwhile should go out in this same pass.
+      for (int bit; (bit = next_owned_ready(ps, w, e)) >= 0;) {
+        // Shipped bit set BEFORE issuing: the issue yields, and our own
+        // next pass (or a sibling's re-check) must see the partition as
+        // taken.
+        ps.shipped[w] |= 1ull << bit;
+        const std::size_t p = w * 64 + static_cast<unsigned>(bit);
+        trace::Scope tsc("part:ship", "offload");
+        sim::advance(rc_.profile().cmd_dequeue);
+        rc_.start(ps.reqs[p]);
+        track_inflight(e, ps.reqs[p], ps.cmd.proxy);
+        any = true;
       }
     }
   }
@@ -760,9 +687,36 @@ void OffloadChannel::process_command(Engine& e, const Command& cmd) {
   issue(e, cmd);
 }
 
+std::size_t OffloadChannel::drain_lane(Engine& e, Lane& lane,
+                                       std::size_t budget) {
+  std::size_t popped = 0;
+  Command cmd;
+  while (popped < budget && lane.ring.try_pop(cmd)) {
+    san::channel_pop(&lane);  // SPSC consume: joins the producer's publish
+    ++popped;
+    ++lane.stats.drained;
+    lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
+    process_command(e, cmd);
+  }
+  return popped;
+}
+
+std::size_t OffloadChannel::drain_ring(Engine& e, Engine& owner,
+                                       std::size_t budget) {
+  std::size_t popped = 0;
+  Command cmd;
+  while (popped < budget && owner.ring.try_pop(cmd)) {
+    san::channel_pop(&owner.ring);  // MPSC consume
+    ++popped;
+    owner.g_ring.set(static_cast<double>(owner.ring.size_approx()));
+    process_command(e, cmd);
+  }
+  return popped;
+}
+
 bool OffloadChannel::drain_lanes_round(Engine& e) {
   // One round-robin pass over this engine's lane column, at most
-  // lane_drain_bound commands per lane: the fairness bound keeps a
+  // kLaneDrainBound commands per lane: the fairness bound keeps a
   // saturating lane from starving its neighbours or postponing the testany
   // pass indefinitely. Caller holds e.claim.
   //
@@ -775,17 +729,8 @@ bool OffloadChannel::drain_lanes_round(Engine& e) {
   const std::size_t n = engines_.size();
   bool any = false;
   const auto drain_row = [&](std::size_t row) {
-    Lane& lane = *lanes_[row * n + e.index];
-    Command cmd;
-    std::size_t popped = 0;
-    while (popped < opts_.lane_drain_bound && lane.ring.try_pop(cmd)) {
-      san::channel_pop(&lane);  // SPSC consume: joins the producer's publish
-      ++popped;
-      ++lane.stats.drained;
-      lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
-      process_command(e, cmd);
-    }
-    any = any || popped != 0;
+    any = drain_lane(e, *lanes_[row * n + e.index], kLaneDrainBound) != 0 ||
+          any;
   };
   for (std::size_t row = e.drain_cursor; row < next_lane_; ++row) {
     drain_row(row);
@@ -798,22 +743,8 @@ bool OffloadChannel::drain_lanes_round(Engine& e) {
   return any;
 }
 
-bool OffloadChannel::drain_shared(Engine& e) {
-  // Caller holds e.claim.
-  bool any = false;
-  Command cmd;
-  while (e.ring.try_pop(cmd)) {
-    san::channel_pop(&e.ring);
-    any = true;
-    e.g_ring.set(static_cast<double>(e.ring.size_approx()));
-    process_command(e, cmd);
-  }
-  return any;
-}
-
 bool OffloadChannel::steal_round(Engine& e) {
   const std::size_t n = engines_.size();
-  if (n < 2 || opts_.steal_bound == 0) return false;
   for (std::size_t k = 1; k < n; ++k) {
     Engine& v = *engines_[(e.index + k) % n];
     if (!submissions_pending(v)) continue;
@@ -822,29 +753,14 @@ bool OffloadChannel::steal_round(Engine& e) {
     // Claim held across the WHOLE pop+issue sequence: issuing yields, and
     // releasing between pop and issue would let the owner interleave
     // same-envelope traffic out of posted order.
-    std::size_t budget = opts_.steal_bound;
-    std::size_t stolen = 0;
-    Command cmd;
+    std::size_t budget = kStealBound;
     for (std::size_t row = 0; row < next_lane_ && budget > 0; ++row) {
-      Lane& lane = *lanes_[row * n + v.index];
-      while (budget > 0 && lane.ring.try_pop(cmd)) {
-        san::channel_pop(&lane);
-        ++lane.stats.drained;
-        lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
-        process_command(e, cmd);
-        --budget;
-        ++stolen;
-      }
+      budget -= drain_lane(e, *lanes_[row * n + v.index], budget);
     }
-    while (budget > 0 && v.ring.try_pop(cmd)) {
-      san::channel_pop(&v.ring);
-      v.g_ring.set(static_cast<double>(v.ring.size_approx()));
-      process_command(e, cmd);
-      --budget;
-      ++stolen;
-    }
+    budget -= drain_ring(e, v, budget);
     san::release(&v.claim, 0);  // hand consumer-side state to the next holder
     v.claim.release();
+    const std::size_t stolen = kStealBound - budget;
     if (stolen == 0) continue;
     ++stats_.steal_rounds;
     stats_.steal_commands += stolen;
@@ -868,12 +784,13 @@ bool OffloadChannel::submissions_pending(const Engine& e) const {
   return false;
 }
 
-bool OffloadChannel::steal_work_available(const Engine& e) const {
-  if (engines_.size() < 2 || opts_.steal_bound == 0) return false;
+bool OffloadChannel::idle_work_pending(const Engine& e) const {
+  // A sibling's backlog counts too: it is ours to steal, and nothing rings
+  // our doorbell for it.
   for (const auto& v : engines_) {
-    if (v.get() != &e && submissions_pending(*v)) return true;
+    if (submissions_pending(*v)) return true;
   }
-  return false;
+  return persistent_ready_pending(e);
 }
 
 void OffloadChannel::drive_progress(Engine& e) {
@@ -931,7 +848,7 @@ bool OffloadChannel::run_continuations(Engine& e) {
   // callbacks (drive_progress can run inside a post when the pool is tight),
   // so an unbounded drain could monopolize the engine. Leftovers run next
   // pass; the engine re-drains before sleeping because this returns true.
-  std::size_t budget = opts_.cont_run_bound;
+  std::size_t budget = kContRunBound;
   bool any = false;
   while (budget-- > 0 && !e.cont_ready.empty()) {
     const std::uint32_t proxy = e.cont_ready.front();
@@ -1025,7 +942,7 @@ void OffloadChannel::engine_main(std::size_t idx) {
     if (e.claim.try_claim()) {
       san::acquire(&e.claim, 0);  // previous holder's consumer-side state
       worked = drain_lanes_round(e);
-      worked = drain_shared(e) || worked;
+      worked = drain_ring(e, e, kNoBound) != 0 || worked;
       san::release(&e.claim, 0);
       e.claim.release();
     }
@@ -1055,19 +972,19 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // wake), then yield the core a few times, then block on the doorbell.
     // The Notifier's detection latency models the spin-poll granularity of
     // the real busy-waiting offload thread.
+    // (The doorbell count goes last in each check: reading it records a
+    // sanitizer acquire, the queue predicates have no side effects.)
     bool woke = false;
     for (int i = 0; i < p.engine_spin_polls && !woke; ++i) {
       ++stats_.engine_spins;
       sim::advance(p.cmd_detect);
-      woke = submissions_pending(e) || steal_work_available(e) ||
-             persistent_ready_pending(e) || rc_.arrivals().count() > seen;
+      woke = idle_work_pending(e) || rc_.arrivals().count() > seen;
     }
     for (int i = 0; i < p.engine_yield_polls && !woke; ++i) {
       ++stats_.engine_yields;
       sim::yield();
       sim::advance(p.cmd_detect);
-      woke = submissions_pending(e) || steal_work_available(e) ||
-             persistent_ready_pending(e) || rc_.arrivals().count() > seen;
+      woke = idle_work_pending(e) || rc_.arrivals().count() > seen;
     }
     if (woke) continue;
     ++stats_.engine_sleeps;
@@ -1081,8 +998,7 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // snapshot: armed equals the final count and the sleep never wakes. The
     // check-layer doorbell spec forces exactly that interleaving.)
     const std::uint64_t armed = rc_.arrivals().count();
-    if (submissions_pending(e) || !e.cont_ready.empty() ||
-        steal_work_available(e) || persistent_ready_pending(e) ||
+    if (idle_work_pending(e) || !e.cont_ready.empty() ||
         (shutdown_requested_ && e.live_inflight == 0)) {
       // (persistent_ready_pending: a pready published between our pump pass
       // and this snapshot would otherwise be stranded — its doorbell signal

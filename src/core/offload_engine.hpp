@@ -12,14 +12,17 @@
 //     Profile::mpsc_line_transfer per acquisition),
 //   * the shared lock-free request pool (completion flags).
 //
+// Every producer publishes through publish (its lane, else push_ring) and
+// every consumer, owner or thief, pops through drain_lane / drain_ring.
+//
 // Multi-proxy sharding (ProxyOptions::proxy_count, default one per NUMA
 // domain): commands are partitioned across engines by a peer/communicator
 // hash (engine_of) so everything whose relative order MPI matching can
 // observe — sends to one peer on one communicator, receives for one
 // envelope, collectives on one communicator — lands in ONE engine's queues
 // and is issued in submission order. Each engine owns a DrainClaim covering
-// its lane column + ring; an idle engine may steal up to
-// ProxyOptions::steal_bound commands from a sibling per pass by taking that
+// its lane column + ring; with two or more engines an idle engine may steal
+// up to kStealBound commands from a sibling per pass by taking that
 // sibling's claim, which both serializes the single-consumer pop protocols
 // and carries the happens-before edge for the lanes' consumer-side state
 // (see core/drain_claim.hpp). The claim is held across the whole pop+issue
@@ -28,14 +31,14 @@
 //
 // Engine loop (each engine fiber):
 //   1. claim own queues; drain own lane column round-robin, at most
-//      ProxyOptions::lane_drain_bound commands per lane per pass (the
-//      fairness bound: a saturating lane cannot starve its neighbours or
-//      postpone the progress pass), then drain own ring; release;
+//      kLaneDrainBound commands per lane per pass (the fairness bound: a
+//      saturating lane cannot starve its neighbours or postpone the progress
+//      pass), then drain own ring; release;
 //   2. drive progress on own in-flight operations with MPI_Testany,
 //      publishing done flags as they complete and queueing any armed
-//      continuations (cont_table.hpp), then run up to
-//      ProxyOptions::cont_run_bound of those callbacks — callbacks may post
-//      follow-ups, which issue directly instead of re-entering the ring;
+//      continuations (cont_table.hpp), then run up to kContRunBound of
+//      those callbacks — callbacks may post follow-ups, which issue directly
+//      instead of re-entering the ring;
 //   3. if that found nothing, try one bounded steal pass from a busy
 //      sibling;
 //   4. when nothing is pending, wait adaptively: spin-poll a few times
@@ -159,7 +162,7 @@ struct OffloadStats {
   std::uint64_t cont_inline = 0;    ///< attach found the request already done
   std::uint64_t cont_executed = 0;  ///< callbacks run by the engine
   std::uint64_t cont_deferred = 0;  ///< ready callbacks pushed past a pass
-                                    ///  by the cont_run bound (cumulative)
+                                    ///  by kContRunBound (cumulative)
   std::uint64_t cont_posts = 0;     ///< commands posted from engine context
 };
 
@@ -178,13 +181,20 @@ struct LaneStats {
 /// this class is the engine side plus the submission primitives.
 class OffloadChannel {
  public:
+  /// Engine fairness bound: commands popped per lane per drain pass.
+  static constexpr std::size_t kLaneDrainBound = 16;
+  /// Commands an idle engine drains from one sibling's queues per steal pass.
+  static constexpr std::size_t kStealBound = 8;
+  /// Continuation callbacks an engine runs per pass; leftovers count into
+  /// cont_deferred and run next pass.
+  static constexpr std::size_t kContRunBound = 16;
+
   explicit OffloadChannel(smpi::RankCtx& rc, const ProxyOptions& opts = {});
 
   smpi::RankCtx& rank_ctx() { return rc_; }
   RequestPool& pool() { return pool_; }
   [[nodiscard]] const RequestPool& pool() const { return pool_; }
   [[nodiscard]] const OffloadStats& stats() const { return stats_; }
-  [[nodiscard]] const ProxyOptions& options() const { return opts_; }
   /// Offload engine fibers serving this channel.
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
   /// Total lanes in the grid (lane rows x engines; one row per submitter).
@@ -242,21 +252,7 @@ class OffloadChannel {
   /// "engine is running" bit: application fibers interleaving with a
   /// blocked engine must keep taking the lane/ring path.
   [[nodiscard]] bool in_engine() const {
-    sim::Engine* eng = sim::Engine::current();
-    if (eng == nullptr) return false;
-    const sim::Fiber* f = eng->current_fiber();
-    if (f == nullptr) return false;
-    for (const auto& e : engines_) {
-      if (e->fiber == f) return true;
-    }
-    return false;
-  }
-
-  /// Continuations queued but not yet run by their engine.
-  [[nodiscard]] std::size_t cont_pending() const {
-    std::size_t n = 0;
-    for (const auto& e : engines_) n += e->cont_ready.size();
-    return n;
+    return engine_for_current_fiber() != nullptr;
   }
 
   // ---------------- persistent / partitioned requests ----------------
@@ -293,12 +289,9 @@ class OffloadChannel {
   struct Lane {
     Lane(std::size_t capacity, int rank, std::size_t index)
         : ring(capacity),
-          gauge_name("lane" + std::to_string(index) + "_occupancy"),
-          gauge(rank, gauge_name.c_str()) {}
+          gauge(rank, "lane" + std::to_string(index) + "_occupancy") {}
     SpscLane<Command> ring;
     LaneStats stats;
-    int owner_slot = -1;     ///< thread-registry slot bound to this lane row
-    std::string gauge_name;  ///< stable storage for the gauge's name
     trace::Gauge gauge;
   };
 
@@ -319,13 +312,11 @@ class OffloadChannel {
         : index(idx),
           ring(ring_capacity),
           tail_line(rc.profile().mpsc_line_transfer),
-          ring_gauge_name(idx == 0 ? std::string("ring_occupancy")
-                                   : "ring" + std::to_string(idx) +
-                                         "_occupancy"),
-          inflight_gauge_name(idx == 0 ? std::string("inflight")
-                                       : "inflight" + std::to_string(idx)),
-          g_ring(rc.rank(), ring_gauge_name.c_str()),
-          g_inflight(rc.rank(), inflight_gauge_name.c_str()) {}
+          g_ring(rc.rank(), idx == 0 ? std::string("ring_occupancy")
+                                     : "ring" + std::to_string(idx) +
+                                           "_occupancy"),
+          g_inflight(rc.rank(), idx == 0 ? std::string("inflight")
+                                         : "inflight" + std::to_string(idx)) {}
 
     std::size_t index;
     MpscRing<Command> ring;
@@ -336,8 +327,8 @@ class OffloadChannel {
     /// Consumer-ownership token over this engine's lane column + ring.
     DrainClaim claim;
     /// Fired slots whose callbacks this engine still owes. Bounded per pass
-    /// by ProxyOptions::cont_run_bound so a burst of completions cannot
-    /// starve the drain/testany loop.
+    /// by kContRunBound so a burst of completions cannot starve the
+    /// drain/testany loop.
     std::deque<std::uint32_t> cont_ready;
     /// In-flight tracking, kept incrementally: inflight and scratch_reqs
     /// are parallel arrays appended by issue(). A completion nulls its
@@ -356,8 +347,6 @@ class OffloadChannel {
     /// fiber — other fibers interleave whenever the engine blocks. Cleared
     /// on EVERY exit path (RAII in engine_main), clean or unwinding.
     sim::Fiber* fiber = nullptr;
-    std::string ring_gauge_name;      ///< stable storage for the gauge name
-    std::string inflight_gauge_name;  ///< stable storage for the gauge name
     trace::Gauge g_ring;
     trace::Gauge g_inflight;
   };
@@ -375,24 +364,32 @@ class OffloadChannel {
   /// nullptr = shared ring; `overflow` reports WHY (true = more submitting
   /// fibers than lane rows, false = lanes disabled).
   Lane* lane_for_caller(std::size_t engine_idx, bool& overflow);
-  std::uint32_t alloc_slot();
-  /// Engine-context slot allocation: on exhaustion, drives progress (an
-  /// engine can never block on its own completions notifier).
-  std::uint32_t alloc_slot_engine(Engine& e);
+  /// Allocate a pool slot. On exhaustion an application fiber (`e` null)
+  /// waits for another fiber to free one; engine `e` drives its own
+  /// progress instead (it can never block on its own completions notifier).
+  std::uint32_t alloc_slot(Engine* e);
   /// Engine-context submit: no lane/ring, no doorbell — the command issues
   /// directly on the posting engine. Used by continuations posting
   /// follow-ups.
   std::uint32_t submit_from_engine(Engine& e, Command cmd);
-  void push_lane(Lane& lane, const Command& cmd);
-  void push_shared_locked(Engine& e, const Command& cmd);
-  /// Publish `cmd` to engine `eidx` (lane if the caller has one, else the
-  /// shared ring) and ring the doorbell. The slot-allocation-free tail of
-  /// submit(): persistent starts/frees arrive here with their pool slot
-  /// already pinned.
-  void push_to_engine(std::size_t eidx, const Command& cmd);
+  /// Publish a run of commands bound for engine `eidx`: into the caller's
+  /// lane with one release per fitting prefix, else through push_ring. No
+  /// doorbell. `batched` counts the run as one batch in the lane's stats.
+  void publish(std::size_t eidx, std::span<Command> group, bool batched);
+  /// Push `group` into `e`'s ring in order, taking its tail line once.
+  void push_ring(Engine& e, std::span<const Command> group);
+  /// Publish `cmd` to engine `eidx` and ring the doorbell. The
+  /// slot-allocation-free tail of submit(): persistent starts/frees arrive
+  /// here with their pool slot already pinned.
+  void push_to_engine(std::size_t eidx, Command cmd);
+  /// Post persistent action `op` (start or free) for `ps`: issued directly
+  /// from engine context, else published to its home engine.
+  void persist_post(Persistent& ps, CmdOp op);
+  /// The done-flag tail of wait_done/test_done once `proxy` is done.
+  void consume_done(std::uint32_t proxy, smpi::Status* st, bool keep);
 
   /// The Engine owned by the calling fiber, or nullptr.
-  Engine* engine_for_current_fiber();
+  [[nodiscard]] Engine* engine_for_current_fiber() const;
 
   void issue(Engine& e, const Command& cmd);
   void track_inflight(Engine& e, smpi::Request real, std::uint32_t proxy);
@@ -414,6 +411,11 @@ class OffloadChannel {
   /// Engine `e` owns partition `p` of slot `ps`.
   [[nodiscard]] std::size_t partition_engine(const Persistent& ps,
                                              std::uint32_t p) const;
+  /// The lowest bit of ready word `w` of `ps` whose partition is ready,
+  /// unshipped and owned by `e`, else -1. pump_persistent (what to ship)
+  /// and persistent_ready_pending (whether to sleep) share it.
+  [[nodiscard]] int next_owned_ready(const Persistent& ps, std::size_t w,
+                                     const Engine& e) const;
   /// A ready-but-unshipped partition owned by `e` exists: the engine must
   /// not sleep past it (pready rings the rank doorbell, and this is the
   /// matching pre-sleep re-check).
@@ -421,31 +423,34 @@ class OffloadChannel {
   /// Publish a completion: done flag, stats, doorbell — and hand the slot
   /// to the discovering engine's continuation queue when one is armed.
   void complete_slot(Engine& e, std::uint32_t proxy, const smpi::Status& st);
-  /// Queue drains. Contract: the caller holds `owner.claim` (as owner or
-  /// thief) across the whole call — pops and the issues they feed must not
-  /// interleave with another consumer of the same queues. `e` is the engine
-  /// doing the work (tracks the resulting in-flights).
+  /// Queue drains. Contract: the caller holds the claim of the queues'
+  /// owner (as owner or thief) across the whole call — pops and the issues
+  /// they feed must not interleave with another consumer of the same
+  /// queues. `e` is the engine doing the work (tracks the resulting
+  /// in-flights). drain_lane / drain_ring pop and issue at most `budget`
+  /// commands and return how many they issued.
+  std::size_t drain_lane(Engine& e, Lane& lane, std::size_t budget);
+  std::size_t drain_ring(Engine& e, Engine& owner, std::size_t budget);
+  /// One round-robin pass over `e`'s lane column, kLaneDrainBound per lane.
   bool drain_lanes_round(Engine& e);
-  bool drain_shared(Engine& e);
   /// One bounded steal pass: take one busy sibling's claim, drain at most
-  /// ProxyOptions::steal_bound of its commands (issued as OUR in-flights),
-  /// release, and re-ring the doorbell if leftovers remain.
+  /// kStealBound of its commands (issued as OUR in-flights), release, and
+  /// re-ring the doorbell if leftovers remain.
   bool steal_round(Engine& e);
   void process_command(Engine& e, const Command& cmd);
   /// This engine's own backlog (its lane column + its ring).
   [[nodiscard]] bool submissions_pending(const Engine& e) const;
-  /// True when stealing is enabled and some OTHER engine has a backlog: an
-  /// idle engine must keep polling (and retrying the steal) instead of
-  /// sleeping — nothing rings our doorbell for a sibling's queue.
-  [[nodiscard]] bool steal_work_available(const Engine& e) const;
+  /// Work an idle engine sees without a doorbell: its own backlog, a
+  /// sibling's to steal, or a ready partition it owns. No side effects.
+  [[nodiscard]] bool idle_work_pending(const Engine& e) const;
   void drive_progress(Engine& e);
   /// Take the callback and Status of a fired slot and reset its claim; a
   /// one-shot slot is freed, a persistent one stays pinned (the callback may
   /// restart its request).
   ContFn consume_fired(std::uint32_t proxy, smpi::Status& st);
-  /// Run up to ProxyOptions::cont_run_bound queued continuations; returns
-  /// true when any ran (the engine re-drains before sleeping: callbacks
-  /// post). Leftovers count into cont_deferred and run next pass.
+  /// Run up to kContRunBound queued continuations; returns true when any
+  /// ran (the engine re-drains before sleeping: callbacks post). Leftovers
+  /// count into cont_deferred and run next pass.
   bool run_continuations(Engine& e);
   void compact_inflight(Engine& e);
   void watchdog_scan(Engine& e);
@@ -453,14 +458,13 @@ class OffloadChannel {
   smpi::RankCtx& rc_;
   ProxyOptions opts_;
   RequestPool pool_;
-  /// The engines (unique_ptr: Engine owns the stable strings its trace
-  /// gauges point into, so Engine must not relocate).
+  /// The engines (unique_ptr: an Engine holds a mutex and atomics, so it
+  /// must not relocate).
   std::vector<std::unique_ptr<Engine>> engines_;
   /// Sharded per-(thread, engine) submission lanes, a row-major grid:
   /// lanes_[row * engines_.size() + engine]. A submitting fiber binds a row
   /// on first use, which builds the row's lanes; rows at or past next_lane_
-  /// hold null. Engine e drains column e. (unique_ptr: Lane owns the stable
-  /// string its trace gauge points into.)
+  /// hold null. Engine e drains column e.
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::uint32_t> lane_of_slot_;  ///< thread slot -> lane row
   std::size_t next_lane_ = 0;                ///< next unbound lane row

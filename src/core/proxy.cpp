@@ -464,13 +464,12 @@ void OffloadProxy::post_batch(std::span<const Command> ops,
     Proxy::post_batch(ops, out);
     return;
   }
-  const std::size_t flush = channel_.options().batch_flush;
   // Per-call scratch: submit_batch advances virtual time (and a real enqueue
   // would block), so another fiber can enter post_batch concurrently — a
   // shared member buffer would be clobbered mid-flush.
   std::vector<Command> scratch;
-  for (std::size_t base = 0; base < ops.size(); base += flush) {
-    const std::size_t n = std::min(flush, ops.size() - base);
+  for (std::size_t base = 0; base < ops.size(); base += kBatchFlush) {
+    const std::size_t n = std::min(kBatchFlush, ops.size() - base);
     scratch.assign(ops.begin() + static_cast<std::ptrdiff_t>(base),
                    ops.begin() + static_cast<std::ptrdiff_t>(base + n));
     for (const Command& o : scratch) {

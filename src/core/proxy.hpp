@@ -93,7 +93,7 @@ class Proxy {
   /// must be the same length; a start's entry stays null). The default
   /// posts one at a time; the offload proxy serializes whole chunks into its
   /// submission lane with one publish and one doorbell each
-  /// (ProxyOptions::batch_flush commands per chunk).
+  /// (OffloadProxy::kBatchFlush commands per chunk).
   virtual void post_batch(std::span<const Command> ops, std::span<PReq> out);
 
   // ---- persistent & partitioned point-to-point (MPI-4 style) ----
@@ -427,6 +427,9 @@ class OffloadProxy : public Proxy {
     return channel_.pool().capacity() - channel_.pool().free_count();
   }
 
+  /// Commands per post_batch chunk: each chunk is one lane publish and one
+  /// doorbell.
+  static constexpr std::size_t kBatchFlush = 8;
   void post_batch(std::span<const Command> ops, std::span<PReq> out) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
   bool test(PReq& r, smpi::Status* st = nullptr) override;

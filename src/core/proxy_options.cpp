@@ -14,8 +14,7 @@ namespace {
 constexpr const char* kEnv = "MPIOFF_PROXY";
 
 constexpr const char* kValidKeys =
-    "ring, pool, lanes, lane_cap, drain, batch, watchdog, cont_run, "
-    "proxies, steal";
+    "ring, pool, lanes, lane_cap, watchdog, proxies";
 
 // Both separators are accepted (proxies:4 reads naturally next to the
 // MPIOFF_SAN-style specs; key=value stays valid everywhere).
@@ -25,12 +24,8 @@ util::SpecParser grammar() {
       .key("pool")
       .key("lanes")
       .key("lane_cap")
-      .key("drain")
-      .key("batch")
       .key("watchdog")
-      .key("cont_run")
-      .key("proxies")
-      .key("steal");
+      .key("proxies");
   return g;
 }
 
@@ -47,7 +42,6 @@ ProxyOptions ProxyOptions::defaults_for(const machine::Profile& p) {
   // round, not tail contention, is the limiter.
   o.lane_count = static_cast<std::size_t>(
       std::clamp(p.cores_per_rank - 1, 1, 16));
-  o.watchdog_budget = p.offload_watchdog_budget;
   // One engine fiber per NUMA domain: each proxy serves its socket's
   // submitters; rank-per-socket profiles stay single-engine.
   o.proxy_count = static_cast<std::size_t>(std::clamp(p.numa_domains, 1, 8));
@@ -65,25 +59,12 @@ ProxyOptions ProxyOptions::parse(const std::string& spec, ProxyOptions base) {
       o.lane_count = count_of(it);
     } else if (it.key == "lane_cap") {
       o.lane_capacity = count_of(it);
-    } else if (it.key == "drain") {
-      o.lane_drain_bound = count_of(it);
-    } else if (it.key == "batch") {
-      o.batch_flush = count_of(it);
     } else if (it.key == "watchdog") {
       o.watchdog_budget =
           util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    } else if (it.key == "cont_run") {
-      o.cont_run_bound = count_of(it);
     } else if (it.key == "proxies") {
       o.proxy_count = count_of(it);
-    } else if (it.key == "steal") {
-      o.steal_bound = count_of(it);
     }
-  }
-  if (o.lane_drain_bound == 0 || o.batch_flush == 0 ||
-      o.cont_run_bound == 0) {
-    throw std::invalid_argument(
-        "MPIOFF_PROXY: 'drain', 'batch' and 'cont_run' must be at least 1");
   }
   if (o.proxy_count == 0) {
     throw std::invalid_argument("MPIOFF_PROXY: 'proxies' must be at least 1");

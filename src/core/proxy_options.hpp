@@ -1,30 +1,27 @@
-// ProxyOptions: one place for every capacity/tuning knob of the offload
-// proxy, replacing the positional (ring_capacity, pool_capacity) constructor
-// arguments and the magic 1024/4096 literals that used to be scattered
-// across benches and tests.
+// ProxyOptions: the offload channel's capacities, engine count and watchdog
+// budget. Its per-pass bounds and post_batch's flush are constants beside
+// the code they bound (OffloadChannel::kLaneDrainBound, kStealBound,
+// kContRunBound; OffloadProxy::kBatchFlush).
 //
 // Defaults come from the machine profile (defaults_for), and a run can be
 // retuned without recompiling through the MPIOFF_PROXY environment spec
 // (from_env), mirroring MPIOFF_FAULTS:
 //
-//   MPIOFF_PROXY="lanes=8,lane_cap=128,batch=16,watchdog=200ms" ./bench_...
+//   MPIOFF_PROXY="lanes=8,lane_cap=128,watchdog=200ms" ./bench_...
 //
 // Keys (all optional, comma-separated key=value or key:value):
 //   ring     shared MPSC command-ring capacity (power of two), per engine
 //   pool     request-pool capacity (done-flag slots)
 //   lanes    per-thread SPSC submission lane count; 0 = single shared ring
 //   lane_cap capacity of each lane (power of two)
-//   drain    engine fairness bound: max commands popped per lane per pass
-//   batch    flush threshold: max commands per one lane publish + doorbell
 //   watchdog in-flight age budget (duration: ns/us/ms/s suffix), 0 disables
-//   cont_run max continuation callbacks run per engine pass (>= 1)
 //   proxies  offload engine fibers per rank (>= 1); traffic is partitioned
-//            by peer/communicator hash so per-peer matching order holds
-//   steal    work-steal budget: max commands one engine drains from a
-//            sibling's queues per pass; 0 disables stealing
+//            by peer/communicator hash so per-peer matching order holds;
+//            with two or more, idle engines steal from busy siblings
 //
-// Repeating a key is rejected: a retuning wrapper script that appends to an
-// inherited spec should fail loudly, not silently last-write-win.
+// Unknown and repeated keys are rejected: a retuning wrapper script that
+// appends to an inherited spec should fail loudly, not silently
+// last-write-win.
 #pragma once
 
 #include <cstddef>
@@ -41,22 +38,16 @@ struct ProxyOptions {
   std::uint32_t pool_capacity = 4096; ///< request-pool done-flag slots
   std::size_t lane_count = 8;         ///< SPSC lanes; 0 = shared ring only
   std::size_t lane_capacity = 64;     ///< per-lane ring capacity
-  std::size_t lane_drain_bound = 16;  ///< engine pops per lane per pass
-  std::size_t batch_flush = 8;        ///< max commands per batched publish
+  /// Virtual age past which the watchdog flags an in-flight request
+  /// (OffloadStats::watchdog_flags + a trace instant; never alters timing).
   sim::Time watchdog_budget{500'000'000};  ///< 0 disables the watchdog
-  /// Max continuation callbacks the engine runs per pass before returning to
-  /// the drain/testany loop; leftovers count into cont_deferred.
-  std::size_t cont_run_bound = 16;
   /// Offload engine fibers per rank. The struct default stays 1 (explicit
   /// aggregate options get the classic single-engine channel); defaults_for
   /// derives it from the profile's NUMA-domain count.
   std::size_t proxy_count = 1;
-  /// Max commands an idle engine drains from one sibling's queues per steal
-  /// pass (0 disables work stealing between engine fibers).
-  std::size_t steal_bound = 8;
 
   /// Profile-derived defaults: one lane per usable submitter core (capped),
-  /// one engine fiber per NUMA domain, watchdog budget from the profile.
+  /// one engine fiber per NUMA domain.
   static ProxyOptions defaults_for(const machine::Profile& p);
 
   /// Parse a "key=value,key=value" spec on top of `base`. Throws

@@ -108,10 +108,6 @@ struct Profile {
 
   // ---- offload infrastructure costs (Section 3) ----
   sim::Time cmd_enqueue{120};        ///< serialize call params + lock-free push
-  /// An in-flight offload request older than this is flagged by the engine's
-  /// watchdog (OffloadStats::watchdog_flags + a trace instant). Counting
-  /// only — it never alters timing. Zero disables the watchdog.
-  sim::Time offload_watchdog_budget{500'000'000};  // 500 ms virtual
   sim::Time cmd_dequeue{50};        ///< pop + deserialize on the offload thread
   sim::Time cmd_detect{40};         ///< offload thread's poll granularity
   sim::Time done_flag_check{20};    ///< app-side read of the done flag

@@ -23,9 +23,7 @@ namespace smpi {
 RankCtx::RankCtx(Cluster& cluster, int rank, ThreadLevel level)
     : cluster_(cluster),
       rank_(rank),
-      level_(level),
-      c_retransmits_(rank, "rel.retransmits"),
-      c_dup_drops_(rank, "rel.dup_drops") {
+      level_(level) {
   comms_.init(rank, cluster.nranks());
   rel_on_ = cluster.profile().faults.enabled();
   if (rel_on_) rel_.resize(static_cast<std::size_t>(cluster.nranks()));

@@ -96,7 +96,8 @@ bool RankCtx::rel_admit(machine::NetMessage& m) {
     // of our cursor may have been lost — and wake software to send one.
     if (m.seq < peer.rx_expected) {
       ++rel_stats_.dup_drops;
-      c_dup_drops_.add();
+      trace::counter(rank_, "rel.dup_drops",
+                     static_cast<double>(rel_stats_.dup_drops));
       trace::instant(rank_, trace::kHwTid, "rx:dup-drop", "net");
     } else {
       ++rel_stats_.ooo_drops;
@@ -131,7 +132,8 @@ void RankCtx::rel_poll() {
       for (RelPeer::Unacked& u : peer.unacked) {
         sim::advance(p.nic_doorbell);
         ++rel_stats_.retransmits;
-        c_retransmits_.add();
+        trace::counter(rank_, "rel.retransmits",
+                       static_cast<double>(rel_stats_.retransmits));
         u.attempts = attempts;
         u.deadline = deadline;
         // Byte-identical re-injection (stale piggybacked ack and all): the

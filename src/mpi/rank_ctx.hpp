@@ -31,7 +31,6 @@
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
-#include "trace/counters.hpp"
 
 namespace smpi {
 
@@ -384,8 +383,6 @@ class RankCtx {
   bool rel_on_ = false;
   std::vector<RelPeer> rel_;
   RelStats rel_stats_;
-  trace::Counter c_retransmits_;
-  trace::Counter c_dup_drops_;
 
   // ------- collective-stage doorbell batching (profile.coll_batch_doorbells) -
   /// While a stage's sends are being posted, isend_internal charges the NIC

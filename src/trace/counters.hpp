@@ -1,41 +1,25 @@
-// Typed counter handles bound to one (pid, series-name) pair.
+// Gauge: a typed counter-series handle bound to one (pid, series-name) pair,
+// for an instantaneous level (ring occupancy, in-flight operations). A
+// monotonic count needs no handle: emit its current value with
+// trace::counter (scope.hpp) from wherever the count already lives.
 //
-//   Counter — monotonic accumulator (events processed, stalls, bytes);
-//   Gauge   — instantaneous level (ring occupancy, in-flight operations).
-//
-// Both keep their live value even while tracing is disabled (reads are free
-// and tests/stat trailers use them); they only *emit* a counter sample when
-// the tracer is enabled, so the disabled cost is an add/store plus the usual
-// one-branch check.
+// A gauge keeps its live value even while tracing is disabled (reads are
+// free and tests use them); it only *emits* a counter sample when the tracer
+// is enabled, so the disabled cost is a store plus the usual one-branch
+// check.
 #pragma once
+
+#include <string>
+#include <utility>
 
 #include "trace/scope.hpp"
 #include "trace/tracer.hpp"
 
 namespace trace {
 
-class Counter {
- public:
-  Counter(int pid, const char* name) : pid_(pid), name_(name) {}
-
-  void add(double d = 1) {
-    value_ += d;
-    if (!Tracer::on()) return;
-    Tracer::instance().counter(ambient_ts(), pid_, name_, value_);
-  }
-
-  [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] const char* name() const { return name_; }
-
- private:
-  int pid_;
-  const char* name_;
-  double value_ = 0;
-};
-
 class Gauge {
  public:
-  Gauge(int pid, const char* name) : pid_(pid), name_(name) {}
+  Gauge(int pid, std::string name) : pid_(pid), name_(std::move(name)) {}
 
   void set(double v) {
     value_ = v;
@@ -44,11 +28,11 @@ class Gauge {
   }
 
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] const char* name() const { return name_; }
+  [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
   int pid_;
-  const char* name_;
+  std::string name_;
   double value_ = 0;
 };
 

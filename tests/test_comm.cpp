@@ -82,13 +82,13 @@ TEST(CommTable, FreeAndUseAfterFree) {
   t.init(0, 2);
   Comm d = t.dup(kCommWorld);
   t.free(d);
-  EXPECT_THROW(t.get(d), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(t.get(d)), std::invalid_argument);
   EXPECT_THROW(t.free(kCommWorld), std::invalid_argument);
 }
 
 TEST(CommTable, InvalidHandleThrows) {
   CommTable t;
   t.init(0, 2);
-  EXPECT_THROW(t.get(Comm{99}), std::invalid_argument);
-  EXPECT_THROW(t.get(kCommNull), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(t.get(Comm{99})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(t.get(kCommNull)), std::invalid_argument);
 }

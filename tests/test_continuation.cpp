@@ -367,34 +367,50 @@ TEST(ContOffload, BlockingWaitFromCallbackThrows) {
 }
 
 TEST(ContOffload, RunBoundDefersBurstsToTheNextPass) {
-  // cont_run=1 with a burst of completions: the engine may only run one
-  // callback per pass; the rest are re-queued and counted as deferred.
+  // One completion sweep finds more armed receives than the engine may run
+  // callbacks for in one pass: it runs kContRunBound of them, re-queues the
+  // rest and counts them as deferred. Rank 1 arms kN receive callbacks, then
+  // tells rank 0 to send. Rank 0 sends a trigger message first; its callback
+  // keeps rank 1's engine busy while the kN messages land, so the engine's
+  // next sweep completes the whole burst at once.
+  constexpr int kN = 2 * static_cast<int>(core::OffloadChannel::kContRunBound);
+  constexpr int kTrigger = kN, kGo = kN + 1;
   Cluster c(cfg_for(Approach::kOffload, 2));
   c.run([&](RankCtx& rc) {
-    core::ProxyOptions opts;
-    opts.cont_run_bound = 1;
-    core::OffloadProxy p(rc, opts);
+    core::OffloadProxy p(rc, {});
     p.start_engine();
-    const int me = rc.rank(), peer = 1 - me;
-    constexpr int kN = 8;
-    std::vector<std::vector<int>> rbufs(kN, std::vector<int>(512));
-    std::vector<int> sbuf(512, me);
-    int runs = 0;
-    cont::Event done;
-    std::vector<PReq> sends(kN);
-    for (int i = 0; i < kN; ++i) {
-      cont::irecv(p, rbufs[static_cast<std::size_t>(i)].data(), 512,
-                  Datatype::kInt, peer, i)
-          .then([&](const Status&) {
-            if (++runs == kN) done.set();
-          });
-      sends[static_cast<std::size_t>(i)] =
-          p.isend(sbuf.data(), sbuf.size(), Datatype::kInt, peer, i);
+    std::vector<std::vector<int>> bufs(kN, std::vector<int>(512, rc.rank()));
+    if (rc.rank() == 1) {
+      int trigger = 0, runs = 0;
+      cont::Event done;
+      cont::irecv(p, &trigger, 1, Datatype::kInt, 0, kTrigger)
+          .then([](const Status&) { compute(sim::Time::from_us(100)); });
+      for (int i = 0; i < kN; ++i) {
+        cont::irecv(p, bufs[static_cast<std::size_t>(i)].data(), 512,
+                    Datatype::kInt, 0, i)
+            .then([&](const Status&) {
+              if (++runs == kN) done.set();
+            });
+      }
+      const int go = 1;
+      p.send(&go, 1, Datatype::kInt, 0, kGo);
+      done.wait(p);
+      EXPECT_EQ(runs, kN);
+      const core::OffloadStats& s = p.channel().stats();
+      EXPECT_EQ(s.cont_executed, static_cast<std::uint64_t>(kN + 1));
+      EXPECT_GT(s.cont_deferred, 0u) << "no pass hit the run bound";
+    } else {
+      int go = 0;
+      p.recv(&go, 1, Datatype::kInt, 1, kGo);
+      const int trigger = 1;
+      std::vector<PReq> sends;
+      sends.push_back(p.isend(&trigger, 1, Datatype::kInt, 1, kTrigger));
+      for (int i = 0; i < kN; ++i) {
+        sends.push_back(p.isend(bufs[static_cast<std::size_t>(i)].data(), 512,
+                                Datatype::kInt, 1, i));
+      }
+      p.waitall(sends);
     }
-    p.waitall(sends);
-    done.wait(p);
-    EXPECT_EQ(runs, kN);
-    EXPECT_EQ(p.channel().stats().cont_executed, static_cast<std::uint64_t>(kN));
     p.barrier();
     p.stop();
   });

@@ -304,12 +304,13 @@ TEST(FaultMatching, DupAndReorderNeverDoubleMatch) {
 TEST(OffloadWatchdog, FlagsRequestsStuckBeyondBudget) {
   ClusterConfig cfg;
   cfg.nranks = 2;
-  cfg.profile.offload_watchdog_budget = sim::Time::from_ms(1);
   cfg.deadline = sim::Time::from_sec(30);
   Cluster c(cfg);
   std::uint64_t flags = 0;
   c.run([&](RankCtx& rc) {
-    core::OffloadProxy p(rc);
+    core::ProxyOptions opts = core::ProxyOptions::from_env(rc.profile());
+    opts.watchdog_budget = sim::Time::from_ms(1);
+    core::OffloadProxy p(rc, opts);
     p.start_engine();
     if (rc.rank() == 0) {
       int got = -1;
@@ -331,11 +332,12 @@ TEST(OffloadWatchdog, FlagsRequestsStuckBeyondBudget) {
 TEST(OffloadWatchdog, ZeroBudgetDisables) {
   ClusterConfig cfg;
   cfg.nranks = 2;
-  cfg.profile.offload_watchdog_budget = sim::Time::zero();
   cfg.deadline = sim::Time::from_sec(30);
   Cluster c(cfg);
   c.run([&](RankCtx& rc) {
-    core::OffloadProxy p(rc);
+    core::ProxyOptions opts = core::ProxyOptions::from_env(rc.profile());
+    opts.watchdog_budget = sim::Time::zero();
+    core::OffloadProxy p(rc, opts);
     p.start_engine();
     if (rc.rank() == 0) {
       int got = -1;

@@ -121,8 +121,7 @@ TEST(Matching, PerPeerFifoSurvivesMultiProxy) {
   Cluster c(cc);
   c.run([&](RankCtx& rc) {
     core::OffloadProxy p(rc, core::ProxyOptions{.lane_count = 2,
-                                                .proxy_count = 4,
-                                                .steal_bound = 4});
+                                                .proxy_count = 4});
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kPeers * kPer);

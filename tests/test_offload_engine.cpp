@@ -41,7 +41,9 @@ TEST(OffloadEngine, RoundTripAllOffloadableOps) {
     EXPECT_EQ(bc, 55);
     int sum = 0;
     p.reduce(&v, &sum, 1, Datatype::kInt, Op::kSum, 0);
-    if (me == 0) EXPECT_EQ(sum, 6);
+    if (me == 0) {
+      EXPECT_EQ(sum, 6);
+    }
     int asum = 0;
     p.allreduce(&v, &asum, 1, Datatype::kInt, Op::kSum);
     EXPECT_EQ(asum, 6);

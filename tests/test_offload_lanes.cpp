@@ -29,15 +29,19 @@ ClusterConfig cfg(int n) {
 }  // namespace
 
 TEST(OffloadLanes, MultiLaneSubmitIsFairAcrossThreads) {
-  // Four submitter fibers on rank 0, one lane each. Every message must land
-  // (no starved lane), every lane must be bound and fully drained, and the
-  // submissions must go through the lane path, not the shared-ring fallback.
+  // Four submitter fibers on rank 0, one lane each, each lane deep enough to
+  // hold more than the engine's per-pass drain bound. Every message must
+  // land (no starved lane), every lane must be bound and fully drained, and
+  // the submissions must go through the lane path, not the shared-ring
+  // fallback.
   constexpr int kThreads = 4, kPer = 32;
+  constexpr std::size_t kLaneCap = 64;
+  static_assert(kPer > OffloadChannel::kLaneDrainBound &&
+                kLaneCap >= kPer);
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
     OffloadProxy p(rc, ProxyOptions{.lane_count = kThreads,
-                                    .lane_capacity = 8,
-                                    .lane_drain_bound = 2});
+                                    .lane_capacity = kLaneCap});
     p.start_engine();
     if (rc.rank() == 0) {
       auto done = std::make_shared<int>(0);
@@ -99,7 +103,7 @@ TEST(OffloadLanes, SubmitBatchKeepsFifoOrderWithinLane) {
   constexpr int kN = 16;
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
-    OffloadProxy p(rc, ProxyOptions{.lane_count = 2, .batch_flush = 8});
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 2});
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kN);
@@ -223,6 +227,86 @@ TEST(OffloadLanes, OverflowThreadsFallBackToSharedRing) {
   });
 }
 
+TEST(OffloadLanes, PostBatchThroughSharedRingKeepsPerPeerFifo) {
+  // A batch from a fiber without a lane goes through its engine's shared
+  // ring: lanes disabled, or more submitting fibers than lane rows. Per-peer
+  // FIFO must hold at the receiver, the batch must count as shared (or
+  // overflow) submissions and as batches, and a ring too small for a chunk
+  // must stall the producer without losing a command.
+  constexpr int kN = 12;  // two post_batch chunks: 8 + 4
+  static_assert(OffloadProxy::kBatchFlush == 8);
+  struct Case {
+    const char* name;
+    ProxyOptions opts;
+    bool overflow;
+  };
+  const Case cases[] = {
+      {"lanes disabled", ProxyOptions{.lane_count = 0}, false},
+      {"overflow fiber", ProxyOptions{.lane_count = 1}, true},
+      {"tiny ring", ProxyOptions{.ring_capacity = 4, .lane_count = 0}, false},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    Cluster c(cfg(2));
+    c.run([&](RankCtx& rc) {
+      OffloadProxy p(rc, k.opts);
+      p.start_engine();
+      if (rc.rank() == 0) {
+        if (k.overflow) {
+          // This fiber binds the only lane row, so the batch fiber cannot.
+          const int v = -1;
+          p.send(&v, 1, Datatype::kInt, 1, 8);
+        }
+        const OffloadStats before = p.channel().stats();
+        auto done = std::make_shared<bool>(false);
+        const auto batch = [&p, done] {
+          std::vector<int> vals(kN);
+          std::vector<Command> ops;
+          for (int i = 0; i < kN; ++i) {
+            vals[static_cast<std::size_t>(i)] = i;
+            ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
+                                         Datatype::kInt, 1, 7));
+          }
+          std::vector<PReq> reqs(kN);
+          p.post_batch(ops, reqs);
+          p.waitall(reqs);
+          *done = true;
+        };
+        if (k.overflow) {
+          rc.cluster().spawn_on(0, "batch", batch);
+        } else {
+          batch();
+        }
+        while (!*done) sim::advance(sim::Time::from_us(1));
+        const OffloadStats& s = p.channel().stats();
+        const std::uint64_t ring_submits =
+            k.overflow ? s.overflow_submits - before.overflow_submits
+                       : s.shared_submits - before.shared_submits;
+        EXPECT_EQ(ring_submits, static_cast<std::uint64_t>(kN));
+        EXPECT_EQ(s.lane_submits, before.lane_submits);
+        EXPECT_EQ(s.batches - before.batches, 2u);
+        EXPECT_EQ(s.batched_commands - before.batched_commands,
+                  static_cast<std::uint64_t>(kN));
+        if (k.opts.ring_capacity < OffloadProxy::kBatchFlush) {
+          EXPECT_GT(s.ring_full_stalls, 0u);
+        }
+      } else {
+        if (k.overflow) {
+          int v = 0;
+          p.recv(&v, 1, Datatype::kInt, 0, 8);
+        }
+        for (int i = 0; i < kN; ++i) {
+          int v = -1;
+          p.recv(&v, 1, Datatype::kInt, 0, 7);
+          EXPECT_EQ(v, i) << "ring batch broke FIFO order at message " << i;
+        }
+      }
+      p.barrier();
+      p.stop();
+    });
+  }
+}
+
 TEST(OffloadLanes, WaitanyRetiresInCompletionOrder) {
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
@@ -317,27 +401,39 @@ TEST(OffloadLanes, DirectProxyWaitanyAndTestall) {
 
 TEST(ProxyOptions, ParseOverridesEveryKey) {
   const ProxyOptions o = ProxyOptions::parse(
-      "ring=2048,pool=128,lanes=4,lane_cap=32,drain=3,batch=4,watchdog=250us,"
-      "cont_run=5,proxies=2,steal=4");
+      "ring=2048,pool=128,lanes=4,lane_cap=32,watchdog=250us,proxies=2");
   EXPECT_EQ(o.ring_capacity, 2048u);
   EXPECT_EQ(o.pool_capacity, 128u);
   EXPECT_EQ(o.lane_count, 4u);
   EXPECT_EQ(o.lane_capacity, 32u);
-  EXPECT_EQ(o.lane_drain_bound, 3u);
-  EXPECT_EQ(o.batch_flush, 4u);
   EXPECT_EQ(o.watchdog_budget.ns(), 250'000);
-  EXPECT_EQ(o.cont_run_bound, 5u);
   EXPECT_EQ(o.proxy_count, 2u);
-  EXPECT_EQ(o.steal_bound, 4u);
 }
 
 TEST(ProxyOptions, ParseAcceptsColonSeparator) {
   // proxies:4 reads naturally next to the MPIOFF_SAN-style specs; both
   // separators must work, mixed freely within one spec.
-  const ProxyOptions o = ProxyOptions::parse("proxies:4,steal:0,lanes=2");
+  const ProxyOptions o = ProxyOptions::parse("proxies:4,lane_cap:16,lanes=2");
   EXPECT_EQ(o.proxy_count, 4u);
-  EXPECT_EQ(o.steal_bound, 0u);  // steal=0 is valid: disables stealing
+  EXPECT_EQ(o.lane_capacity, 16u);
   EXPECT_EQ(o.lane_count, 2u);
+}
+
+TEST(ProxyOptions, ParseRejectsRetiredKeys) {
+  // The per-pass bounds and the batch flush are constants now; a spec that
+  // still sets one fails at parse time and teaches the six valid keys.
+  for (const char* spec : {"drain=16", "batch=8", "cont_run=16", "steal:8"}) {
+    try {
+      ProxyOptions::parse(spec);
+      ADD_FAILURE() << spec << ": expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      for (const char* key :
+           {"ring", "pool", "lanes", "lane_cap", "watchdog", "proxies"}) {
+        EXPECT_NE(msg.find(key), std::string::npos) << spec << ": " << msg;
+      }
+    }
+  }
 }
 
 TEST(ProxyOptions, ParseRejectsZeroProxies) {
@@ -371,9 +467,7 @@ TEST(ProxyOptions, ParseRejectsBadValues) {
                std::invalid_argument);
   EXPECT_THROW(ProxyOptions::parse("ring"), std::invalid_argument);
   EXPECT_THROW(ProxyOptions::parse("ring="), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("drain=0"), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("batch=0"), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("cont_run=0"), std::invalid_argument);
+  EXPECT_THROW(ProxyOptions::parse("proxies=two"), std::invalid_argument);
 }
 
 TEST(ProxyOptions, ParseRejectsDuplicateKeysNamingTheOffender) {
@@ -384,10 +478,10 @@ TEST(ProxyOptions, ParseRejectsDuplicateKeysNamingTheOffender) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("duplicate"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'ring'"), std::string::npos) << msg;
-    // The message must teach the full vocabulary, including the new knob.
-    EXPECT_NE(msg.find("cont_run"), std::string::npos) << msg;
+    // The message must teach the full vocabulary, including the last key.
+    EXPECT_NE(msg.find("proxies"), std::string::npos) << msg;
   }
-  EXPECT_THROW(ProxyOptions::parse("cont_run=2,cont_run=3"),
+  EXPECT_THROW(ProxyOptions::parse("proxies=2,proxies=3"),
                std::invalid_argument);
 }
 
@@ -396,7 +490,7 @@ TEST(ProxyOptions, DefaultsDeriveFromProfile) {
   p.cores_per_rank = 28;
   ProxyOptions o = ProxyOptions::defaults_for(p);
   EXPECT_EQ(o.lane_count, 16u);  // 27 usable submitters, capped at 16
-  EXPECT_EQ(o.watchdog_budget.ns(), p.offload_watchdog_budget.ns());
+  EXPECT_EQ(o.watchdog_budget.ns(), 500'000'000);  // the struct default
   EXPECT_EQ(o.proxy_count, 2u);  // one engine fiber per NUMA domain
   p.cores_per_rank = 4;
   EXPECT_EQ(ProxyOptions::defaults_for(p).lane_count, 3u);
@@ -411,12 +505,12 @@ TEST(ProxyOptions, DefaultsDeriveFromProfile) {
 
 TEST(ProxyOptions, FromEnvAppliesSpecOnTopOfDefaults) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded test
-  setenv("MPIOFF_PROXY", "lanes=2,batch=16", 1);
+  setenv("MPIOFF_PROXY", "lanes=2,watchdog=2ms", 1);
   const ProxyOptions o = ProxyOptions::from_env(machine::xeon_fdr());
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   unsetenv("MPIOFF_PROXY");
   EXPECT_EQ(o.lane_count, 2u);
-  EXPECT_EQ(o.batch_flush, 16u);
+  EXPECT_EQ(o.watchdog_budget.ns(), 2'000'000);
   // Untouched keys keep their profile-derived defaults.
   EXPECT_EQ(o.ring_capacity, 1024u);
 }
@@ -428,9 +522,7 @@ TEST(OffloadLanes, MultiProxyShardsTrafficAcrossEngines) {
   constexpr int kPeers = 4, kPer = 16;
   Cluster c(cfg(kPeers + 1));
   c.run([&](RankCtx& rc) {
-    OffloadProxy p(rc, ProxyOptions{.lane_count = 2,
-                                    .proxy_count = 4,
-                                    .steal_bound = 0});
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 2, .proxy_count = 4});
     p.start_engine();
     EXPECT_EQ(p.channel().engine_count(), 4u);
     EXPECT_EQ(p.channel().lane_count(), 8u);  // 2 rows x 4 engine columns
@@ -469,10 +561,7 @@ TEST(OffloadLanes, IdleEnginesStealSkewedTraffic) {
   constexpr int kN = 96;
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
-    OffloadProxy p(rc, ProxyOptions{.lane_count = 2,
-                                    .batch_flush = 16,
-                                    .proxy_count = 4,
-                                    .steal_bound = 4});
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 2, .proxy_count = 4});
     p.start_engine();
     if (rc.rank() == 0) {
       std::vector<int> vals(kN);
@@ -535,11 +624,13 @@ TEST_P(LaneRowsBuiltOnBind, LateSubmitterBindsWhileEnginesPoll) {
   const std::size_t engines = GetParam();
   constexpr std::size_t kRows = 4;
   constexpr int kPer = 24;
+  constexpr std::size_t kLaneCap = 32;
+  // A fiber's whole burst fits its lane and takes more than one drain pass.
+  static_assert(kPer > OffloadChannel::kLaneDrainBound && kLaneCap >= kPer);
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
     OffloadProxy p(rc, ProxyOptions{.lane_count = kRows,
-                                    .lane_capacity = 8,
-                                    .lane_drain_bound = 2,
+                                    .lane_capacity = kLaneCap,
                                     .proxy_count = engines});
     // Before any submit the whole grid is addressable and reads zero.
     ASSERT_EQ(p.channel().lane_count(), kRows * engines);
@@ -608,24 +699,25 @@ INSTANTIATE_TEST_SUITE_P(Engines, LaneRowsBuiltOnBind,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
-  // One engine, lane_drain_bound = 1: a pass pops at most one command per
-  // bound row, visiting rows in rotation from a start that advances by one
-  // row per pass (modulo lane_count = 4). Fiber A's eight sends sit in row 0;
-  // A1 is a 16 KiB eager send, and while the engine issues it (issuing
-  // yields) fiber B binds row 1 and publishes four sends. The rotation start
-  // is deterministic: the pass issuing A1 starts at row 2, finds rows 2 and 3
-  // unbound, wraps to row 0 (A1) and then row 1, which B bound meanwhile, so
-  // B0 goes out in that same pass. Later passes start at rows 3, 0, 1, ...
-  // Every message carries one tag to one peer, so rank 1's matching order is
-  // the engine's issue order. A scan that fixed the bound-row count at the
-  // start of the pass would issue B0 one pass later, after A2.
-  constexpr int kA = 8, kB = 4, kBig = 4096;
+  // One engine; a pass pops at most kLaneDrainBound = 16 commands per bound
+  // row, visiting rows in rotation from a start that advances by one row
+  // per pass (modulo lane_count = 4). Fiber A's 40 sends sit in row 0, more
+  // than two passes may pop. The first pass that issues any starts at row 1
+  // and pops A0..A15 from row 0. The second starts at row 2, finds rows 2
+  // and 3 unbound and wraps to row 0; A17 is a 16 KiB eager send, and while
+  // the engine issues it (issuing yields) fiber B binds row 1 and publishes
+  // four sends. After A31 the pass has reached the bound on row 0, which
+  // still holds A32..A39, and goes on to row 1: B0..B3 go out in that same
+  // pass. Every message carries one tag to one peer, so rank 1's matching
+  // order is the engine's issue order. A scan that fixed the bound-row count
+  // at the start of the pass would issue B only in the third pass (start
+  // row 3), after A32..A39.
+  constexpr int kA = 40, kB = 4, kBig = 4096, kBigAt = 17;
+  static_assert(OffloadChannel::kLaneDrainBound == 16);
   Cluster c(cfg(2));
   std::vector<int> order;
   c.run([&](RankCtx& rc) {
-    OffloadProxy p(rc, ProxyOptions{.lane_count = 4,
-                                    .lane_drain_bound = 1,
-                                    .batch_flush = 8});
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 4});
     p.start_engine();
     const auto post = [&p](std::vector<Command>& ops) {
       std::vector<PReq> reqs(ops.size());
@@ -635,8 +727,8 @@ TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
     if (rc.rank() == 0) {
       auto b_done = std::make_shared<bool>(false);
       rc.cluster().spawn_on(0, "B", [&p, &post, b_done] {
-        // Wait until the engine has dequeued A1 (commands counts dequeues).
-        while (p.channel().stats().commands < 2) {
+        // Wait until the engine has dequeued A17 (commands counts dequeues).
+        while (p.channel().stats().commands < kBigAt + 1) {
           sim::advance(sim::Time::from_ns(10));
         }
         std::vector<int> vals(kB);
@@ -649,15 +741,15 @@ TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
         post(ops);
         *b_done = true;
       });
-      std::vector<int> big(kBig, 1);
+      std::vector<int> big(kBig, kBigAt);
       std::vector<int> vals(kA);
       std::vector<Command> ops;
       for (int i = 0; i < kA; ++i) {
         int* v = &vals[static_cast<std::size_t>(i)];
         *v = i;
-        ops.push_back(i == 1 ? Command::isend(big.data(), kBig, Datatype::kInt,
-                                              1, 5)
-                             : Command::isend(v, 1, Datatype::kInt, 1, 5));
+        ops.push_back(i == kBigAt
+                          ? Command::isend(big.data(), kBig, Datatype::kInt, 1, 5)
+                          : Command::isend(v, 1, Datatype::kInt, 1, 5));
       }
       post(ops);
       while (!*b_done) sim::advance(sim::Time::from_us(1));
@@ -673,6 +765,9 @@ TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
     p.barrier();
     p.stop();
   });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 2, 101, 3, 102, 103, 4, 5, 6,
-                                     7}));
+  std::vector<int> want;
+  for (int i = 0; i < 32; ++i) want.push_back(i);
+  for (int i = 0; i < kB; ++i) want.push_back(100 + i);
+  for (int i = 32; i < kA; ++i) want.push_back(i);
+  EXPECT_EQ(order, want);
 }
