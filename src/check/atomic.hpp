@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "check/checker.hpp"
 
@@ -44,10 +45,14 @@ inline std::memory_order cas_failure_order(std::memory_order success) {
 
 /// Model atomic. Holds no value itself: the Checker keeps the location's
 /// full modification order so loads can legally return stale values.
+/// Pointers are modelled by the order in which this location first met them
+/// (0 = nullptr, then 1, 2, ...), so traces read the same from run to run.
 template <class T>
 class atomic {
-  static_assert(std::is_integral_v<T> && sizeof(T) <= sizeof(std::uint64_t),
-                "chk::atomic models integral values up to 64 bits");
+  static_assert((std::is_integral_v<T> &&
+                 sizeof(T) <= sizeof(std::uint64_t)) ||
+                    std::is_pointer_v<T>,
+                "chk::atomic models integers up to 64 bits and pointers");
 
  public:
   atomic() : atomic(T{}) {}
@@ -97,11 +102,30 @@ class atomic {
   [[nodiscard]] int loc() const { return loc_; }
 
  private:
-  static std::uint64_t to_u64(T v) {
-    return static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(v));
+  std::uint64_t to_u64(T v) {
+    if constexpr (std::is_pointer_v<T>) {
+      if (v == nullptr) return 0;
+      for (std::size_t i = 0; i < ptrs_.size(); ++i) {
+        if (ptrs_[i] == v) return i + 1;
+      }
+      ptrs_.push_back(v);
+      return ptrs_.size();
+    } else {
+      return static_cast<std::uint64_t>(
+          static_cast<std::make_unsigned_t<T>>(v));
+    }
   }
-  static T from_u64(std::uint64_t v) { return static_cast<T>(v); }
+  T from_u64(std::uint64_t v) const {
+    if constexpr (std::is_pointer_v<T>) {
+      return v == 0 ? nullptr : ptrs_[v - 1];
+    } else {
+      return static_cast<T>(v);
+    }
+  }
 
+  // Pointer values met, by model value - 1. Declared before loc_: the
+  // constructor's to_u64 runs while loc_ is initialised.
+  std::vector<T> ptrs_;
   int loc_;
 };
 

@@ -299,6 +299,7 @@ void Checker::thread_main(void* thread) {
 void Checker::resume(int tid) {
   detail::ModelThread& t = *threads_[static_cast<std::size_t>(tid)];
   current_tid_ = tid;
+  t.started = true;
   t.yielded = false;
   last_voluntary_ = false;
   sim::switch_context(main_ctx_, t.ctx);
@@ -306,8 +307,10 @@ void Checker::resume(int tid) {
 }
 
 void Checker::schedule_suspend() {
+  if (unwinding_) return;  // a thread resumed to unwind runs to its end
   detail::ModelThread& t = *threads_[static_cast<std::size_t>(current_tid_)];
   sim::switch_context(t.ctx, main_ctx_);
+  if (unwinding_) throw detail::AbortThread{};
 }
 
 void Checker::run_threads(std::vector<std::function<void()>> bodies) {
@@ -388,8 +391,21 @@ void Checker::run_threads(std::vector<std::function<void()>> bodies) {
     last_tid_ = chosen;
   }
 
+  // A failure leaves other threads suspended mid-body. Resume each started
+  // one to unwind from its suspension point, so its stack objects (a chunk
+  // built but not yet installed, say) are destroyed rather than leaked.
+  if (failed_) {
+    unwinding_ = true;
+    for (std::size_t i = 1; i < threads_.size(); ++i) {
+      if (threads_[i]->started && !threads_[i]->done) {
+        resume(static_cast<int>(i));
+      }
+    }
+    unwinding_ = false;
+  }
+
   // Join edge: the body happens-after everything each thread did. Recycle
-  // the fiber stacks (never resumed again, even the abandoned ones).
+  // the fiber stacks (never resumed again).
   for (std::size_t i = 1; i < threads_.size(); ++i) {
     threads_[0]->clock.join(threads_[i]->clock);
     if (threads_[i]->stack) stack_pool_.push_back(std::move(threads_[i]->stack));
@@ -696,7 +712,7 @@ void Checker::var_read(int loc) {
 
 void Checker::trace(detail::Ev ev, int loc, std::uint64_t value,
                     std::uint64_t aux, std::memory_order mo) {
-  if (events_.size() >= opt_.max_steps + 64) return;
+  if (unwinding_ || events_.size() >= opt_.max_steps + 64) return;
   detail::TraceEvent e;
   e.step = static_cast<std::uint32_t>(steps_);
   e.tid = static_cast<std::int8_t>(current_tid_);

@@ -197,6 +197,7 @@ struct ModelThread {
   std::function<void()> body;
   sim::Context ctx;
   std::unique_ptr<char[]> stack;
+  bool started = false;  ///< resumed at least once
   bool done = false;
   bool yielded = false;
   VectorClock clock;
@@ -292,6 +293,8 @@ class Checker {
   bool failed_ = false;
   std::string message_;
   bool in_threads_ = false;
+  /// Set while a failed execution's suspended threads are resumed to unwind.
+  bool unwinding_ = false;
 };
 
 }  // namespace chk

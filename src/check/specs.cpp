@@ -6,6 +6,7 @@
 
 #include <span>
 
+#include "core/chunked_slots.hpp"
 #include "core/cont_table.hpp"
 #include "core/drain_claim.hpp"
 #include "core/mpsc_ring.hpp"
@@ -110,10 +111,7 @@ Result check_lane(const Options& opt, const LaneCfg& cfg) {
   return explore(opt, [&cfg](Sim& sim) {
     core::SpscLane<int, ModelAtomics> lane(cfg.capacity);
     int popped = 0;  // consumer-local; read by the main body after join
-    // The producer's batch buffer. The body owns it because a failed
-    // execution abandons suspended threads without unwinding them, so a
-    // thread-owned heap buffer would leak.
-    std::vector<int> batch;
+    std::vector<int> batch;  // the producer's batch buffer
 
     sim.threads({
         // Producer: first half pushed singly, second half published through
@@ -476,6 +474,37 @@ Result check_pready(const Options& opt, const PreadyCfg& cfg) {
   });
 }
 
+Result check_chunk(const Options& opt, const ChunkCfg& cfg) {
+  return explore(opt, [&cfg](Sim& sim) {
+    using Slots = core::ChunkedSlots<var<int>, ModelAtomics, 1>;
+    // Init: the builder's plain writes, published only by the install.
+    Slots slots(2, [](var<int>& v, std::size_t i, std::size_t) {
+      ModelAtomics::set_name(v, "chunk.payload", i);
+      v.ref_w() = 100 + static_cast<int>(i);
+    });
+    const auto n = static_cast<std::size_t>(cfg.threads);
+    // Which entry each thread was handed; written by that thread only.
+    std::vector<const var<int>*> got(n, nullptr);
+
+    std::vector<std::function<void()>> bodies;
+    bodies.reserve(n);
+    for (std::size_t t = 0; t < n; ++t) {
+      bodies.emplace_back([&slots, &got, t] {
+        var<int>& v = slots.touch(1);
+        check(v.ref_r() == 101, "first touch reads the chunk's Init value");
+        got[t] = &v;
+      });
+    }
+    sim.threads(std::move(bodies));
+
+    check(slots.committed_chunks() == 2,
+          "exactly one copy of the raced chunk survives");
+    for (std::size_t t = 1; t < n; ++t) {
+      check(got[t] == got[0], "every toucher uses the installed chunk");
+    }
+  });
+}
+
 Result run_spec(const std::string& spec, const Options& opt) {
   if (spec == "ring") return check_ring(opt);
   if (spec == "pool") return check_pool(opt);
@@ -486,6 +515,7 @@ Result run_spec(const std::string& spec, const Options& opt) {
   if (spec == "mring") return check_mring(opt);
   if (spec == "sleep") return check_doorbell(opt);
   if (spec == "pready") return check_pready(opt);
+  if (spec == "chunk") return check_chunk(opt);
   throw std::invalid_argument("unknown spec: " + spec);
 }
 
@@ -536,6 +566,13 @@ std::vector<MutationCase> mutation_matrix() {
       // and the engine for partitioned sends — both sides load-bearing.
       {{"pready.word", OpKind::kRmw, Side::kRelease}, "pready"},
       {{"pready.word", OpKind::kLoad, Side::kAcquire}, "pready"},
+      // ChunkedSlots install: the CAS's release publishes the winner's
+      // Init writes; the directory load's acquire (word already set) and
+      // the CAS's failure acquire (lost the race) are the only edges that
+      // make them safe to read.
+      {{"chunk.dir", OpKind::kLoad, Side::kAcquire}, "chunk"},
+      {{"chunk.dir", OpKind::kRmw, Side::kRelease}, "chunk"},
+      {{"chunk.dir", OpKind::kRmw, Side::kAcquire}, "chunk"},
   };
 }
 
@@ -547,7 +584,7 @@ std::vector<Site> collect_sites() {
   std::set<Site> all;
   for (const char* spec :
        {"ring", "pool", "lane", "handshake", "cont", "whenany", "mring",
-        "sleep", "pready"}) {
+        "sleep", "pready", "chunk"}) {
     const Result r = run_spec(spec, opt);
     if (r.failed) {
       throw std::logic_error(std::string("collect_sites: spec '") + spec +

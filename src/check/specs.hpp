@@ -119,8 +119,23 @@ struct PreadyCfg {
 };
 Result check_pready(const Options& opt, const PreadyCfg& cfg = {});
 
+/// The chunk install of core::ChunkedSlots (the storage under the ring,
+/// pool and continuation slots): N threads first-touch the same unbuilt
+/// chunk — one-entry chunks, so entry 1 is chunk 1 — and read the plain
+/// payload cell the chunk's Init wrote. Each read is ordered after the
+/// winning builder's Init only by the directory's acquire load (the word
+/// was already installed) or by the install CAS's failure acquire (this
+/// thread built a copy and lost), each pairing with the winner's release;
+/// weakening any of the three races. Asserts that exactly one chunk
+/// survives and that every thread uses it.
+struct ChunkCfg {
+  int threads = 2;
+};
+Result check_chunk(const Options& opt, const ChunkCfg& cfg = {});
+
 /// Run a spec by name ("ring" | "pool" | "lane" | "handshake" | "cont" |
-/// "whenany" | "mring" | "sleep" | "pready") with its default cfg.
+/// "whenany" | "mring" | "sleep" | "pready" | "chunk") with its default
+/// cfg.
 Result run_spec(const std::string& spec, const Options& opt);
 
 /// One row of the mutation suite: weakening `site` must be caught by `spec`.

@@ -41,6 +41,10 @@
 // non-kOpen value (acquire) read that record too. The src/check/ "whenany"
 // mutation rows prove all three orders load-bearing.
 //
+// The slots live in a ChunkedSlots (core/chunked_slots.hpp): a chunk is
+// built, all kIdle, on the first arm/fire/reset of one of its slots, and
+// state_of() reads an unbuilt slot as kIdle without building it.
+//
 // memorder-audit: relaxed=3 acquire=4 release=0 acq_rel=3 seq_cst=0
 // (tools/check_memorder.py fails CI when this line disagrees with the
 // std::memory_order_* tokens actually used below — update both together.)
@@ -48,9 +52,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "core/atomics_policy.hpp"
+#include "core/chunked_slots.hpp"
 
 namespace core {
 
@@ -61,11 +65,8 @@ class ContTableT {
   static constexpr std::uint32_t kArmed = 1;
   static constexpr std::uint32_t kFired = 2;
 
-  explicit ContTableT(std::uint32_t capacity) : slots_(capacity) {
-    for (std::uint32_t i = 0; i < capacity; ++i) {
-      Atomics::set_name(slots_[i].state, "cont.state", i);
-    }
-  }
+  /// `capacity` must be at least 1.
+  explicit ContTableT(std::uint32_t capacity) : slots_(capacity, &init_slot) {}
 
   ContTableT(const ContTableT&) = delete;
   ContTableT& operator=(const ContTableT&) = delete;
@@ -76,7 +77,7 @@ class ContTableT {
   /// callback itself — the Status/payload writes are visible).
   bool arm(std::uint32_t idx) {
     std::uint32_t expected = kIdle;
-    return !slots_[idx].state.compare_exchange_strong(
+    return !slots_.touch(idx).state.compare_exchange_strong(
         expected, kArmed, std::memory_order_acq_rel,
         std::memory_order_acquire);
   }
@@ -87,7 +88,7 @@ class ContTableT {
   /// (the caller must run it — the callback record is visible).
   bool fire(std::uint32_t idx) {
     std::uint32_t expected = kIdle;
-    return !slots_[idx].state.compare_exchange_strong(
+    return !slots_.touch(idx).state.compare_exchange_strong(
         expected, kFired, std::memory_order_acq_rel,
         std::memory_order_acquire);
   }
@@ -95,23 +96,33 @@ class ContTableT {
   /// Recycle the slot after the callback ran (or alongside a plain free for
   /// requests that never had a continuation). Single-owner at this point.
   void reset(std::uint32_t idx) {
-    slots_[idx].state.store(kIdle, std::memory_order_relaxed);
+    slots_.touch(idx).state.store(kIdle, std::memory_order_relaxed);
   }
 
-  /// Quiescent-state inspection (tests only).
+  /// Quiescent-state inspection (tests only); builds nothing.
   [[nodiscard]] std::uint32_t state_of(std::uint32_t idx) const {
-    return slots_[idx].state.load(std::memory_order_relaxed);
+    const Slot* s = slots_.find(idx);
+    return s == nullptr ? kIdle : s->state.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(slots_.size());
+    return static_cast<std::uint32_t>(slots_.capacity());
+  }
+  /// Slot chunks built so far (quiescent state; tests).
+  [[nodiscard]] std::size_t committed_chunks() const {
+    return slots_.committed_chunks();
   }
 
  private:
   struct Slot {
     typename Atomics::template atomic<std::uint32_t> state{kIdle};
   };
-  std::vector<Slot> slots_;
+
+  static void init_slot(Slot& s, std::size_t i, std::size_t /*capacity*/) {
+    Atomics::set_name(s.state, "cont.state", i);
+  }
+
+  ChunkedSlots<Slot, Atomics> slots_;
 };
 
 /// Production continuation table: std::atomic, zero instrumentation.

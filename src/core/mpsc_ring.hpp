@@ -26,7 +26,12 @@
 //  * seq store (release), consumer side: publishes the moved-from cell back
 //    to the producers (next lap).
 // tail_ and head_ themselves only carry values, never payload visibility,
-// so all their accesses are relaxed.
+// so all their accesses are relaxed. The cells live in a ChunkedSlots
+// (core/chunked_slots.hpp): the capacity is a bound, and a chunk of cells
+// is built, with seq = index, when a producer or the consumer first reaches
+// it. Every cell of lap 0 is reached in order, so the seq protocol never
+// meets an unbuilt cell past lap 0. The chunk install's own orders are
+// audited in that header.
 //
 // memorder-audit: relaxed=9 acquire=2 release=2 acq_rel=0 seq_cst=0
 // (tools/check_memorder.py fails CI when this line disagrees with the
@@ -36,29 +41,20 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "core/atomics_policy.hpp"
+#include "core/chunked_slots.hpp"
 
 namespace core {
 
 template <typename T, typename Atomics = StdAtomics>
 class MpscRing {
  public:
-  /// `capacity` must be a power of two.
+  /// `capacity` must be a power of two, at least 2.
   explicit MpscRing(std::size_t capacity)
-      : mask_(capacity - 1), cells_(capacity) {
-    if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
-      throw std::invalid_argument("MpscRing capacity must be a power of two");
-    }
-    for (std::size_t i = 0; i < capacity; ++i) {
-      Atomics::set_name(cells_[i].seq, "ring.seq", i);
-      Atomics::set_name(cells_[i].val, "ring.val", i);
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
+      : mask_(checked(capacity) - 1), cells_(capacity, &init_cell) {
     Atomics::set_name(tail_, "ring.tail");
     Atomics::set_name(head_, "ring.head");
   }
@@ -70,7 +66,7 @@ class MpscRing {
   bool try_push(T v) {
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      Cell& c = cells_[pos & mask_];
+      Cell& c = cells_.touch(pos & mask_);
       const std::size_t seq = c.seq.load(std::memory_order_acquire);
       const auto dif = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
       if (dif == 0) {
@@ -91,7 +87,7 @@ class MpscRing {
   /// Single-consumer pop; returns false when empty.
   bool try_pop(T& out) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    Cell& c = cells_[head & mask_];
+    Cell& c = cells_.touch(head & mask_);
     const std::size_t seq = c.seq.load(std::memory_order_acquire);
     if (static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(head + 1) < 0) {
       return false;  // empty
@@ -110,6 +106,10 @@ class MpscRing {
   }
   [[nodiscard]] bool empty_approx() const { return size_approx() == 0; }
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
+  /// Cell chunks built so far (quiescent state; tests).
+  [[nodiscard]] std::size_t committed_chunks() const {
+    return cells_.committed_chunks();
+  }
 
  private:
   struct Cell {
@@ -118,8 +118,20 @@ class MpscRing {
   };
   static constexpr std::size_t kCacheLine = 64;
 
+  static std::size_t checked(std::size_t capacity) {
+    if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
+      throw std::invalid_argument("MpscRing capacity must be a power of two");
+    }
+    return capacity;
+  }
+  static void init_cell(Cell& c, std::size_t i, std::size_t /*capacity*/) {
+    Atomics::set_name(c.seq, "ring.seq", i);
+    Atomics::set_name(c.val, "ring.val", i);
+    c.seq.store(i, std::memory_order_relaxed);
+  }
+
   std::size_t mask_;
-  std::vector<Cell> cells_;
+  ChunkedSlots<Cell, Atomics> cells_;
   alignas(kCacheLine) typename Atomics::template atomic<std::size_t> tail_{0};  // producers
   alignas(kCacheLine) typename Atomics::template atomic<std::size_t> head_{0};  // the one consumer
 };

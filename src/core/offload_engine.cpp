@@ -46,6 +46,14 @@ OffloadChannel::OffloadChannel(smpi::RankCtx& rc, const ProxyOptions& opts)
   lanes_.resize(opts_.lane_count * n);
 }
 
+OffloadChannel::Footprint OffloadChannel::footprint() const {
+  Footprint f{.pool_chunks = pool_.committed_chunks(),
+              .cont_chunks = cont_.committed_chunks(),
+              .cont_fn_chunks = cont_fns_.committed_chunks()};
+  for (const auto& e : engines_) f.ring_chunks += e->ring.committed_chunks();
+  return f;
+}
+
 // --------------------------------------------------------------- routing ----
 
 std::size_t OffloadChannel::engine_of(const Command& cmd) {
@@ -423,8 +431,9 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
   // visible to the engines. (From engine context — a callback chaining onto
   // a slot it just posted — the same protocol works: fire() for that slot
   // can only happen on the fiber that tracks it, later.)
-  san::check_write(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-  cont_fns_[proxy] = std::move(fn);
+  ContFn& rec = cont_fns_.touch(proxy);
+  san::check_write(&rec, sizeof(ContFn), "cont.fns[slot]");
+  rec = std::move(fn);
   sim::advance(p.request_pool_op);
   san::release(&cont_, proxy);  // published before the claim CAS
   if (!cont_.arm(proxy)) {
@@ -830,9 +839,10 @@ void OffloadChannel::drive_progress(Engine& e) {
 }
 
 ContFn OffloadChannel::consume_fired(std::uint32_t proxy, smpi::Status& st) {
-  san::check_read(&cont_fns_[proxy], sizeof(ContFn), "cont.fns[slot]");
-  ContFn fn = std::move(cont_fns_[proxy]);
-  cont_fns_[proxy] = nullptr;
+  ContFn& rec = cont_fns_.touch(proxy);
+  san::check_read(&rec, sizeof(ContFn), "cont.fns[slot]");
+  ContFn fn = std::move(rec);
+  rec = nullptr;
   st = pool_.status(proxy);
   cont_.reset(proxy);
   if (persistent_at(proxy) == nullptr) {

@@ -56,6 +56,7 @@
 #include <string>
 #include <vector>
 
+#include "core/chunked_slots.hpp"
 #include "core/command.hpp"
 #include "core/cont_table.hpp"
 #include "core/drain_claim.hpp"
@@ -195,6 +196,15 @@ class OffloadChannel {
   RequestPool& pool() { return pool_; }
   [[nodiscard]] const RequestPool& pool() const { return pool_; }
   [[nodiscard]] const OffloadStats& stats() const { return stats_; }
+  /// Storage chunks built so far by the capacity-bounded structures (the
+  /// engines' rings summed; the pool, its continuation claims and records).
+  struct Footprint {
+    std::size_t ring_chunks = 0;
+    std::size_t pool_chunks = 0;
+    std::size_t cont_chunks = 0;
+    std::size_t cont_fn_chunks = 0;
+  };
+  [[nodiscard]] Footprint footprint() const;
   /// Offload engine fibers serving this channel.
   [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
   /// Total lanes in the grid (lane rows x engines; one row per submitter).
@@ -488,9 +498,10 @@ class OffloadChannel {
   // ---- continuation subsystem ----
   /// Exactly-once arm/fire handoff, one slot per pool slot.
   ContTable cont_;
-  /// Callback records, indexed by pool slot. Published to the engine by the
-  /// arm() claim's release; read under the fire()-failure acquire.
-  std::vector<ContFn> cont_fns_;
+  /// Callback records, indexed by pool slot; built in chunks as slots first
+  /// take one. Published to the engine by the arm() claim's release; read
+  /// under the fire()-failure acquire.
+  ChunkedSlots<ContFn> cont_fns_;
 
   OffloadStats stats_;
 };

@@ -10,10 +10,12 @@
 //   MPIOFF_PROXY="lanes=8,lane_cap=128,watchdog=200ms" ./bench_...
 //
 // Keys (all optional, comma-separated key=value or key:value):
-//   ring     shared MPSC command-ring capacity (power of two), per engine
-//   pool     request-pool capacity (done-flag slots)
+//   ring     shared MPSC command-ring capacity (power of two >= 2), per
+//            engine; a bound: cells are built 64 at a time as reached
+//   pool     request-pool capacity (done-flag slots, 1 <= pool < 2^32-1);
+//            a bound: slots are built 64 at a time as requests take them
 //   lanes    per-thread SPSC submission lane count; 0 = single shared ring
-//   lane_cap capacity of each lane (power of two)
+//   lane_cap capacity of each lane (power of two >= 2)
 //   watchdog in-flight age budget (duration: ns/us/ms/s suffix), 0 disables
 //   proxies  offload engine fibers per rank (>= 1); traffic is partitioned
 //            by peer/communicator hash so per-peer matching order holds;

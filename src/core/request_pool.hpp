@@ -32,6 +32,14 @@
 //  * rearm: done store (relaxed) — quiescent between generations of a
 //    persistent slot by construction (see rearm()).
 //
+// Storage: the slots live in a ChunkedSlots (core/chunked_slots.hpp), so
+// the capacity is a bound and a chunk of slots is built, with its initial
+// free-list links, when alloc() first finds the head in it. The untouched
+// tail of the initial list is always the suffix [m, capacity), m one past
+// the highest slot handed out so far, so slots come out in exactly the
+// order of an eagerly built pool. The chunk install's own orders are audited in
+// that header.
+//
 // memorder-audit: relaxed=9 acquire=5 release=2 acq_rel=0 seq_cst=0
 // (tools/check_memorder.py fails CI when this line disagrees with the
 // std::memory_order_* tokens actually used below — update both together.)
@@ -40,9 +48,9 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "core/atomics_policy.hpp"
+#include "core/chunked_slots.hpp"
 #include "mpi/types.hpp"
 
 namespace core {
@@ -52,14 +60,9 @@ class RequestPoolT {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  explicit RequestPoolT(std::uint32_t capacity) : slots_(capacity) {
-    for (std::uint32_t i = 0; i < capacity; ++i) {
-      Atomics::set_name(slots_[i].done, "pool.done", i);
-      Atomics::set_name(slots_[i].status, "pool.status", i);
-      Atomics::set_name(slots_[i].next, "pool.next", i);
-      slots_[i].next.store(i + 1 < capacity ? i + 1 : kNil,
-                           std::memory_order_relaxed);
-    }
+  /// 1 <= `capacity` < kNil.
+  explicit RequestPoolT(std::uint32_t capacity)
+      : slots_(checked(capacity), &init_slot) {
     Atomics::set_name(head_, "pool.head");
     head_.store(pack(0, 0), std::memory_order_relaxed);
   }
@@ -73,12 +76,15 @@ class RequestPoolT {
     for (;;) {
       const std::uint32_t idx = index_of(h);
       if (idx == kNil) return kNil;
-      const std::uint32_t next = slots_[idx].next.load(std::memory_order_relaxed);
+      // The head's chunk is built before its link is read: a first visit
+      // to a chunk finds the initial links there.
+      Slot& s = slots_.touch(idx);
+      const std::uint32_t next = s.next.load(std::memory_order_relaxed);
       const std::uint64_t nh = pack(next, tag_of(h) + 1);
       if (head_.compare_exchange_weak(h, nh, std::memory_order_acquire,
                                       std::memory_order_acquire)) {
-        slots_[idx].done.store(0, std::memory_order_relaxed);
-        slots_[idx].status.ref_w() = smpi::Status{};
+        s.done.store(0, std::memory_order_relaxed);
+        s.status.ref_w() = smpi::Status{};
         return idx;
       }
     }
@@ -86,10 +92,11 @@ class RequestPoolT {
 
   /// Return a slot to the pool. The caller must own it (completed request).
   void free(std::uint32_t idx) {
-    if (idx >= slots_.size()) throw std::out_of_range("RequestPool::free");
+    if (idx >= capacity()) throw std::out_of_range("RequestPool::free");
+    Slot& s = slots_.touch(idx);
     std::uint64_t h = head_.load(std::memory_order_relaxed);
     for (;;) {
-      slots_[idx].next.store(index_of(h), std::memory_order_relaxed);
+      s.next.store(index_of(h), std::memory_order_relaxed);
       const std::uint64_t nh = pack(idx, tag_of(h) + 1);
       if (head_.compare_exchange_weak(h, nh, std::memory_order_release,
                                       std::memory_order_relaxed)) {
@@ -100,8 +107,9 @@ class RequestPoolT {
 
   /// Offload-thread side: publish completion.
   void complete(std::uint32_t idx, const smpi::Status& st) {
-    slots_[idx].status.ref_w() = st;
-    slots_[idx].done.store(1, std::memory_order_release);
+    Slot& s = slots_.touch(idx);
+    s.status.ref_w() = st;
+    s.done.store(1, std::memory_order_release);
   }
 
   /// Persistent re-arm: clear the done flag of a slot the caller owns
@@ -111,29 +119,39 @@ class RequestPoolT {
   /// the lane/ring publish of the start command is the release edge that
   /// hands the slot back to the engine.
   void rearm(std::uint32_t idx) {
-    slots_[idx].done.store(0, std::memory_order_relaxed);
-    slots_[idx].status.ref_w() = smpi::Status{};
+    Slot& s = slots_.touch(idx);
+    s.done.store(0, std::memory_order_relaxed);
+    s.status.ref_w() = smpi::Status{};
   }
 
-  /// Application side: has the request completed?
+  /// Application side: has the request completed? `idx` must have been
+  /// handed out by alloc() (so its chunk is built); likewise status().
   [[nodiscard]] bool done(std::uint32_t idx) const {
-    return slots_[idx].done.load(std::memory_order_acquire) != 0;
+    return slots_.find(idx)->done.load(std::memory_order_acquire) != 0;
   }
   [[nodiscard]] const smpi::Status& status(std::uint32_t idx) const {
-    return slots_[idx].status.ref_r();
+    return slots_.find(idx)->status.ref_r();
   }
 
   [[nodiscard]] std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(slots_.size());
+    return static_cast<std::uint32_t>(slots_.capacity());
+  }
+  /// Slot chunks built so far (quiescent state; tests).
+  [[nodiscard]] std::size_t committed_chunks() const {
+    return slots_.committed_chunks();
   }
 
-  /// Number of free slots (O(n); for tests only, quiescent state).
+  /// Number of free slots (O(n); for tests only, quiescent state). Does not
+  /// build chunks: an unbuilt slot starts the untouched suffix of the
+  /// initial list, which runs to the last slot.
   [[nodiscard]] std::uint32_t free_count() const {
     std::uint32_t n = 0;
     std::uint32_t idx = index_of(head_.load(std::memory_order_acquire));
     while (idx != kNil) {
+      const Slot* s = slots_.find(idx);
+      if (s == nullptr) return n + (capacity() - idx);
       ++n;
-      idx = slots_[idx].next.load(std::memory_order_relaxed);
+      idx = s->next.load(std::memory_order_relaxed);
     }
     return n;
   }
@@ -145,6 +163,20 @@ class RequestPoolT {
     typename Atomics::template atomic<std::uint32_t> next{kNil};
   };
 
+  static std::uint32_t checked(std::uint32_t capacity) {
+    if (capacity == 0 || capacity == kNil) {
+      throw std::invalid_argument("RequestPool capacity must be in [1, kNil)");
+    }
+    return capacity;
+  }
+  static void init_slot(Slot& s, std::size_t i, std::size_t capacity) {
+    Atomics::set_name(s.done, "pool.done", i);
+    Atomics::set_name(s.status, "pool.status", i);
+    Atomics::set_name(s.next, "pool.next", i);
+    s.next.store(i + 1 < capacity ? static_cast<std::uint32_t>(i + 1) : kNil,
+                 std::memory_order_relaxed);
+  }
+
   static std::uint64_t pack(std::uint32_t idx, std::uint32_t tag) {
     return (static_cast<std::uint64_t>(tag) << 32) | idx;
   }
@@ -155,7 +187,7 @@ class RequestPoolT {
     return static_cast<std::uint32_t>(h >> 32);
   }
 
-  std::vector<Slot> slots_;
+  ChunkedSlots<Slot, Atomics> slots_;
   alignas(64) typename Atomics::template atomic<std::uint64_t> head_{0};
 };
 

@@ -40,7 +40,7 @@ TEST(CheckMutations, MatrixCoversEveryObservedSyncSite) {
 TEST(CheckMutations, UnmutatedSpecsPass) {
   for (const char* spec :
        {"ring", "pool", "lane", "handshake", "cont", "whenany", "mring",
-        "sleep", "pready"}) {
+        "sleep", "pready", "chunk"}) {
     Options opt = exhaustive();
     // The default ring cfg does not exhaust within the cap (the per-spec
     // tests cover exhaustion on smaller cfgs); bound the sweep so this stays

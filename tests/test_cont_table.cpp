@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -44,6 +45,22 @@ TEST(ContTable, SlotsAreIndependent) {
   EXPECT_EQ(t.state_of(0), ContTable::kArmed);
   EXPECT_EQ(t.state_of(1), ContTable::kFired);
   EXPECT_EQ(t.state_of(2), ContTable::kIdle);
+}
+
+TEST(ContTable, UntouchedSlotsReadIdleWithoutBuildingStorage) {
+  ContTable t(4096);
+  EXPECT_EQ(t.committed_chunks(), 1u);
+  EXPECT_EQ(t.state_of(4000), ContTable::kIdle);
+  EXPECT_EQ(t.committed_chunks(), 1u);  // state_of builds nothing
+  EXPECT_FALSE(t.fire(4000));            // a first fire builds the chunk
+  EXPECT_EQ(t.committed_chunks(), 2u);
+  EXPECT_EQ(t.state_of(4000), ContTable::kFired);
+  EXPECT_EQ(t.state_of(4001), ContTable::kIdle);
+}
+
+TEST(ContTable, RejectsZeroCapacity) {
+  EXPECT_THROW(ContTable(0), std::invalid_argument);
+  EXPECT_NO_THROW(ContTable(1));
 }
 
 TEST(ContTable, StressExactlyOneRunnerPerSlot) {

@@ -61,6 +61,40 @@ TEST(MpscRing, ManyWrapArounds) {
   }
 }
 
+// Cells are built 64 at a time as the ring first reaches them. A 256-cell
+// ring (four chunks) goes empty and full with head and tail on a chunk
+// boundary, then laps many times with bursts that cross boundaries mid-way.
+TEST(MpscRing, LapsAcrossChunkBoundaries) {
+  MpscRing<std::uint64_t> q(256);
+  EXPECT_EQ(q.committed_chunks(), 1u);
+  std::uint64_t in = 0, out = 0, v = 0;
+  const auto push = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) ASSERT_TRUE(q.try_push(in++));
+  };
+  const auto pop = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(q.try_pop(v));
+      ASSERT_EQ(v, out++);
+    }
+  };
+  push(64);  // fills chunk 0 exactly; chunk 1 is not built yet
+  EXPECT_EQ(q.committed_chunks(), 1u);
+  pop(64);
+  EXPECT_FALSE(q.try_pop(v));  // empty, head on the boundary
+  push(256);
+  EXPECT_FALSE(q.try_push(in));  // full, tail on the same boundary
+  EXPECT_EQ(q.committed_chunks(), 4u);
+  EXPECT_EQ(q.size_approx(), 256u);
+  pop(256);
+  EXPECT_FALSE(q.try_pop(v));
+  for (std::uint64_t burst = 1; in < 20000; burst = burst % 97 + 13) {
+    push(burst);
+    pop(burst);
+  }
+  EXPECT_TRUE(q.empty_approx());
+  EXPECT_EQ(q.committed_chunks(), 4u);
+}
+
 TEST(MpscRing, MoveOnlyPayload) {
   MpscRing<std::unique_ptr<int>> q(4);
   EXPECT_TRUE(q.try_push(std::make_unique<int>(42)));

@@ -139,6 +139,54 @@ TEST(OffloadLanes, SubmitBatchKeepsFifoOrderWithinLane) {
   });
 }
 
+TEST(OffloadLanes, ChannelStorageIsBuiltAsRequestsUseIt) {
+  // Capacities are bounds, not allocations: a fresh channel with default
+  // options builds one 64-entry chunk per structure, and N outstanding
+  // requests build ceil(N/64) pool and continuation-claim chunks. No
+  // continuation is attached, so the callback records stay at chunk 0.
+  constexpr int kN = 130;
+  constexpr std::size_t kChunks = (kN + 63) / 64;
+  Cluster c(cfg(2));
+  c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, ProxyOptions::defaults_for(rc.profile()));
+    const OffloadChannel::Footprint fresh = p.channel().footprint();
+    EXPECT_EQ(fresh.ring_chunks, p.channel().engine_count());
+    EXPECT_EQ(fresh.pool_chunks, 1u);
+    EXPECT_EQ(fresh.cont_chunks, 1u);
+    EXPECT_EQ(fresh.cont_fn_chunks, 1u);
+    p.start_engine();
+    std::vector<int> buf(kN, -1);
+    std::vector<PReq> reqs;
+    if (rc.rank() == 1) {
+      for (int i = 0; i < kN; ++i) {
+        reqs.push_back(p.irecv(&buf[static_cast<std::size_t>(i)], 1,
+                               Datatype::kInt, 0, i));
+      }
+      // All kN are outstanding: rank 0 sends only after the barrier.
+      const OffloadChannel::Footprint f = p.channel().footprint();
+      EXPECT_EQ(f.pool_chunks, kChunks);
+      EXPECT_EQ(f.cont_chunks, kChunks);
+      EXPECT_EQ(f.cont_fn_chunks, 1u);
+      EXPECT_EQ(f.ring_chunks, p.channel().engine_count());
+      p.barrier();
+      p.waitall(reqs);
+      for (int i = 0; i < kN; ++i) {
+        EXPECT_EQ(buf[static_cast<std::size_t>(i)], i);
+      }
+    } else {
+      p.barrier();
+      for (int i = 0; i < kN; ++i) {
+        buf[static_cast<std::size_t>(i)] = i;
+        reqs.push_back(p.isend(&buf[static_cast<std::size_t>(i)], 1,
+                               Datatype::kInt, 1, i));
+      }
+      p.waitall(reqs);
+    }
+    p.barrier();
+    p.stop();
+  });
+}
+
 TEST(OffloadLanes, ShutdownDrainsNonEmptyLanes) {
   // stop() immediately after a batch post: the engine must drain the lanes
   // and finish every in-flight send before exiting — nothing may be dropped
@@ -468,6 +516,23 @@ TEST(ProxyOptions, ParseRejectsBadValues) {
   EXPECT_THROW(ProxyOptions::parse("ring"), std::invalid_argument);
   EXPECT_THROW(ProxyOptions::parse("ring="), std::invalid_argument);
   EXPECT_THROW(ProxyOptions::parse("proxies=two"), std::invalid_argument);
+  // Capacities the structures cannot hold, named by key at parse time
+  // rather than failing in a constructor (or, for a lane, at first bind).
+  for (const char* bad :
+       {"pool=0", "pool=4294967295", "pool=4294967296", "ring=0", "ring=1",
+        "ring=1000", "lane_cap=0", "lane_cap=1", "lane_cap=100"}) {
+    const std::string spec = bad;
+    const std::string key = spec.substr(0, spec.find('='));
+    try {
+      ProxyOptions::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(ProxyOptions::parse("pool=1").pool_capacity, 1u);
+  EXPECT_EQ(ProxyOptions::parse("ring=2,lane_cap=2").lane_capacity, 2u);
 }
 
 TEST(ProxyOptions, ParseRejectsDuplicateKeysNamingTheOffender) {
