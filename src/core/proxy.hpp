@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/offload_engine.hpp"
+#include "mpi/datatype.hpp"
 #include "mpi/rank_ctx.hpp"
 #include "mpi/types.hpp"
 
@@ -201,13 +202,20 @@ class Proxy {
     return post({.op = CmdOp::kIbcast, .rbuf = b, .count = n, .dtype = dt,
                  .peer = root, .comm = c});
   }
+  /// The reductions reject a partial overlap of `s` and `r` (rbuf counts at
+  /// the root only) before anything is posted: the schedule accumulates in
+  /// `r`, so only s == r (in place) or disjoint buffers are defined.
   PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) {
+    if (rc_.comms().get(c).my_rank == root) {
+      smpi::check_reduce_buffers("ireduce", s, r, n * smpi::datatype_size(dt));
+    }
     return post({.op = CmdOp::kIreduce, .sbuf = s, .rbuf = r, .count = n,
                  .dtype = dt, .rop = op, .peer = root, .comm = c});
   }
   PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                   smpi::Op op, smpi::Comm c = smpi::kCommWorld) {
+    smpi::check_reduce_buffers("iallreduce", s, r, n * smpi::datatype_size(dt));
     return post({.op = CmdOp::kIallreduce, .sbuf = s, .rbuf = r, .count = n,
                  .dtype = dt, .rop = op, .comm = c});
   }

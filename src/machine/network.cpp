@@ -1,6 +1,7 @@
 #include "machine/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <memory>
@@ -29,6 +30,30 @@ void corrupt_frame(NetMessage& m, std::uint64_t pick) {
   *words[(pick / 64) % 4] ^= 1ull << (pick % 64);
 }
 }  // namespace
+
+void PayloadPool::fill(std::vector<std::byte>& payload, const void* src,
+                       std::size_t bytes) {
+  if (bytes == 0) return;
+  // The smallest class whose every buffer holds `bytes`.
+  auto& list = free_[std::bit_width(bytes - 1)];
+  if (list.empty()) {
+    payload.reserve(std::bit_ceil(bytes));
+  } else {
+    payload = std::move(list.back());
+    list.pop_back();
+    free_bytes_ -= payload.capacity();
+  }
+  const auto* p = static_cast<const std::byte*>(src);
+  payload.assign(p, p + bytes);
+}
+
+void PayloadPool::recycle(std::vector<std::byte> payload) {
+  const std::size_t cap = payload.capacity();
+  if (cap == 0 || cap > kMaxFreeBytes - free_bytes_) return;
+  payload.clear();
+  free_[std::bit_width(cap) - 1].push_back(std::move(payload));
+  free_bytes_ += cap;
+}
 
 Network::Network(sim::Engine& engine, const Profile& profile, int nranks)
     : engine_(engine),

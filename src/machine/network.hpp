@@ -17,12 +17,12 @@
 // in the simulator at all.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "machine/fault.hpp"
 #include "machine/profile.hpp"
@@ -45,6 +45,32 @@ struct NetMessage {
   std::uint64_t seq = 0;       ///< per-(src,dst) sequence number; 0 = unsequenced
   std::uint64_t ack = 0;       ///< cumulative ack: peer received all seq < ack
   std::uint32_t checksum = 0;  ///< frame checksum (see smpi::wire_checksum)
+};
+
+/// Recycled storage for eager payloads (NetMessage::payload). A sender fills
+/// a payload with fill(); the receive that copies the payload out hands the
+/// storage back with recycle(). Free buffers are kept per power-of-two
+/// capacity class and a message takes one from its own size's class, so a
+/// small message never pins a large buffer. The list holds at most
+/// kMaxFreeBytes of capacity: a buffer returned past that bound is freed.
+class PayloadPool {
+ public:
+  static constexpr std::size_t kMaxFreeBytes = std::size_t{16} << 20;
+
+  /// Make `payload` (empty) a copy of [src, src + bytes): one copy, no
+  /// zero-fill, into a free buffer of the size's class when one is left.
+  void fill(std::vector<std::byte>& payload, const void* src,
+            std::size_t bytes);
+  /// Take back a payload whose bytes have been consumed.
+  void recycle(std::vector<std::byte> payload);
+
+  /// Capacity held by free buffers (never above kMaxFreeBytes).
+  [[nodiscard]] std::size_t free_bytes() const { return free_bytes_; }
+
+ private:
+  /// free_[k]: buffers whose capacity is at least 2^k and below 2^(k+1).
+  std::array<std::vector<std::vector<std::byte>>, 64> free_;
+  std::size_t free_bytes_ = 0;
 };
 
 struct NetworkStats {
@@ -72,6 +98,8 @@ class Network {
   [[nodiscard]] const Profile& profile() const { return profile_; }
   /// Active fault plan, or nullptr when the profile's FaultSpec is disabled.
   [[nodiscard]] const FaultPlan* faults() const { return faults_.get(); }
+  /// Storage for the eager payloads every rank of this network sends.
+  [[nodiscard]] PayloadPool& payloads() { return payloads_; }
 
  private:
   void schedule_delivery(sim::Time when, NetMessage&& msg);
@@ -85,6 +113,7 @@ class Network {
   std::vector<DeliveryHandler> handlers_;
   NetworkStats stats_;
   std::unique_ptr<FaultPlan> faults_;
+  PayloadPool payloads_;
   /// Per-rank cumulative NIC pause, for the nic.stall_ns trace counter.
   std::vector<sim::Time> stall_accum_;
 };

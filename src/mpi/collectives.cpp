@@ -54,6 +54,33 @@ std::byte* at(std::byte* base, std::size_t off) {
   return base == nullptr ? nullptr : base + off;
 }
 
+/// Set up where a reduction accumulates, charging the post-time copy of
+/// `sbuf`. When the call carries data and this rank receives the result,
+/// the accumulator is `rbuf` itself: `sbuf` is copied in once (not at all
+/// in place, sbuf == rbuf) and the schedule combines there, so on_finish
+/// only charges the result copy the model keeps. Phantom calls (no `sbuf`),
+/// calls with no `rbuf` and non-root reduce ranks accumulate in a schedule
+/// temp instead.
+std::byte* reduction_accumulator(RankCtx& rc, CollOp& op, const void* sbuf,
+                                 void* rbuf, std::size_t bytes,
+                                 bool result_here) {
+  const bool phantom = sbuf == nullptr;
+  std::byte* accum = nullptr;
+  if (phantom || rbuf == nullptr || !result_here) {
+    accum = op.temps[add_temp(op, phantom ? 0 : bytes)].data();
+  } else {
+    accum = static_cast<std::byte*>(rbuf);
+  }
+  sim::advance(rc.profile().copy_cost(bytes));
+  if (!phantom && accum != sbuf) std::memcpy(accum, sbuf, bytes);
+  if (result_here) {
+    op.on_finish = [bytes](RankCtx& r) {
+      sim::advance(r.profile().copy_cost(bytes));
+    };
+  }
+  return accum;
+}
+
 /// Append the stages of a binomial broadcast of `buf` (bytes) from comm rank
 /// `root` to chain `ch`.
 void build_bcast_stages(CollChain& ch, const CommInfo& ci, void* buf,
@@ -324,34 +351,28 @@ void RankCtx::bcast(void* buf, std::size_t count, Datatype dt, int root,
 
 Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
                          Datatype dt, Op rop, int root, Comm comm) {
+  const std::size_t bytes = count * datatype_size(dt);
+  if (comms_.get(comm).my_rank == root) {
+    check_reduce_buffers("Ireduce", sbuf, rbuf, bytes);
+  }
   MpiEntry entry(*this, false, "Ireduce");
   CommInfo& ci = comms_.get(comm);
-  const std::size_t bytes = count * datatype_size(dt);
   // Phantom (timing-only) reductions carry no data, so the schedule's
   // scratch buffers are not materialized either.
-  const bool phantom = sbuf == nullptr;
-  const std::size_t store = phantom ? 0 : bytes;
+  const std::size_t store = sbuf == nullptr ? 0 : bytes;
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kReduce,
                    coll_tuner().choose(CollectiveId::kReduce, bytes, count, p,
                                        op_commutative(rop)));
   op->root = root;
-  const std::size_t acc = add_temp(*op, store);
-  sim::advance(profile().copy_cost(bytes));
-  if (!phantom) std::memcpy(op->temps[acc].data(), sbuf, bytes);
-  std::byte* accum = op->temps[acc].data();
+  std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
+                                           ci.my_rank == root);
   if (op->algo == CollAlgo::kLinear) {
     build_linear_reduce(*op, op->chain(0), ci, accum, sbuf, bytes, dt, rop,
                         root, count, store);
   } else {
     build_reduce_stages(*op, op->chain(0), ci, accum, bytes, dt, rop, root,
                         count, store);
-  }
-  if (ci.my_rank == root) {
-    op->on_finish = [accum, rbuf, bytes](RankCtx& rc) {
-      sim::advance(rc.profile().copy_cost(bytes));
-      if (rbuf != nullptr) std::memcpy(rbuf, accum, bytes);
-    };
   }
   return start_collective(std::move(op));
 }
@@ -366,19 +387,18 @@ void RankCtx::reduce(const void* sbuf, void* rbuf, std::size_t count,
 
 Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
                             Datatype dt, Op rop, Comm comm) {
+  const std::size_t bytes = count * datatype_size(dt);
+  check_reduce_buffers("Iallreduce", sbuf, rbuf, bytes);
   MpiEntry entry(*this, false, "Iallreduce");
   CommInfo& ci = comms_.get(comm);
-  const std::size_t bytes = count * datatype_size(dt);
   const bool phantom = sbuf == nullptr;
   const std::size_t store = phantom ? 0 : bytes;
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kAllreduce,
                    coll_tuner().choose(CollectiveId::kAllreduce, bytes, count,
                                        p, op_commutative(rop)));
-  const std::size_t acc = add_temp(*op, store);
-  sim::advance(profile().copy_cost(bytes));
-  if (!phantom) std::memcpy(op->temps[acc].data(), sbuf, bytes);
-  std::byte* accum = op->temps[acc].data();
+  std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
+                                           /*result_here=*/true);
 
   const std::size_t elem = datatype_size(dt);
   if (op->algo == CollAlgo::kRing) {
@@ -488,11 +508,6 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
                         store);
     build_bcast_stages(ch, ci, accum, bytes, /*root=*/0);
   }
-
-  op->on_finish = [accum, rbuf, bytes](RankCtx& rc) {
-    sim::advance(rc.profile().copy_cost(bytes));
-    if (rbuf != nullptr) std::memcpy(rbuf, accum, bytes);
-  };
   return start_collective(std::move(op));
 }
 
@@ -701,9 +716,10 @@ void RankCtx::scatter(const void* sbuf, void* rbuf, std::size_t count_per_rank,
 
 Request RankCtx::iscan(const void* sbuf, void* rbuf, std::size_t count,
                        Datatype dt, Op rop, Comm comm) {
+  const std::size_t bytes = count * datatype_size(dt);
+  check_reduce_buffers("Iscan", sbuf, rbuf, bytes);
   MpiEntry entry(*this, false, "Iscan");
   CommInfo& ci = comms_.get(comm);
-  const std::size_t bytes = count * datatype_size(dt);
   const bool phantom = sbuf == nullptr;
   const std::size_t store = phantom ? 0 : bytes;
   const int p = ci.size();
@@ -713,10 +729,8 @@ Request RankCtx::iscan(const void* sbuf, void* rbuf, std::size_t count,
                                        op_commutative(rop)));
   CollChain& ch = op->chain(0);
   CollOp* opp = op.get();
-  const std::size_t acc = add_temp(*op, store);
-  sim::advance(profile().copy_cost(bytes));
-  if (!phantom) std::memcpy(op->temps[acc].data(), sbuf, bytes);
-  std::byte* accum = op->temps[acc].data();
+  std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
+                                           /*result_here=*/true);
   // Hillis-Steele inclusive scan: at distance d, receive the partial sum of
   // [me-d, me] prefixes from rank me-d and send mine to me+d. A snapshot of
   // the accumulator is sent (receives combine after both complete).
@@ -767,10 +781,6 @@ Request RankCtx::iscan(const void* sbuf, void* rbuf, std::size_t count,
       }
     };
   }
-  op->on_finish = [accum, rbuf, bytes](RankCtx& rc) {
-    sim::advance(rc.profile().copy_cost(bytes));
-    if (rbuf != nullptr) std::memcpy(rbuf, accum, bytes);
-  };
   return start_collective(std::move(op));
 }
 

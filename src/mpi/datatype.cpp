@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 namespace smpi {
 
@@ -136,6 +138,20 @@ void apply_op(Op op, Datatype dt, const void* in, void* inout, std::size_t count
       return;
   }
   throw std::logic_error("unknown datatype");
+}
+
+void check_reduce_buffers(const char* call, const void* sbuf, const void* rbuf,
+                          std::size_t bytes) {
+  if (sbuf == nullptr || rbuf == nullptr || sbuf == rbuf) return;
+  // std::less gives a total order over unrelated pointers.
+  const auto* s = static_cast<const std::byte*>(sbuf);
+  const auto* r = static_cast<const std::byte*>(rbuf);
+  const std::less<const std::byte*> before;
+  if (before(s, r + bytes) && before(r, s + bytes)) {
+    throw std::invalid_argument(std::string(call) +
+                                ": sbuf and rbuf overlap without being the "
+                                "same buffer (only sbuf == rbuf is in place)");
+  }
 }
 
 }  // namespace smpi

@@ -11,4 +11,11 @@ namespace smpi {
 /// of type `dt`. Complex types support kSum and kProd only.
 void apply_op(Op op, Datatype dt, const void* in, void* inout, std::size_t count);
 
+/// A reduction's send and receive buffers ([sbuf, sbuf + bytes) and
+/// [rbuf, rbuf + bytes)) are either the same buffer (in place) or disjoint,
+/// as MPI requires. Throws std::invalid_argument naming `call` on a partial
+/// overlap.
+void check_reduce_buffers(const char* call, const void* sbuf, const void* rbuf,
+                          std::size_t bytes);
+
 }  // namespace smpi

@@ -55,7 +55,7 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     // Loopback: one shared-memory copy, delivered straight to our own inbox
     // (always "eager" — no NIC involved). Registered (persistent) buffers
     // are byte-stable for the generation, so the receiver DMAs straight from
-    // them — no sender-side bounce-copy charge (the memcpy below stays:
+    // them — no sender-side bounce-copy charge (the payload copy below stays:
     // simulation bookkeeping, digests must see the payload).
     trace::Scope tsc("send:loopback", "mpi");
     if (!registered) sim::advance(p.copy_cost(bytes));
@@ -66,8 +66,7 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     m.h1 = static_cast<std::uint64_t>(static_cast<std::int64_t>(tag));
     m.h2 = bytes;
     if (buf != nullptr) {
-      m.payload.resize(bytes);
-      if (bytes != 0) std::memcpy(m.payload.data(), buf, bytes);
+      cluster_.network().payloads().fill(m.payload, buf, bytes);
     } else {
       m.wire_bytes = bytes;  // phantom payload: timing only
     }
@@ -99,8 +98,8 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     // Eager: internal copy + doorbell; complete at once. Collective stage
     // sends come from schedule-owned registered buffers that stay stable
     // until the stage completes, so the NIC serializes straight from them —
-    // no CPU bounce copy (the simulation memcpy below is bookkeeping only).
-    // Registered persistent-send buffers get the same treatment.
+    // no CPU bounce copy (the simulation payload copy below is bookkeeping
+    // only). Registered persistent-send buffers get the same treatment.
     trace::Scope tsc("send:eager", "mpi");
     if (!stage_post && !registered) sim::advance(p.copy_cost(bytes));
     charge_doorbell();
@@ -111,10 +110,7 @@ void RankCtx::post_send_into(RequestImpl& r, const void* buf,
     m.h0 = ctx;
     m.h1 = static_cast<std::uint64_t>(static_cast<std::int64_t>(tag));
     m.h2 = bytes;
-    if (buf != nullptr) {
-      m.payload.resize(bytes);
-      if (bytes != 0) std::memcpy(m.payload.data(), buf, bytes);
-    }
+    if (buf != nullptr) cluster_.network().payloads().fill(m.payload, buf, bytes);
     m.wire_bytes = bytes;
     net_send(std::move(m));
     r.kind = ReqKind::kSendEager;
@@ -187,6 +183,7 @@ void RankCtx::post_recv_into(RequestImpl& r, void* buf, std::size_t bytes,
       if (buf != nullptr && !um->payload.empty()) {
         std::memcpy(buf, um->payload.data(), um->payload.size());
       }
+      cluster_.network().payloads().recycle(std::move(um->payload));
       r.status.source = comms_.get(comm).from_global(um->env.src_global);
       r.status.tag = um->env.tag;
       r.status.bytes = um->bytes;

@@ -299,6 +299,7 @@ void RankCtx::handle_eager(machine::NetMessage&& m) {
     if (r->rbuf != nullptr && !m.payload.empty()) {
       std::memcpy(r->rbuf, m.payload.data(), m.payload.size());
     }
+    cluster_.network().payloads().recycle(std::move(m.payload));
     r->status.source = comms_.get(r->comm).from_global(env.src_global);
     r->status.tag = env.tag;
     r->status.bytes = declared;

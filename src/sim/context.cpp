@@ -1,8 +1,13 @@
 #include "sim/context.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MO_SIM_ASAN 1
@@ -59,6 +64,37 @@ void set_stack(sim::Context& ctx, void* stack, std::size_t stack_bytes) {
 }
 
 }  // namespace
+
+namespace sim {
+
+FiberStack::FiberStack(std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  bytes_ = (bytes + page - 1) / page * page;
+  map_bytes_ = bytes_ + page;
+  map_ = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+              MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (map_ == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(), "fiber stack mmap");
+  }
+  if (mprotect(map_, page, PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(map_, map_bytes_);
+    throw std::system_error(err, std::generic_category(),
+                            "fiber stack guard page");
+  }
+  base_ = static_cast<char*>(map_) + page;
+}
+
+FiberStack::~FiberStack() {
+#if defined(MO_SIM_ASAN)
+  // Frames abandoned on this stack leave redzone poison behind; clear it so
+  // whatever is mapped at these addresses next starts clean.
+  __asan_unpoison_memory_region(base_, bytes_);
+#endif
+  munmap(map_, map_bytes_);
+}
+
+}  // namespace sim
 
 /// First code to run on a new context.
 extern "C" [[noreturn]] __attribute__((visibility("hidden"))) void

@@ -41,6 +41,30 @@ struct Context {
 
 using ContextEntry = void (*)(void* arg);
 
+/// A call stack for make_context: `bytes` rounded up to whole pages of
+/// anonymous memory from mmap, with one PROT_NONE guard page below it, so a
+/// context that overruns its stack faults at once instead of writing into
+/// a neighbouring mapping. Each stack costs two VMAs (guard and stack).
+/// Throws std::system_error when the mapping fails.
+class FiberStack {
+ public:
+  explicit FiberStack(std::size_t bytes);
+  ~FiberStack();
+
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+
+  /// Lowest usable address; the stack grows down towards the guard page.
+  [[nodiscard]] void* base() const { return base_; }
+  [[nodiscard]] std::size_t size() const { return bytes_; }
+
+ private:
+  void* map_ = nullptr;  ///< guard page, then the stack
+  std::size_t map_bytes_ = 0;
+  void* base_ = nullptr;
+  std::size_t bytes_ = 0;
+};
+
 /// Prepare `ctx` so that the first switch_context to it runs entry(arg) on
 /// [stack, stack + stack_bytes), starting with the caller's floating-point
 /// control state. The caller owns the stack; it must outlive every switch

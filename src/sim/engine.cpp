@@ -38,9 +38,9 @@ Fiber::Fiber(Engine* engine, std::uint64_t id, std::string name, Body body,
       id_(id),
       name_(std::move(name)),
       body_(std::move(body)),
-      stack_(new char[stack_bytes]) {
+      stack_(stack_bytes) {
   make_context(
-      ctx_, stack_.get(), stack_bytes,
+      ctx_, stack_.base(), stack_.size(),
       [](void* self) { static_cast<Fiber*>(self)->run_body(); }, this);
 }
 

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/context.hpp"
@@ -80,7 +79,7 @@ class Fiber {
   void* user_data_ = nullptr;
   int trace_pid_ = 0;
 
-  std::unique_ptr<char[]> stack_;
+  FiberStack stack_;
   Context ctx_;
 };
 

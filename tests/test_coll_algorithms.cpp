@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/proxy.hpp"
 #include "mpi/cluster.hpp"
 #include "mpi/coll_tuner.hpp"
 
@@ -196,26 +197,68 @@ constexpr std::size_t kSizes[] = {1,     3,      64,        1000,
                                   4096,  4097,   65536,     65537,
                                   262144, 1048576};
 
-/// Run `bytes`-sized byte-wise allreduce on an existing cluster fiber and
-/// compare against the serial fold.
-void check_allreduce_bytes(Op op, std::size_t bytes) {
-  const int p = size();
-  std::vector<std::uint8_t> in(bytes), out(bytes, 0xEE);
-  for (std::size_t i = 0; i < bytes; ++i) in[i] = pat(rank(), i);
-  allreduce(in.data(), out.data(), bytes, Datatype::kByte, op);
+/// Serial reference: byte i folded over the contributions of ranks [0, upto).
+std::vector<std::uint8_t> fold_bytes(Op op, std::size_t bytes, int upto) {
   std::vector<std::uint8_t> want(bytes);
   for (std::size_t i = 0; i < bytes; ++i) {
     std::uint8_t acc = pat(0, i);
-    for (int r = 1; r < p; ++r) {
+    for (int r = 1; r < upto; ++r) {
       const std::uint8_t v = pat(r, i);
       acc = op == Op::kSum ? static_cast<std::uint8_t>(acc + v)
                            : std::max(acc, v);
     }
     want[i] = acc;
   }
+  return want;
+}
+
+/// This rank's contribution; `in_place` also makes it the result buffer
+/// (sbuf == rbuf), otherwise the result buffer starts as garbage.
+std::vector<std::uint8_t> contribution(std::size_t bytes, bool in_place,
+                                       std::vector<std::uint8_t>& out) {
+  std::vector<std::uint8_t> in(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) in[i] = pat(rank(), i);
+  out = in_place ? in : std::vector<std::uint8_t>(bytes, 0xEE);
+  return in;
+}
+
+/// Run `bytes`-sized byte-wise allreduce on an existing cluster fiber and
+/// compare against the serial fold.
+void check_allreduce_bytes(Op op, std::size_t bytes, bool in_place) {
+  std::vector<std::uint8_t> out;
+  const std::vector<std::uint8_t> in = contribution(bytes, in_place, out);
+  allreduce(in_place ? out.data() : in.data(), out.data(), bytes,
+            Datatype::kByte, op);
+  const std::vector<std::uint8_t> want = fold_bytes(op, bytes, size());
   ASSERT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
       << "allreduce mismatch: op=" << (op == Op::kSum ? "sum" : "max")
-      << " bytes=" << bytes << " ranks=" << p;
+      << " bytes=" << bytes << " ranks=" << size()
+      << " in_place=" << in_place;
+}
+
+/// The same for reduce to `root` (the result is checked there) and for the
+/// inclusive scan; in place means sbuf == rbuf at the root and everywhere
+/// for the scan.
+void check_reduce_and_scan_bytes(Op op, std::size_t bytes, int root,
+                                 bool in_place) {
+  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> in = contribution(bytes, in_place, out);
+  const bool root_in_place = in_place && rank() == root;
+  reduce(root_in_place ? out.data() : in.data(), out.data(), bytes,
+         Datatype::kByte, op, root);
+  if (rank() == root) {
+    const std::vector<std::uint8_t> want = fold_bytes(op, bytes, size());
+    ASSERT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
+        << "reduce mismatch: root=" << root << " bytes=" << bytes
+        << " ranks=" << size() << " in_place=" << in_place;
+  }
+  in = contribution(bytes, in_place, out);
+  ctx().scan(in_place ? out.data() : in.data(), out.data(), bytes,
+             Datatype::kByte, op, kCommWorld);
+  const std::vector<std::uint8_t> want = fold_bytes(op, bytes, rank() + 1);
+  ASSERT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
+      << "scan mismatch: bytes=" << bytes << " ranks=" << size()
+      << " in_place=" << in_place;
 }
 
 }  // namespace
@@ -236,8 +279,31 @@ TEST_P(CollAlgoRanks, AllreduceEveryAlgorithmBitwise) {
     Cluster c(cfg(GetParam(), spec));
     c.run([&](RankCtx&) {
       for (const std::size_t bytes : kSizes) {
-        check_allreduce_bytes(Op::kSum, bytes);
-        check_allreduce_bytes(Op::kMax, bytes);
+        for (const bool in_place : {false, true}) {
+          check_allreduce_bytes(Op::kSum, bytes, in_place);
+          check_allreduce_bytes(Op::kMax, bytes, in_place);
+        }
+      }
+    });
+  }
+}
+
+TEST_P(CollAlgoRanks, ReduceAndScanInPlaceAndOutOfPlaceBitwise) {
+  // The reduction schedules accumulate in the root's (the scan: every
+  // rank's) result buffer, so sbuf == rbuf must still give the reference.
+  static const char* kSpecs[] = {"", "reduce:linear@0", "reduce:binomial@0"};
+  for (const char* spec : kSpecs) {
+    Cluster c(cfg(GetParam(), spec));
+    c.run([&](RankCtx&) {
+      for (const std::size_t bytes : {std::size_t{1}, std::size_t{1000},
+                                      std::size_t{4097}, std::size_t{65537},
+                                      std::size_t{262144}}) {
+        for (const int root : {0, size() - 1}) {
+          for (const bool in_place : {false, true}) {
+            check_reduce_and_scan_bytes(Op::kSum, bytes, root, in_place);
+            check_reduce_and_scan_bytes(Op::kMax, bytes, root, in_place);
+          }
+        }
       }
     });
   }
@@ -253,19 +319,36 @@ TEST_P(CollAlgoRanks, AllreduceNonCommutativeUserOp) {
     const int p = size();
     for (const std::size_t count : {std::size_t{1}, std::size_t{127},
                                     std::size_t{8192}, std::size_t{131072}}) {
-      std::vector<std::uint64_t> in(count), out(count, 0);
-      for (std::size_t i = 0; i < count; ++i) in[i] = mat_pat(rank(), i);
-      allreduce(in.data(), out.data(), count, Datatype::kLong, matop);
-      for (std::size_t i = 0; i < count; ++i) {
-        std::uint64_t acc = mat_pat(0, i);
-        for (int r = 1; r < p; ++r) acc = mat_mul(acc, mat_pat(r, i));
-        ASSERT_EQ(out[i], acc) << "count=" << count << " i=" << i;
+      for (const bool in_place : {false, true}) {
+        std::vector<std::uint64_t> in(count), out(count, 0);
+        for (std::size_t i = 0; i < count; ++i) in[i] = mat_pat(rank(), i);
+        if (in_place) out = in;
+        allreduce(in_place ? out.data() : in.data(), out.data(), count,
+                  Datatype::kLong, matop);
+        for (std::size_t i = 0; i < count; ++i) {
+          std::uint64_t acc = mat_pat(0, i);
+          for (int r = 1; r < p; ++r) acc = mat_mul(acc, mat_pat(r, i));
+          ASSERT_EQ(out[i], acc)
+              << "count=" << count << " i=" << i << " in_place=" << in_place;
+        }
+        // The ordered linear fold into the last rank replaces the root's
+        // accumulator with rank 0's block and re-folds its own block later.
+        if (in_place) out = in;
+        reduce(in_place && rank() == p - 1 ? out.data() : in.data(),
+               out.data(), count, Datatype::kLong, matop, p - 1);
+        if (rank() != p - 1) continue;
+        for (std::size_t i = 0; i < count; ++i) {
+          std::uint64_t acc = mat_pat(0, i);
+          for (int r = 1; r < p; ++r) acc = mat_mul(acc, mat_pat(r, i));
+          ASSERT_EQ(out[i], acc) << "reduce count=" << count << " i=" << i
+                                 << " in_place=" << in_place;
+        }
       }
     }
   });
   const CollStats& cs = c.rank(0).coll_stats();
   EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kRing), 0u);
-  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kReduceBcast), 4u);
+  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kReduceBcast), 8u);
 }
 
 TEST_P(CollAlgoRanks, BcastPipelinedAndBinomialBitwise) {
@@ -371,6 +454,74 @@ TEST_P(CollAlgoRanks, ForcedAlgorithmIsRecordedInStats) {
     // Segmented schedules must actually chunk: 256 KiB over a 4 KiB segment
     // clamps to 4 chains and many stages per chain.
     EXPECT_GT(cs.chunks, 0u) << "rank " << r;
+  }
+}
+
+// ========================================================================
+// Aliasing rule: a reduction's sbuf and rbuf are the same buffer or disjoint.
+// ========================================================================
+
+namespace {
+
+/// Run `fn` expecting std::invalid_argument whose message names `call`.
+template <typename Fn>
+void expect_overlap_rejected(const char* call, Fn fn) {
+  try {
+    fn();
+    ADD_FAILURE() << call << ": partial overlap was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(call), std::string::npos) << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(ReduceAliasing, PartialOverlapThrowsBeforeAnythingIsPosted) {
+  for (const core::Approach a :
+       {core::Approach::kBaseline, core::Approach::kIprobe,
+        core::Approach::kCommSelf, core::Approach::kOffload}) {
+    SCOPED_TRACE(core::approach_name(a));
+    ClusterConfig c3 = cfg(3);
+    c3.thread_level = core::required_thread_level(a);
+    Cluster c(c3);
+    c.run([&](RankCtx& rc) {
+      auto p = core::make_proxy(a, rc);
+      p->start_engine();
+      std::vector<long> buf(16, rank() + 1);
+      long* lo = buf.data();
+      expect_overlap_rejected("iallreduce", [&] {
+        (void)p->iallreduce(lo, lo + 1, 8, Datatype::kLong, Op::kSum);
+      });
+      expect_overlap_rejected("iallreduce", [&] {
+        p->allreduce(lo + 4, lo, 8, Datatype::kLong, Op::kSum);
+      });
+      if (rank() == 1) {
+        expect_overlap_rejected("ireduce", [&] {
+          (void)p->ireduce(lo, lo + 7, 8, Datatype::kLong, Op::kSum, 1);
+        });
+      }
+      // The library itself rejects it too, before entering MPI.
+      expect_overlap_rejected("Iscan", [&] {
+        (void)rc.iscan(lo, lo + 2, 8, Datatype::kLong, Op::kSum, kCommWorld);
+      });
+      // Nothing was posted: the next collectives pair up and are exact.
+      // rbuf counts at the root only, so the non-roots' overlapping rbuf is
+      // legal; in place and disjoint are legal everywhere.
+      std::vector<long> sum(8, 0), root_sum(8, 0);
+      p->reduce(lo, rank() == 1 ? root_sum.data() : lo + 7, 8,
+                Datatype::kLong, Op::kSum, 1);
+      p->allreduce(lo + 8, sum.data(), 8, Datatype::kLong, Op::kSum);
+      p->allreduce(lo + 8, lo + 8, 8, Datatype::kLong, Op::kSum);
+      for (int i = 0; i < 8; ++i) {
+        if (rank() == 1) {
+          EXPECT_EQ(root_sum[static_cast<std::size_t>(i)], 6);
+        }
+        EXPECT_EQ(sum[static_cast<std::size_t>(i)], 6);
+        EXPECT_EQ(buf[static_cast<std::size_t>(8 + i)], 6);
+      }
+      EXPECT_EQ(p->inflight(), 0u);
+      p->stop();
+    });
   }
 }
 

@@ -5,10 +5,13 @@
 //     proxies, asserting bit-wise payload equality and identical MPI-level
 //     outcomes against a fault-free reference run;
 //   * matching-layer: duplicated/reordered frames never double-match;
+//   * recycled eager payload storage under parked, retransmitted and
+//     duplicated frames;
 //   * the offload engine watchdog flagging stuck requests;
 //   * the MPIOFF_FAULTS environment hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +28,7 @@ using namespace smpi;
 using core::Approach;
 using core::PReq;
 using machine::FaultSpec;
+using machine::PayloadPool;
 
 namespace {
 
@@ -298,6 +302,89 @@ TEST(FaultMatching, DupAndReorderNeverDoubleMatch) {
   EXPECT_GT(c.rank(0).rel_stats().dup_drops + c.rank(0).rel_stats().ooo_drops,
             0u);
 }
+
+// ------------------------------------------------------ payload storage ----
+
+// Eager payload storage comes from, and returns to, the network's free list.
+// Payloads parked in the unexpected queue must keep their bytes while later
+// sends take recycled buffers, and under faults the retransmit copies and
+// duplicate frames must neither free nor reuse a buffer still in use.
+class PayloadRecycling : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PayloadRecycling, ParkedEagerPayloadsArriveBitExact) {
+  constexpr int kRounds = 3, kPerRound = 72;
+  constexpr std::size_t kBytes = 128 << 10;
+  const auto stamp = [](int msg, std::size_t i) {
+    return static_cast<unsigned char>((static_cast<std::size_t>(msg) * 2654435761u +
+                                       i * 40503u) >> 7);
+  };
+  ClusterConfig cfg;
+  cfg.nranks = 2;
+  cfg.profile.eager_threshold = kBytes;
+  if (!GetParam().empty()) cfg.profile.faults = FaultSpec::parse(GetParam());
+  cfg.deadline = sim::Time::from_sec(600);
+  Cluster c(cfg);
+  const PayloadPool& pool = c.network().payloads();
+  std::size_t bad_bytes = 0, max_free = 0, max_parked = 0;
+  c.run([&](RankCtx& rc) {
+    if (rc.rank() == 1) {
+      std::vector<unsigned char> buf(kBytes);
+      for (int m = 0; m < kRounds * kPerRound; ++m) {
+        for (std::size_t i = 0; i < kBytes; ++i) buf[i] = stamp(m, i);
+        rc.send(buf.data(), kBytes, Datatype::kByte, 0, m, kCommWorld);
+        max_free = std::max(max_free, pool.free_bytes());
+        if (m % kPerRound == kPerRound - 1) compute(sim::Time::from_us(200));
+      }
+    } else {
+      // Post late: each round's receives go up only once two rounds (or
+      // what is left) sit in the unexpected queue, while the sender goes on
+      // sending. Each round is received in reverse tag order.
+      std::vector<std::vector<unsigned char>> bufs(
+          kPerRound, std::vector<unsigned char>(kBytes));
+      for (int r = 0; r < kRounds; ++r) {
+        const auto parked =
+            static_cast<std::size_t>(std::min(2, kRounds - r) * kPerRound);
+        while (rc.matching().unexpected_count() < parked) {
+          compute(sim::Time::from_us(20));
+          rc.progress();
+        }
+        max_parked = std::max(max_parked, rc.matching().unexpected_count());
+        std::vector<Request> reqs;
+        for (int k = kPerRound - 1; k >= 0; --k) {
+          reqs.push_back(rc.irecv(bufs[static_cast<std::size_t>(k)].data(),
+                                  kBytes, Datatype::kByte, 1,
+                                  r * kPerRound + k, kCommWorld));
+        }
+        rc.waitall(reqs);
+        for (int k = 0; k < kPerRound; ++k) {
+          const auto& b = bufs[static_cast<std::size_t>(k)];
+          for (std::size_t i = 0; i < kBytes; ++i) {
+            bad_bytes += b[i] != stamp(r * kPerRound + k, i);
+          }
+        }
+        max_free = std::max(max_free, pool.free_bytes());
+      }
+    }
+    rc.barrier(kCommWorld);
+  });
+  EXPECT_EQ(bad_bytes, 0u);
+  EXPECT_GE(max_parked, static_cast<std::size_t>(2 * kPerRound));
+  EXPECT_LE(max_free, PayloadPool::kMaxFreeBytes);
+  // Far more than the bound's worth of buffers came back at once: the list
+  // filled to its bound and freed the rest.
+  EXPECT_EQ(pool.free_bytes(), PayloadPool::kMaxFreeBytes);
+  if (const machine::FaultPlan* fp = c.network().faults()) {
+    EXPECT_GT(fp->stats().duplicated, 0u);
+    EXPECT_GT(c.rank(1).rel_stats().retransmits, 0u);
+  }
+}
+
+// A std::string parameter: gtest names each instance after its printed
+// value. The empty spec is the clean wire.
+INSTANTIATE_TEST_SUITE_P(Wires, PayloadRecycling,
+                         ::testing::Values(std::string(),
+                                           std::string("drop=0.03,dup=0.05,"
+                                                       "reorder=0.1,seed=7")));
 
 // ------------------------------------------------------------- watchdog ----
 

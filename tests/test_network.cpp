@@ -1,6 +1,8 @@
 // Tests for the interconnect model: latency, serialization, ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "machine/network.hpp"
@@ -131,6 +133,59 @@ TEST(Network, PayloadCarriedIntact) {
   e.run();
   ASSERT_EQ(got.size(), 256u);
   for (int i = 0; i < 256; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], static_cast<std::byte>(i));
+}
+
+TEST(PayloadPool, ReusesStorageBySizeClassWithinItsBound) {
+  machine::PayloadPool pool;
+  std::vector<std::byte> src(200 * 1024);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  const auto holds = [&](const std::vector<std::byte>& p, std::size_t n) {
+    return p.size() == n && std::equal(p.begin(), p.end(), src.begin());
+  };
+  std::vector<std::byte> big, small;
+  pool.fill(big, src.data(), 100 * 1024);
+  ASSERT_TRUE(holds(big, 100 * 1024));
+  EXPECT_EQ(big.capacity(), std::size_t{128} * 1024);  // its class, 2^17
+  const std::byte* storage = big.data();
+  pool.recycle(std::move(big));
+  EXPECT_EQ(pool.free_bytes(), std::size_t{128} * 1024);
+
+  // A small message does not take the 128 KiB buffer ...
+  pool.fill(small, src.data(), 100);
+  ASSERT_TRUE(holds(small, 100));
+  EXPECT_LT(small.capacity(), std::size_t{1} << 10);
+  EXPECT_EQ(pool.free_bytes(), std::size_t{128} * 1024);
+  // ... a message of its class does, and gets exactly its own bytes.
+  std::vector<std::byte> again;
+  pool.fill(again, src.data(), 65 * 1024);
+  EXPECT_EQ(again.data(), storage);
+  ASSERT_TRUE(holds(again, 65 * 1024));
+  EXPECT_EQ(pool.free_bytes(), 0u);
+
+  // A buffer whose capacity is not a power of two (a retransmit copy)
+  // serves only sizes it can hold without growing.
+  std::vector<std::byte> odd(src.begin(), src.begin() + 100 * 1024);
+  pool.recycle(std::move(odd));
+  std::vector<std::byte> fits, too_big;
+  pool.fill(too_big, src.data(), 100 * 1024);  // class 2^17: not served
+  EXPECT_EQ(pool.free_bytes(), std::size_t{100} * 1024);
+  pool.fill(fits, src.data(), 64 * 1024);  // class 2^16: served
+  EXPECT_EQ(pool.free_bytes(), 0u);
+  ASSERT_TRUE(holds(fits, 64 * 1024));
+  ASSERT_TRUE(holds(too_big, 100 * 1024));
+
+  // Buffers returned past the bound are freed, not kept.
+  constexpr std::size_t kBuf = std::size_t{1} << 20;
+  for (std::size_t i = 0; i < machine::PayloadPool::kMaxFreeBytes / kBuf + 3;
+       ++i) {
+    std::vector<std::byte> b;
+    b.reserve(kBuf);
+    pool.recycle(std::move(b));
+    EXPECT_LE(pool.free_bytes(), machine::PayloadPool::kMaxFreeBytes);
+  }
+  EXPECT_EQ(pool.free_bytes(), machine::PayloadPool::kMaxFreeBytes);
 }
 
 TEST(Profile, MachineProfilesAreOrdered) {

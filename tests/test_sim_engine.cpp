@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cfenv>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -499,4 +500,43 @@ TEST(Stats, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
   EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
   EXPECT_DOUBLE_EQ(s.percentile(1.0), 5.0);
+}
+
+namespace {
+
+/// Recurse until this frame sits `limit` bytes below `top` (or `depth`
+/// frames deep), writing every frame so each page on the way down is
+/// touched; frames stay well under a page, so none can skip a guard page.
+/// The result depends on every frame, which keeps the recursion a recursion.
+int descend(const char* top, std::size_t limit, int depth) {
+  volatile char frame[256];
+  for (volatile char& b : frame) b = static_cast<char>(depth);
+  const auto* here = static_cast<const char*>(__builtin_frame_address(0));
+  if (depth == 0 || static_cast<std::size_t>(top - here) > limit) {
+    return frame[0];
+  }
+  return descend(top, limit, depth - 1) + frame[255];
+}
+
+}  // namespace
+
+TEST(FiberStackDeathTest, OverrunFaultsOnTheGuardPage) {
+  // A fiber's 128 KiB stack has a PROT_NONE page below it: running a few
+  // KiB past the bottom must kill the process at once. Without the guard
+  // the recursion writes into the stacks of the fibers spawned after it
+  // (mapped just below, and finished by then) and the fiber exits cleanly.
+  EXPECT_DEATH(
+      {
+        Engine e;
+        e.spawn("overrun", [] {
+          advance(1_us);
+          const auto* top =
+              static_cast<const char*>(__builtin_frame_address(0));
+          (void)descend(top, 128 * 1024 + 8 * 1024, 1 << 16);
+          std::_Exit(0);  // survived the overrun
+        });
+        for (int i = 0; i < 4; ++i) e.spawn("below", [] {});
+        e.run();
+      },
+      "");
 }
