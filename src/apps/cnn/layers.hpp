@@ -36,7 +36,6 @@ class Conv2d {
 
   [[nodiscard]] int out_h(int in_h) const { return in_h - k_ + 1; }
   [[nodiscard]] int out_w(int in_w) const { return in_w - k_ + 1; }
-  [[nodiscard]] std::size_t param_count() const { return weight.size() + bias.size(); }
 
   Tensor forward(const Tensor& x) const;
   /// Returns dL/dx; accumulates dL/dw into wgrad/bgrad (caller zeroes them).
@@ -63,7 +62,6 @@ Tensor maxpool_backward(const Tensor& x, const Tensor& argmax, const Tensor& dy)
 class Linear {
  public:
   Linear(int in_f, int out_f);
-  [[nodiscard]] std::size_t param_count() const { return weight.size() + bias.size(); }
 
   /// x: (N, in_f) flattened; returns (N, out_f).
   std::vector<float> forward(const std::vector<float>& x, int batch) const;

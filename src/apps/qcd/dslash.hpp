@@ -113,8 +113,6 @@ class DistributedDslash {
   /// Free the persistent halo requests (must be called after the last
   /// generation completed and before the proxy stops; idempotent).
   void release_persistent();
-  /// Partition count apply_partitioned uses for dimension mu (0 = unsplit).
-  [[nodiscard]] int halo_partitions(int mu) const { return halo_parts_[mu]; }
 
  private:
   void pack_faces();

@@ -38,7 +38,6 @@ class Decomposition {
   [[nodiscard]] const Dims& global() const { return global_; }
   [[nodiscard]] const Dims& grid() const { return grid_; }
   [[nodiscard]] const Dims& local() const { return local_; }
-  [[nodiscard]] const Dims& coords() const { return coords_; }
   [[nodiscard]] int rank() const { return rank_; }
 
   /// Rank of the neighbor one step along `mu` (dir = +1/-1), periodic.

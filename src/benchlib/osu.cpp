@@ -6,7 +6,6 @@
 
 #include "benchlib/runner.hpp"
 #include "mpi/cluster.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 
 namespace benchlib {
@@ -121,7 +120,7 @@ OsuResult osu_latency_mt(Approach a, const machine::Profile& prof, int threads,
   // the MPI library (THREAD_MULTIPLE); offload keeps the library FUNNELED.
   const bool multiple = a != Approach::kOffload;
   Cluster c(cluster_cfg(a, prof, 2, multiple));
-  sim::Stats lat_us;
+  double lat_us_sum = 0;  // rank 0's per-thread mean latencies
   c.run([&](RankCtx& rc) {
     auto p = core::make_proxy(a, rc);
     p->start_engine();
@@ -144,7 +143,7 @@ OsuResult osu_latency_mt(Approach a, const machine::Profile& prof, int threads,
         }
       }
       if (me == 0) {
-        lat_us.add((sim::now() - t_start).us() / (2.0 * iters));
+        lat_us_sum += (sim::now() - t_start).us() / (2.0 * iters);
       }
       ++*done_count;
       done_n->signal();
@@ -163,7 +162,7 @@ OsuResult osu_latency_mt(Approach a, const machine::Profile& prof, int threads,
     p->stop();
   });
   report_cluster_stats(c);
-  res.latency_us = lat_us.mean();
+  res.latency_us = lat_us_sum / threads;
   return res;
 }
 

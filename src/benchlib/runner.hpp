@@ -40,7 +40,6 @@ class Runner {
   void finish(const Table& t);
 
   [[nodiscard]] bool tracing() const { return !trace_path_.empty(); }
-  [[nodiscard]] const std::string& trace_path() const { return trace_path_; }
 
   /// Global switch read by the benchlib kernels' stats hooks.
   static bool stats_enabled();

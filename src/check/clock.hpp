@@ -22,14 +22,6 @@ struct VectorClock {
     for (int i = 0; i < kMaxThreads; ++i) c[i] = std::max(c[i], o.c[i]);
   }
 
-  /// Pointwise <=: "everything I know, o also knows".
-  [[nodiscard]] bool leq(const VectorClock& o) const {
-    for (int i = 0; i < kMaxThreads; ++i) {
-      if (c[i] > o.c[i]) return false;
-    }
-    return true;
-  }
-
   void clear() { c.fill(0); }
 
   [[nodiscard]] std::string str() const {

@@ -22,11 +22,6 @@ enum class CmdOp : std::uint8_t {
   kIallreduce,
   kIalltoall,
   kIallgather,
-  kWinCreate,
-  kWinFree,
-  kPut,
-  kGet,
-  kIfence,
   /// Re-arm a persistent request. As a Proxy::post_batch element `count`
   /// carries the PersistentReq handle; on an offload engine's queues
   /// `proxy` names the request's pinned pool slot and nothing else — the
@@ -51,11 +46,6 @@ constexpr const char* cmd_op_name(CmdOp op) {
     case CmdOp::kIallreduce: return "cmd:iallreduce";
     case CmdOp::kIalltoall:  return "cmd:ialltoall";
     case CmdOp::kIallgather: return "cmd:iallgather";
-    case CmdOp::kWinCreate:  return "cmd:win-create";
-    case CmdOp::kWinFree:    return "cmd:win-free";
-    case CmdOp::kPut:        return "cmd:put";
-    case CmdOp::kGet:        return "cmd:get";
-    case CmdOp::kIfence:     return "cmd:ifence";
     case CmdOp::kStartPersistent: return "cmd:start-persistent";
     case CmdOp::kFreePersistent:  return "cmd:free-persistent";
   }
@@ -95,10 +85,6 @@ struct Command {
   int peer = -1;  ///< dst/src/root/target depending on op
   int tag = 0;
   smpi::Comm comm = smpi::kCommWorld;
-  // ---- RMA ----
-  smpi::Win win{};
-  smpi::Win* win_out = nullptr;  ///< result slot for kWinCreate
-  std::uint64_t offset = 0;      ///< target window offset
 
   // The point-to-point shapes Proxy::post_batch accepts.
   static Command isend(const void* b, std::uint64_t n, smpi::Datatype dt,
@@ -119,9 +105,9 @@ struct Command {
 };
 
 /// Issue `cmd` on `rc`: the one place an op becomes a RankCtx call, shared
-/// by the direct proxies (caller's thread) and the offload engines. Ops that
-/// complete inside the call (window create/free, put, get) return a null
-/// request; kShutdown and the persistent ops are not issuable here.
+/// by the direct proxies (caller's thread) and the offload engines. Every
+/// issuable op returns a live request; kShutdown and the persistent ops are
+/// not issuable here.
 smpi::Request execute(smpi::RankCtx& rc, const Command& cmd);
 
 }  // namespace core

@@ -65,8 +65,7 @@ std::size_t OffloadChannel::engine_of(const Command& cmd) {
   // Key construction: peer-addressed traffic mixes (peer, comm) so one hot
   // peer's envelopes serialize on one engine while different peers spread;
   // communicator-scoped traffic (collectives, wildcard receives) mixes only
-  // the communicator; RMA mixes the window (RMA ops block at the proxy
-  // level, so any stable function is order-safe).
+  // the communicator.
   const auto peer_key = [&cmd] {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cmd.comm.idx))
             << 32) ^
@@ -101,17 +100,11 @@ std::size_t OffloadChannel::engine_of(const Command& cmd) {
       }
       return by(peer_key());
     }
-    case CmdOp::kPut:
-    case CmdOp::kGet:
-    case CmdOp::kIfence:
-      return by(0x776e0000ull ^
-                static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(cmd.win.idx)));
     case CmdOp::kShutdown:
       return 0;  // never routed: shutdown() broadcasts to every engine
     default:
-      // Collectives and window management: same communicator -> same engine
-      // preserves the rank's collective posting order.
+      // Collectives: same communicator -> same engine preserves the rank's
+      // collective posting order.
       return by(comm_key());
   }
 }
@@ -521,20 +514,6 @@ smpi::Request execute(smpi::RankCtx& rc, const Command& cmd) {
       return rc.ialltoall(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
     case CmdOp::kIallgather:
       return rc.iallgather(cmd.sbuf, cmd.rbuf, cmd.count, cmd.dtype, cmd.comm);
-    case CmdOp::kIfence:
-      return rc.ifence(cmd.win);
-    case CmdOp::kWinCreate:
-      *cmd.win_out = rc.win_create(cmd.rbuf, cmd.count, cmd.comm);
-      return {};
-    case CmdOp::kWinFree:
-      rc.win_free(cmd.win);
-      return {};
-    case CmdOp::kPut:
-      rc.put(cmd.sbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      return {};
-    case CmdOp::kGet:
-      rc.get(cmd.rbuf, cmd.count, cmd.peer, cmd.offset, cmd.win);
-      return {};
     default:
       throw std::logic_error(std::string(cmd_op_name(cmd.op)) +
                              " is not an issuable op");
@@ -546,10 +525,8 @@ void OffloadChannel::issue(Engine& e, const Command& cmd) {
     engine_start_persistent(e, *persistent_at(cmd.proxy));
   } else if (cmd.op == CmdOp::kFreePersistent) {
     engine_free_persistent(*persistent_at(cmd.proxy));
-  } else if (const smpi::Request real = execute(rc_, cmd); real.is_null()) {
-    complete_slot(e, cmd.proxy, smpi::Status{});  // completed inside the call
   } else {
-    track_inflight(e, real, cmd.proxy);
+    track_inflight(e, execute(rc_, cmd), cmd.proxy);
   }
 }
 
@@ -985,12 +962,12 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // (The doorbell count goes last in each check: reading it records a
     // sanitizer acquire, the queue predicates have no side effects.)
     bool woke = false;
-    for (int i = 0; i < p.engine_spin_polls && !woke; ++i) {
+    for (int i = 0; i < kSpinPolls && !woke; ++i) {
       ++stats_.engine_spins;
       sim::advance(p.cmd_detect);
       woke = idle_work_pending(e) || rc_.arrivals().count() > seen;
     }
-    for (int i = 0; i < p.engine_yield_polls && !woke; ++i) {
+    for (int i = 0; i < kYieldPolls && !woke; ++i) {
       ++stats_.engine_yields;
       sim::yield();
       sim::advance(p.cmd_detect);

@@ -189,6 +189,11 @@ class OffloadChannel {
   /// Continuation callbacks an engine runs per pass; leftovers count into
   /// cont_deferred and run next pass.
   static constexpr std::size_t kContRunBound = 16;
+  /// Adaptive idle wait (spin -> yield -> doorbell sleep): pure spin polls,
+  /// each costing Profile::cmd_detect, before the engine starts yielding,
+  /// then yield polls before it blocks on the doorbell.
+  static constexpr int kSpinPolls = 4;
+  static constexpr int kYieldPolls = 2;
 
   explicit OffloadChannel(smpi::RankCtx& rc, const ProxyOptions& opts = {});
 
@@ -366,8 +371,8 @@ class OffloadChannel {
   /// specific receives go by (peer, comm); wildcard receives pin their
   /// communicator to hash(comm) — and stick: later receives on that
   /// communicator follow, so a wildcard can never overtake (or be overtaken
-  /// by) a same-communicator receive posted around it; collectives and
-  /// window management go by comm; RMA by window.
+  /// by) a same-communicator receive posted around it; collectives go by
+  /// comm.
   std::size_t engine_of(const Command& cmd);
 
   /// The caller's lane for `engine_idx`, binding a lane row on first use.

@@ -44,11 +44,10 @@ Approach approach_from_string(const std::string& s);
 smpi::ThreadLevel required_thread_level(Approach a);
 
 /// The application-facing front end. Every nonblocking op is spelled once,
-/// as a Command handed to post(); the blocking forms and the RMA calls are
-/// post + wait (no wait when the op completed inside post). Persistent
-/// requests live in one record type (core::Persistent) whose validation,
-/// inactive -> started -> inactive state machine, misuse reporting and
-/// whole-message Status are all here.
+/// as a Command handed to post(); the blocking forms are post + wait.
+/// Persistent requests live in one record type (core::Persistent) whose
+/// validation, inactive -> started -> inactive state machine, misuse
+/// reporting and whole-message Status are all here.
 /// What an approach overrides is only what the paper varies: who issues a
 /// posted op and who discovers its completion.
 class Proxy {
@@ -229,51 +228,35 @@ class Proxy {
     return post({.op = CmdOp::kIallgather, .sbuf = s, .rbuf = r,
                  .count = n_per, .dtype = dt, .comm = c});
   }
-  void barrier(smpi::Comm c = smpi::kCommWorld) { complete(ibarrier(c)); }
+  void barrier(smpi::Comm c = smpi::kCommWorld) {
+    PReq r = ibarrier(c);
+    wait(r);
+  }
   void bcast(void* b, std::size_t n, smpi::Datatype dt, int root,
              smpi::Comm c = smpi::kCommWorld) {
-    complete(ibcast(b, n, dt, root, c));
+    PReq r = ibcast(b, n, dt, root, c);
+    wait(r);
   }
   void reduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
               smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) {
-    complete(ireduce(s, r, n, dt, op, root, c));
+    PReq q = ireduce(s, r, n, dt, op, root, c);
+    wait(q);
   }
   void allreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                  smpi::Op op, smpi::Comm c = smpi::kCommWorld) {
-    complete(iallreduce(s, r, n, dt, op, c));
+    PReq q = iallreduce(s, r, n, dt, op, c);
+    wait(q);
   }
   void alltoall(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
                 smpi::Comm c = smpi::kCommWorld) {
-    complete(ialltoall(s, r, n_per, dt, c));
+    PReq q = ialltoall(s, r, n_per, dt, c);
+    wait(q);
   }
   void allgather(const void* s, void* r, std::size_t n_per, smpi::Datatype dt,
                  smpi::Comm c = smpi::kCommWorld) {
-    complete(iallgather(s, r, n_per, dt, c));
+    PReq q = iallgather(s, r, n_per, dt, c);
+    wait(q);
   }
-
-  // ---- one-sided (RMA): each call returns once its op has been issued
-  // (put/get: injected; remote completion is the fence's job) ----
-  smpi::Win win_create(void* base, std::size_t bytes,
-                       smpi::Comm c = smpi::kCommWorld) {
-    smpi::Win w;
-    complete(post({.op = CmdOp::kWinCreate, .rbuf = base, .count = bytes,
-                   .comm = c, .win_out = &w}));
-    return w;
-  }
-  void win_free(smpi::Win w) {
-    complete(post({.op = CmdOp::kWinFree, .win = w}));
-  }
-  void put(const void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) {
-    complete(post({.op = CmdOp::kPut, .sbuf = origin, .count = bytes,
-                   .peer = target, .win = w, .offset = target_offset}));
-  }
-  void get(void* origin, std::size_t bytes, int target,
-           std::size_t target_offset, smpi::Win w) {
-    complete(post({.op = CmdOp::kGet, .rbuf = origin, .count = bytes,
-                   .peer = target, .win = w, .offset = target_offset}));
-  }
-  void fence(smpi::Win w) { complete(post({.op = CmdOp::kIfence, .win = w})); }
 
   /// Hook the application sprinkles into compute loops (Listing 1's
   /// PROGRESS). No-op except for the iprobe approach.
@@ -290,8 +273,7 @@ class Proxy {
 
  protected:
   /// Issue one op: a direct proxy executes it on the caller's thread, the
-  /// offload proxy serializes it to an engine. Ops that complete inside the
-  /// call may return a null handle.
+  /// offload proxy serializes it to an engine.
   virtual PReq post(const Command& cmd) = 0;
 
   // ---- persistent actions: what an approach does at each step of the
@@ -321,10 +303,6 @@ class Proxy {
   smpi::RankCtx& rc_;
 
  private:
-  /// Wait for an op unless it already completed inside post().
-  void complete(PReq r) {
-    if (!r.is_null()) wait(r);
-  }
   [[noreturn]] void misuse(const char* call, const char* what);
   std::uint32_t checked_partitions(const char* call, std::uint32_t partitions,
                                    int tag, int peer);

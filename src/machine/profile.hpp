@@ -60,22 +60,7 @@ struct Profile {
   /// Local reduction combine throughput (bytes of operand per ns).
   double reduce_bytes_per_ns = 4.0;
 
-  // ---- collective algorithm selection (mpi/coll_tuner.hpp) ----
-  /// Segment size for chunked/pipelined collective schedules (ring,
-  /// pipelined bcast): each segment becomes an independent stage chain so
-  /// chunk k+1's sends post while chunk k's combine runs.
-  std::size_t coll_seg_bytes = 64 * 1024;
-  /// Cap on concurrent chains per collective; the effective segment grows
-  /// instead, so CNN-scale vectors stay tractable in the simulator. Eight
-  /// keeps the ring pipeline full on 64-node MB-scale gradient allreduces
-  /// (Fig. 14) without measurable cost at small scale.
-  int coll_max_chains = 8;
-  /// Size thresholds for the bandwidth-optimal schedules (bytes of the
-  /// tuning size; see CollTuner::choose for what that means per collective).
-  std::size_t coll_ring_allreduce_min = 128 * 1024;
-  std::size_t coll_ring_allgather_min = 128 * 1024;
-  std::size_t coll_pipeline_bcast_min = 256 * 1024;
-  std::size_t coll_rabenseifner_min = 64 * 1024;
+  // ---- collective schedules (algorithm selection: mpi/coll_tuner.hpp) ----
   /// Post each collective stage's internal sends as one descriptor batch —
   /// one doorbell per stage instead of one per send (the post_batch-style
   /// amortization of PR 4, applied to schedule-internal p2p).
@@ -90,7 +75,6 @@ struct Profile {
   /// large messages (paper Fig. 2).
   std::size_t rndv_chunk_bytes = 512 * 1024;
   int rndv_pipeline_depth = 4;
-  std::size_t eager_pool_bytes = 64 * 1024 * 1024;  ///< per-rank unexpected buffer
 
   // ---- network ----
   sim::Time net_latency{1600};           ///< wire + switch latency, one way
@@ -137,11 +121,6 @@ struct Profile {
   /// submitters to the single shared ring each pay one line transfer, while
   /// lane submitters never contend.
   sim::Time mpsc_line_transfer{100};
-  /// Adaptive engine wait policy (spin -> yield -> doorbell sleep): number
-  /// of pure spin polls (each costing cmd_detect) before the engine starts
-  /// yielding, and number of yield polls before it blocks on the doorbell.
-  int engine_spin_polls = 4;
-  int engine_yield_polls = 2;
 
   // ---- derived helpers ----
   [[nodiscard]] sim::Time copy_cost(std::size_t bytes) const {

@@ -62,10 +62,6 @@ struct CollChain {
 
 struct CollOp {
   Comm comm{};
-  /// Optional gate: no chain posts its first stage (and the op cannot
-  /// complete) until this returns true. Used by ifence to drain RMA first.
-  std::function<bool(RankCtx&)> gate;
-  bool gate_open = false;
   std::uint64_t seq = 0;  ///< per-comm collective sequence number (tag base)
   CollectiveId kind = CollectiveId::kBarrier;
   CollAlgo algo = CollAlgo::kUnknown;  ///< set by the builder via the tuner

@@ -16,8 +16,8 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 constexpr const char* kEnv = "MPIOFF_COLL";
 
 constexpr const char* kValidItems =
-    "barrier|bcast|reduce|allreduce|alltoall|allgather|gather|scatter|scan|"
-    "fence :algo[@bytes], seg:<bytes>, chains:<n>";
+    "barrier|bcast|reduce|allreduce|alltoall|allgather|gather|scatter|scan "
+    ":algo[@bytes], seg:<bytes>, chains:<n>";
 
 constexpr const char* kValidAlgos =
     "linear, binomial, dissemination, rdbl, rabenseifner, reduce-bcast, ring, "
@@ -37,7 +37,7 @@ bool parse_coll(const std::string& s, CollectiveId* out) {
       {"reduce", CollectiveId::kReduce},     {"allreduce", CollectiveId::kAllreduce},
       {"alltoall", CollectiveId::kAlltoall}, {"allgather", CollectiveId::kAllgather},
       {"gather", CollectiveId::kGather},     {"scatter", CollectiveId::kScatter},
-      {"scan", CollectiveId::kScan},         {"fence", CollectiveId::kFence},
+      {"scan", CollectiveId::kScan},
   };
   for (const auto& e : kTable) {
     if (s == e.name) {
@@ -95,8 +95,6 @@ const char* coll_name(CollectiveId c) {
       return "scatter";
     case CollectiveId::kScan:
       return "scan";
-    case CollectiveId::kFence:
-      return "fence";
   }
   return "?";
 }
@@ -133,12 +131,6 @@ const char* coll_algo_name(CollAlgo a) {
 
 CollTuner CollTuner::defaults_for(const machine::Profile& p) {
   CollTuner t;
-  t.seg_bytes_ = p.coll_seg_bytes;
-  t.max_chains_ = p.coll_max_chains;
-  t.ring_allreduce_min_ = p.coll_ring_allreduce_min;
-  t.ring_allgather_min_ = p.coll_ring_allgather_min;
-  t.pipeline_bcast_min_ = p.coll_pipeline_bcast_min;
-  t.rabenseifner_min_ = p.coll_rabenseifner_min;
   t.eager_threshold_ = p.eager_threshold;
   return t;
 }
@@ -229,7 +221,7 @@ bool CollTuner::legal(CollectiveId c, CollAlgo a, std::size_t count, int ranks,
       return c == CollectiveId::kGather || c == CollectiveId::kScatter ||
              c == CollectiveId::kReduce;
     case CollAlgo::kDissemination:
-      return c == CollectiveId::kBarrier || c == CollectiveId::kFence;
+      return c == CollectiveId::kBarrier;
     case CollAlgo::kHillisSteele:
       return c == CollectiveId::kScan;
   }
@@ -241,7 +233,6 @@ CollAlgo CollTuner::default_for(CollectiveId c, std::size_t bytes,
                                 bool commutative) const {
   switch (c) {
     case CollectiveId::kBarrier:
-    case CollectiveId::kFence:
       return CollAlgo::kDissemination;
     case CollectiveId::kBcast:
       return (ranks > 1 && bytes >= pipeline_bcast_min_) ? CollAlgo::kPipeline

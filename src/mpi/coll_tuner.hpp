@@ -1,9 +1,10 @@
 // CollTuner — size x ranks -> collective-algorithm selection.
 //
 // Every collective builder asks the tuner which schedule to compile. The
-// defaults come from machine::Profile (segment size, per-collective size
-// thresholds); the MPIOFF_COLL environment spec (or ClusterConfig::coll_spec)
-// overrides them per collective:
+// tuner owns its defaults (segment size, chain cap, per-collective size
+// thresholds) and takes only the eager/rendezvous threshold from
+// machine::Profile; the MPIOFF_COLL environment spec (or
+// ClusterConfig::coll_spec) overrides them per collective:
 //
 //   MPIOFF_COLL=allreduce:ring@65536,bcast:pipeline@131072,seg:32768,chains:8
 //
@@ -39,9 +40,8 @@ enum class CollectiveId : std::uint8_t {
   kGather,
   kScatter,
   kScan,
-  kFence,
 };
-inline constexpr int kNumCollectiveIds = 10;
+inline constexpr int kNumCollectiveIds = 9;
 
 /// Algorithm inventory (DESIGN.md §12). kUnknown never reaches a schedule:
 /// start_collective rejects it, which is what guarantees the [stats] trailer
@@ -50,7 +50,7 @@ enum class CollAlgo : std::uint8_t {
   kUnknown,
   kLinear,             ///< rooted star (gather/scatter, ordered reduce)
   kBinomial,           ///< binomial tree (bcast, reduce)
-  kDissemination,      ///< ceil(log2 p) rounds (barrier, fence)
+  kDissemination,      ///< ceil(log2 p) rounds (barrier)
   kRecursiveDoubling,  ///< log2 p exchange+combine rounds (pow2 allreduce)
   kRabenseifner,       ///< halving reduce-scatter + doubling allgather
   kReduceBcast,        ///< reduce-to-0 then bcast (order-preserving allreduce)
@@ -84,7 +84,7 @@ class CollTuner {
     std::size_t min_bytes = 0;
   };
 
-  /// Thresholds and segmentation from the machine profile, no overrides.
+  /// The tuner's defaults with the profile's eager threshold, no overrides.
   static CollTuner defaults_for(const machine::Profile& p);
   /// Apply an MPIOFF_COLL-grammar spec on top of `base`. Throws
   /// std::invalid_argument (naming valid keys) on malformed input.
@@ -119,9 +119,14 @@ class CollTuner {
                                   int ranks, bool commutative);
 
   std::vector<Rule> rules_[kNumCollectiveIds];  ///< sorted by min_bytes asc
+  /// Each segment of a chunked schedule (ring, pipelined bcast) is its own
+  /// stage chain, so chunk k+1's sends post while chunk k's combine runs.
   std::size_t seg_bytes_ = 64 * 1024;
-  int max_chains_ = 4;
-  // Default thresholds (copied out of the profile).
+  /// Eight keeps the ring pipeline full on 64-node MB-scale gradient
+  /// allreduces (Fig. 14) without measurable cost at small scale.
+  int max_chains_ = 8;
+  /// Size thresholds for the bandwidth-optimal schedules (bytes of the
+  /// tuning size; see choose() for what that means per collective).
   std::size_t ring_allreduce_min_ = 128 * 1024;
   std::size_t ring_allgather_min_ = 128 * 1024;
   std::size_t pipeline_bcast_min_ = 256 * 1024;

@@ -20,7 +20,6 @@ struct CommInfo {
   int my_rank = -1;                 ///< my rank within the group
   std::uint32_t next_child = 0;     ///< counter for derived communicators
   std::uint64_t coll_seq = 0;       ///< per-comm collective sequence number
-  std::uint32_t win_seq = 0;        ///< per-comm RMA-window counter
   bool freed = false;
 
   [[nodiscard]] int size() const { return static_cast<int>(group.size()); }

@@ -78,7 +78,6 @@ class MpiEntry {
       locked_ = true;
     }
   }
-  [[nodiscard]] bool holds_lock() const { return locked_; }
   [[nodiscard]] bool internal() const { return internal_; }
 
  private:

@@ -232,11 +232,6 @@ void RankCtx::start_internal(RequestImpl& r) {
 
 // ------------------------------------------------------------ wait core ----
 
-bool RankCtx::software_work_pending() const {
-  return !inbox_.empty() || !pending_rndv_send_.empty() ||
-         !pending_rndv_recv_.empty() || !active_colls_.empty();
-}
-
 void RankCtx::wait_until(MpiEntry& entry, const std::function<bool()>& done) {
   const auto& p = profile();
   // Fast path: already complete (e.g. MPI_Wait on a finished eager send) —
@@ -299,12 +294,6 @@ void RankCtx::wait_until(MpiEntry& entry, const std::function<bool()>& done) {
 
 bool RankCtx::handle_ok(Request r, const char* call) {
   return san::mpi_handle_ok(rank_, r.idx, reqs_.get(r).active, call);
-}
-
-bool RankCtx::test_internal(RequestImpl& r, Status* st) {
-  if (!r.settled()) return false;
-  if (st != nullptr) *st = r.status;
-  return true;
 }
 
 void RankCtx::release_if_complete(Request& r, Status* st) {

@@ -24,12 +24,6 @@ const char* wire_kind_name(std::uint32_t kind) {
       return "rx:cts";
     case kWireData:
       return "rx:dma";
-    case kWireRmaPut:
-      return "rx:rma-put";
-    case kWireRmaGetReq:
-      return "rx:rma-get";
-    case kWireRmaGetResp:
-      return "rx:rma-resp";
     case kWireAck:
       return "rx:ack";
   }
@@ -119,9 +113,8 @@ bool RankCtx::rel_admit(machine::NetMessage& m) {
 void RankCtx::rel_poll() {
   const auto& p = profile();
   const sim::Time now = sim::now();
-  // Note: the self entry is NOT skipped — RMA to the local rank still rides
-  // the network (and its fault plan), so self-directed frames need the same
-  // retransmit/ack machinery as any other pair.
+  // The self entry is scanned like any other but stays empty: a rank's own
+  // sends take the loopback path into its inbox and never reach the wire.
   for (std::size_t peer_rank = 0; peer_rank < rel_.size(); ++peer_rank) {
     RelPeer& peer = rel_[peer_rank];
     if (!peer.unacked.empty() && now >= peer.unacked.front().deadline) {
@@ -166,11 +159,6 @@ void RankCtx::deliver(machine::NetMessage&& m) {
   // the rank's "hw" track so software reaction latency is visible.
   trace::instant(rank_, trace::kHwTid, wire_kind_name(m.kind), "net");
   if (rel_on_ && !rel_admit(m)) return;
-  if (m.kind == kWireRmaPut || m.kind == kWireRmaGetReq ||
-      m.kind == kWireRmaGetResp) {
-    rma_deliver(m);
-    return;
-  }
   if (m.kind == kWireData) {
     // RDMA write of one pipeline chunk: the NIC moves the bytes straight
     // into the matched receive buffer and raises completion counters. No
@@ -450,13 +438,6 @@ void RankCtx::advance_collectives() {
     for (std::size_t i = 0; i < active_colls_.size();) {
       RequestImpl* creq = active_colls_[i];
       CollOp& op = *creq->coll;
-      if (!op.gate_open) {
-        if (op.gate && !op.gate(*this)) {
-          ++i;
-          continue;  // e.g. ifence waiting for outstanding RMA to drain
-        }
-        op.gate_open = true;  // gateless ops open immediately
-      }
       // Each chain advances independently — this is the pipelining: chain
       // k+1's sends go to the NIC while chain k sits in its combine. All
       // stage sends posted in this pass ride one doorbell when the profile

@@ -87,9 +87,6 @@ class RankCtx {
   }
   /// Pre-assign a slot to `f` (idempotent).
   void register_thread(const sim::Fiber& f) { slot_for(f.id()); }
-  [[nodiscard]] int thread_slots() const {
-    return static_cast<int>(fiber_slots_.size());
-  }
 
   // ---------------- progress sharing ----------------
   /// Declare `f` a progress sharer: a fiber (an offload engine) that may
@@ -200,21 +197,6 @@ class RankCtx {
   Request iscan(const void* sbuf, void* rbuf, std::size_t count, Datatype dt,
                 Op op, Comm comm);
 
-  // ---------------- one-sided (RMA) ----------------
-  /// Collective over `comm`: expose [base, base+bytes) for remote access.
-  Win win_create(void* base, std::size_t bytes, Comm comm);
-  void win_free(Win w);
-  /// Nonblocking one-sided write/read; completed by the next fence.
-  void put(const void* origin, std::size_t bytes, int target_rank,
-           std::size_t target_offset, Win w);
-  void get(void* origin, std::size_t bytes, int target_rank,
-           std::size_t target_offset, Win w);
-  /// Fence: completes all locally-issued RMA and synchronizes the group.
-  void win_fence(Win w);
-  /// Nonblocking fence (an extension MPI lacks — the paper's Sec. 3.3
-  /// caveat; having it lets the offload engine never block on a fence).
-  Request ifence(Win w);
-
   // ---------------- communicator management ----------------
   Comm comm_dup(Comm parent);
   /// Collective over `parent` (exchanges colors/keys internally).
@@ -272,7 +254,6 @@ class RankCtx {
   /// stale handle, which the caller treats as null. An out-of-range handle
   /// throws std::out_of_range.
   bool handle_ok(Request r, const char* call);
-  bool test_internal(RequestImpl& r, Status* st);
   void release_if_complete(Request& r, Status* st);
 
   /// Software progress pass: drain the inbox, advance rendezvous transfers
@@ -292,8 +273,6 @@ class RankCtx {
   /// progress→check→sleep with the thread-level-appropriate lock cycling.
   /// `done` is evaluated after each progress pass.
   void wait_until(class MpiEntry& entry, const std::function<bool()>& done);
-
-  [[nodiscard]] bool software_work_pending() const;
 
   /// True when the calling fiber is a registered progress sharer.
   [[nodiscard]] bool progress_sharer_current() const {
@@ -338,17 +317,6 @@ class RankCtx {
   std::vector<RequestImpl*> pending_rndv_recv_;
   std::vector<RequestImpl*> active_colls_;
 
-  struct WinInfo {
-    void* base = nullptr;
-    std::size_t bytes = 0;
-    Comm comm{};
-    std::uint32_t id = 0;        ///< globally consistent window id
-    std::int64_t outstanding = 0;  ///< my un-acked puts/gets
-    bool freed = false;
-  };
-  std::vector<WinInfo> wins_;
-  /// Hardware-side RMA delivery; true if the message was RMA traffic.
-  bool rma_deliver(machine::NetMessage& m);
   bool in_progress_ = false;  ///< reentrancy guard (debug invariant)
   /// The fiber running the live progress pass (meaningful while
   /// in_progress_); identifies the pass owner for progress_pass_current().

@@ -104,12 +104,6 @@ struct Request {
 
 inline constexpr Request kRequestNull{0};
 
-/// RMA window handle; value type, valid within one rank.
-struct Win {
-  int idx = -1;
-  [[nodiscard]] bool valid() const { return idx >= 0; }
-};
-
 /// Completion status of a receive (or probe).
 struct Status {
   int source = kAnySource;  ///< rank within the receive's communicator

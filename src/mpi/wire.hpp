@@ -19,15 +19,13 @@
 
 namespace smpi {
 
+/// wire_checksum hashes the kind, so each value is part of the frame format.
 enum WireKind : std::uint32_t {
   kWireEager = 1,  ///< h0=ctx, h1=tag, h2=bytes; payload = data
   kWireRts = 2,    ///< h0=ctx, h1=tag, h2=sender req idx, h3=bytes
   kWireCts = 3,    ///< h0=sender req idx, h1=recv req idx
   kWireData = 4,   ///< h0=recv req idx, h1=src buf ptr, h2=sender req idx, h3=bytes
-  kWireRmaPut = 5,     ///< h0=win id, h1=src ptr, h2=target offset, h3=bytes
-  kWireRmaGetReq = 6,  ///< h0=win id, h1=origin buf ptr, h2=target offset, h3=bytes (+origin win in src)
-  kWireRmaGetResp = 7, ///< h0=origin win id, h1=src ptr(unused), h2=origin buf ptr, h3=bytes
-  kWireAck = 8,        ///< pure cumulative ack (unsequenced); only `ack` is meaningful
+  kWireAck = 8,    ///< pure cumulative ack (unsequenced); only `ack` is meaningful
 };
 
 /// FNV-1a over everything the receiver will interpret: ids, kind, headers,

@@ -4,7 +4,6 @@
 // on the simulated clock:
 //  * Mutex       — FIFO fairness, optional acquire cost; models a contended
 //                  pthread mutex / MPI "big lock".
-//  * CondVar     — wait/notify tied to a Mutex.
 //  * Barrier     — OpenMP-style thread-team barrier with per-entry cost.
 //  * Notifier    — a monotonically-counted event channel that models a
 //                  spin-wait: the waiter observes a new event only after a
@@ -76,7 +75,6 @@ class Mutex {
   }
 
   [[nodiscard]] bool locked() const { return holder_ != nullptr; }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   Time acquire_cost_;
@@ -94,33 +92,6 @@ class LockGuard {
 
  private:
   Mutex& m_;
-};
-
-/// Condition variable over a sim::Mutex.
-class CondVar {
- public:
-  void wait(Mutex& m) {
-    Engine* e = Engine::current();
-    Fiber* self = e->current_fiber();
-    waiters_.push_back(self);
-    m.unlock();
-    e->block();
-    m.lock();
-  }
-
-  void notify_one() {
-    if (waiters_.empty()) return;
-    Fiber* f = waiters_.front();
-    waiters_.pop_front();
-    Engine::current()->unblock(*f);
-  }
-
-  void notify_all() {
-    while (!waiters_.empty()) notify_one();
-  }
-
- private:
-  std::deque<Fiber*> waiters_;
 };
 
 /// Team barrier: the `n`-th arriving fiber releases everyone. Each passage

@@ -88,6 +88,17 @@ TEST(CollTuner, ParseRejectsMalformedSpecs) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("ring"), std::string::npos);
   }
+  // No collective is named "fence": MPIOFF_COLL tunes only what the
+  // library schedules.
+  try {
+    CollTuner::parse("fence:dissemination", base);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("fence"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("barrier|bcast|reduce|allreduce"), std::string::npos)
+        << msg;
+  }
 }
 
 TEST(CollTuner, ParseScalarKnobsAndSuffixes) {

@@ -62,30 +62,6 @@ TEST(Mutex, TryLock) {
   EXPECT_FALSE(second);
 }
 
-TEST(CondVar, WaitNotify) {
-  Engine e;
-  Mutex m;
-  CondVar cv;
-  bool ready = false;
-  Time woke_at;
-  e.spawn("waiter", [&] {
-    m.lock();
-    while (!ready) cv.wait(m);
-    woke_at = now();
-    m.unlock();
-  });
-  e.spawn("setter", [&] {
-    advance(7_us);
-    m.lock();
-    ready = true;
-    cv.notify_one();
-    m.unlock();
-  });
-  e.run();
-  EXPECT_TRUE(e.all_fibers_done());
-  EXPECT_GE(woke_at.ns(), 7000);
-}
-
 TEST(Barrier, ReleasesAllAtLastArrival) {
   Engine e;
   Barrier bar(3);
