@@ -151,18 +151,6 @@ inline Request iallgather(const void* s, void* r, std::size_t n_per, Datatype dt
                           Comm c = kCommWorld) {
   return ctx().iallgather(s, r, n_per, dt, c);
 }
-inline void gather(const void* s, void* r, std::size_t n_per, Datatype dt,
-                   int root, Comm c = kCommWorld) {
-  ctx().gather(s, r, n_per, dt, root, c);
-}
-inline void scatter(const void* s, void* r, std::size_t n_per, Datatype dt,
-                    int root, Comm c = kCommWorld) {
-  ctx().scatter(s, r, n_per, dt, root, c);
-}
-inline void reduce_scatter_block(const void* s, void* r, std::size_t n_per,
-                                 Datatype dt, Op op, Comm c = kCommWorld) {
-  ctx().reduce_scatter_block(s, r, n_per, dt, op, c);
-}
 inline Comm comm_dup(Comm parent) { return ctx().comm_dup(parent); }
 inline Comm comm_split(Comm parent, int color, int key) {
   return ctx().comm_split(parent, color, key);

@@ -72,7 +72,6 @@ struct CollOp {
   /// Final copy-out / epilogue, run once when the last chain completes.
   std::function<void(RankCtx&)> on_finish;
 
-  std::byte* temp(std::size_t i) { return temps[i].data(); }
   /// Chain accessor, growing on demand (chain 0 is the unsegmented default).
   CollChain& chain(std::size_t i) {
     while (chains.size() <= i) chains.emplace_back();

@@ -16,12 +16,12 @@ bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 constexpr const char* kEnv = "MPIOFF_COLL";
 
 constexpr const char* kValidItems =
-    "barrier|bcast|reduce|allreduce|alltoall|allgather|gather|scatter|scan "
+    "barrier|bcast|reduce|allreduce|alltoall|allgather "
     ":algo[@bytes], seg:<bytes>, chains:<n>";
 
 constexpr const char* kValidAlgos =
-    "linear, binomial, dissemination, rdbl, rabenseifner, reduce-bcast, ring, "
-    "pipeline, postall, pairwise, hillis-steele";
+    "binomial, dissemination, rdbl, rabenseifner, reduce-bcast, ring, "
+    "pipeline, postall, pairwise";
 
 /// Parse a byte count with optional k/K (KiB) or m/M (MiB) suffix.
 std::size_t parse_bytes(const std::string& v, const std::string& item) {
@@ -36,8 +36,6 @@ bool parse_coll(const std::string& s, CollectiveId* out) {
       {"barrier", CollectiveId::kBarrier},   {"bcast", CollectiveId::kBcast},
       {"reduce", CollectiveId::kReduce},     {"allreduce", CollectiveId::kAllreduce},
       {"alltoall", CollectiveId::kAlltoall}, {"allgather", CollectiveId::kAllgather},
-      {"gather", CollectiveId::kGather},     {"scatter", CollectiveId::kScatter},
-      {"scan", CollectiveId::kScan},
   };
   for (const auto& e : kTable) {
     if (s == e.name) {
@@ -53,7 +51,6 @@ CollAlgo parse_algo(const std::string& s, const std::string& item) {
     const char* name;
     CollAlgo algo;
   } kTable[] = {
-      {"linear", CollAlgo::kLinear},
       {"binomial", CollAlgo::kBinomial},
       {"dissemination", CollAlgo::kDissemination},
       {"rdbl", CollAlgo::kRecursiveDoubling},
@@ -64,7 +61,6 @@ CollAlgo parse_algo(const std::string& s, const std::string& item) {
       {"pipeline", CollAlgo::kPipeline},
       {"postall", CollAlgo::kPostAll},
       {"pairwise", CollAlgo::kPairwise},
-      {"hillis-steele", CollAlgo::kHillisSteele},
   };
   for (const auto& e : kTable) {
     if (s == e.name) return e.algo;
@@ -89,12 +85,6 @@ const char* coll_name(CollectiveId c) {
       return "alltoall";
     case CollectiveId::kAllgather:
       return "allgather";
-    case CollectiveId::kGather:
-      return "gather";
-    case CollectiveId::kScatter:
-      return "scatter";
-    case CollectiveId::kScan:
-      return "scan";
   }
   return "?";
 }
@@ -103,8 +93,6 @@ const char* coll_algo_name(CollAlgo a) {
   switch (a) {
     case CollAlgo::kUnknown:
       return "unknown";
-    case CollAlgo::kLinear:
-      return "linear";
     case CollAlgo::kBinomial:
       return "binomial";
     case CollAlgo::kDissemination:
@@ -123,8 +111,6 @@ const char* coll_algo_name(CollAlgo a) {
       return "postall";
     case CollAlgo::kPairwise:
       return "pairwise";
-    case CollAlgo::kHillisSteele:
-      return "hillis-steele";
   }
   return "?";
 }
@@ -192,45 +178,35 @@ int CollTuner::chains_for(std::size_t total_bytes) const {
       std::min<std::size_t>(n, static_cast<std::size_t>(max_chains_)));
 }
 
-bool CollTuner::legal(CollectiveId c, CollAlgo a, std::size_t count, int ranks,
-                      bool commutative) {
+bool CollTuner::legal(CollectiveId c, CollAlgo a, std::size_t count,
+                      int ranks) {
   switch (a) {
     case CollAlgo::kUnknown:
       return false;
     case CollAlgo::kRecursiveDoubling:
-      return c == CollectiveId::kAllreduce && is_pow2(ranks) && commutative;
+      return c == CollectiveId::kAllreduce && is_pow2(ranks);
     case CollAlgo::kRabenseifner:
       return c == CollectiveId::kAllreduce && is_pow2(ranks) && ranks > 1 &&
-             commutative && count % static_cast<std::size_t>(ranks) == 0;
+             count % static_cast<std::size_t>(ranks) == 0;
     case CollAlgo::kRing:
-      return (c == CollectiveId::kAllreduce && commutative) ||
-             c == CollectiveId::kAllgather;
+      return c == CollectiveId::kAllreduce || c == CollectiveId::kAllgather;
     case CollAlgo::kReduceBcast:
       return c == CollectiveId::kAllreduce;
     case CollAlgo::kPipeline:
       return c == CollectiveId::kBcast;
     case CollAlgo::kBinomial:
-      // The binomial reduce combines lower⊕higher in *relative* rank order,
-      // which wraps around the root — only safe when the op commutes.
-      return c == CollectiveId::kBcast ||
-             (c == CollectiveId::kReduce && commutative);
+      return c == CollectiveId::kBcast || c == CollectiveId::kReduce;
     case CollAlgo::kPostAll:
     case CollAlgo::kPairwise:
       return c == CollectiveId::kAlltoall || c == CollectiveId::kAllgather;
-    case CollAlgo::kLinear:
-      return c == CollectiveId::kGather || c == CollectiveId::kScatter ||
-             c == CollectiveId::kReduce;
     case CollAlgo::kDissemination:
       return c == CollectiveId::kBarrier;
-    case CollAlgo::kHillisSteele:
-      return c == CollectiveId::kScan;
   }
   return false;
 }
 
 CollAlgo CollTuner::default_for(CollectiveId c, std::size_t bytes,
-                                std::size_t count, int ranks,
-                                bool commutative) const {
+                                std::size_t count, int ranks) const {
   switch (c) {
     case CollectiveId::kBarrier:
       return CollAlgo::kDissemination;
@@ -238,13 +214,11 @@ CollAlgo CollTuner::default_for(CollectiveId c, std::size_t bytes,
       return (ranks > 1 && bytes >= pipeline_bcast_min_) ? CollAlgo::kPipeline
                                                          : CollAlgo::kBinomial;
     case CollectiveId::kReduce:
-      // The binomial schedule is rank-order-correct only from rank 0's
-      // perspective; non-commutative reductions use the ordered linear fold.
-      return commutative ? CollAlgo::kBinomial : CollAlgo::kLinear;
+      return CollAlgo::kBinomial;
     case CollectiveId::kAllreduce:
-      if (!commutative || ranks <= 1) return CollAlgo::kReduceBcast;
+      if (ranks <= 1) return CollAlgo::kReduceBcast;
       if (bytes >= ring_allreduce_min_) return CollAlgo::kRing;
-      if (legal(c, CollAlgo::kRabenseifner, count, ranks, commutative) &&
+      if (legal(c, CollAlgo::kRabenseifner, count, ranks) &&
           bytes >= rabenseifner_min_) {
         return CollAlgo::kRabenseifner;
       }
@@ -255,27 +229,22 @@ CollAlgo CollTuner::default_for(CollectiveId c, std::size_t bytes,
     case CollectiveId::kAllgather:
       return (ranks > 1 && bytes >= ring_allgather_min_) ? CollAlgo::kRing
                                                          : CollAlgo::kPostAll;
-    case CollectiveId::kGather:
-    case CollectiveId::kScatter:
-      return CollAlgo::kLinear;
-    case CollectiveId::kScan:
-      return CollAlgo::kHillisSteele;
   }
   return CollAlgo::kUnknown;
 }
 
 CollAlgo CollTuner::choose(CollectiveId c, std::size_t bytes, std::size_t count,
-                           int ranks, bool commutative) const {
+                           int ranks) const {
   // Forced rules: largest threshold not exceeding the message wins; an
   // illegal forced choice falls back to the defaults so the recorded
   // algorithm is always the one that ran.
   const auto& rules = rules_[static_cast<int>(c)];
   for (auto it = rules.rbegin(); it != rules.rend(); ++it) {
     if (bytes < it->min_bytes) continue;
-    if (legal(c, it->algo, count, ranks, commutative)) return it->algo;
+    if (legal(c, it->algo, count, ranks)) return it->algo;
     break;
   }
-  return default_for(c, bytes, count, ranks, commutative);
+  return default_for(c, bytes, count, ranks);
 }
 
 }  // namespace smpi

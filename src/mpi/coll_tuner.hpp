@@ -13,10 +13,10 @@
 // largest threshold not exceeding the message wins) — or one of the scalar
 // knobs seg:<bytes> (segment size) and chains:<n> (max pipeline chains).
 // Sizes accept k/m suffixes. A forced algorithm that is illegal for the
-// operands (non-commutative op on a ring, recursive doubling on a non-power-
-// of-two communicator) falls back to a legal default, and the schedule
-// records the algorithm that actually ran — stats never report a forced
-// choice that was not executed.
+// operands (recursive doubling on a non-power-of-two communicator,
+// Rabenseifner on a count the ranks do not divide) falls back to a legal
+// default, and the schedule records the algorithm that actually ran — stats
+// never report a forced choice that was not executed.
 #pragma once
 
 #include <cstddef>
@@ -37,30 +37,25 @@ enum class CollectiveId : std::uint8_t {
   kAllreduce,
   kAlltoall,
   kAllgather,
-  kGather,
-  kScatter,
-  kScan,
 };
-inline constexpr int kNumCollectiveIds = 9;
+inline constexpr int kNumCollectiveIds = 6;
 
 /// Algorithm inventory (DESIGN.md §12). kUnknown never reaches a schedule:
 /// start_collective rejects it, which is what guarantees the [stats] trailer
 /// always names a real algorithm.
 enum class CollAlgo : std::uint8_t {
   kUnknown,
-  kLinear,             ///< rooted star (gather/scatter, ordered reduce)
   kBinomial,           ///< binomial tree (bcast, reduce)
   kDissemination,      ///< ceil(log2 p) rounds (barrier)
   kRecursiveDoubling,  ///< log2 p exchange+combine rounds (pow2 allreduce)
   kRabenseifner,       ///< halving reduce-scatter + doubling allgather
-  kReduceBcast,        ///< reduce-to-0 then bcast (order-preserving allreduce)
+  kReduceBcast,        ///< reduce-to-0 then bcast (fallback allreduce)
   kRing,               ///< segmented ring reduce-scatter + allgather
   kPipeline,           ///< segmented (pipelined) binomial bcast
   kPostAll,            ///< every peer posted at once (eager alltoall/allgather)
   kPairwise,           ///< sequential pairwise exchange (rendezvous alltoall)
-  kHillisSteele,       ///< inclusive-scan doubling
 };
-inline constexpr int kNumCollAlgos = 12;
+inline constexpr int kNumCollAlgos = 10;
 
 const char* coll_name(CollectiveId c);
 const char* coll_algo_name(CollAlgo a);
@@ -95,11 +90,10 @@ class CollTuner {
   /// Pick the schedule for one collective instance. `bytes` is the tuning
   /// size (full vector for allreduce/bcast, total result for allgather, one
   /// block for alltoall), `count` the element count (Rabenseifner needs
-  /// count % ranks == 0), `commutative` gates order-sensitive algorithms.
-  /// Always returns an algorithm that is legal for the operands.
+  /// count % ranks == 0). Always returns an algorithm that is legal for the
+  /// operands.
   [[nodiscard]] CollAlgo choose(CollectiveId c, std::size_t bytes,
-                                std::size_t count, int ranks,
-                                bool commutative) const;
+                                std::size_t count, int ranks) const;
 
   /// Segment size for chunked schedules (ring, pipeline).
   [[nodiscard]] std::size_t seg_bytes() const { return seg_bytes_; }
@@ -112,11 +106,10 @@ class CollTuner {
 
  private:
   [[nodiscard]] CollAlgo default_for(CollectiveId c, std::size_t bytes,
-                                     std::size_t count, int ranks,
-                                     bool commutative) const;
+                                     std::size_t count, int ranks) const;
   /// Is `a` executable for these operands (legality, not profitability)?
   [[nodiscard]] static bool legal(CollectiveId c, CollAlgo a, std::size_t count,
-                                  int ranks, bool commutative);
+                                  int ranks);
 
   std::vector<Rule> rules_[kNumCollectiveIds];  ///< sorted by min_bytes asc
   /// Each segment of a chunked schedule (ring, pipelined bcast) is its own

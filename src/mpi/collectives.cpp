@@ -6,18 +6,13 @@
 //   * barrier      — dissemination (ceil(log2 p) rounds)
 //   * bcast        — binomial tree; pipelined (segmented) binomial for large
 //                    vectors, one chain per segment
-//   * reduce       — binomial tree for commutative ops, ordered linear fold
-//                    for non-commutative ones
+//   * reduce       — binomial tree
 //   * allreduce    — segmented ring (reduce-scatter + allgather) for large
-//                    commutative vectors, Rabenseifner / recursive doubling
-//                    for medium power-of-two cases, reduce-to-0 + bcast
-//                    otherwise
+//                    vectors, Rabenseifner / recursive doubling for medium
+//                    power-of-two cases, reduce-to-0 + bcast otherwise
 //   * alltoall     — post-all for eager-sized blocks, pairwise sequential
 //                    exchange for rendezvous-sized blocks
 //   * allgather    — segmented ring for large results, post-all otherwise
-//   * gather/scatter — linear rooted trees
-//   * scan         — Hillis-Steele doubling
-//   * reduce_scatter_block — reduce + scatter
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -115,8 +110,7 @@ void build_bcast_stages(CollChain& ch, const CommInfo& ci, void* buf,
 /// Append binomial-reduce stages to `ch` combining into `accum` (which must
 /// start as this rank's contribution); the result lands in rank `root`'s
 /// accum. Combines are accum ⊕ recv with the received block always the
-/// higher relative-rank range — rank-order-correct at root 0, commutative
-/// ops only elsewhere (the tuner enforces this).
+/// higher relative-rank range.
 void build_reduce_stages(CollOp& op, CollChain& ch, const CommInfo& ci,
                          std::byte* accum, std::size_t bytes, Datatype dt,
                          Op rop, int root, std::size_t count,
@@ -142,57 +136,6 @@ void build_reduce_stages(CollOp& op, CollChain& ch, const CommInfo& ci,
       ch.stages.push_back(std::move(st));
       return;  // after sending inward this rank is done reducing
     }
-  }
-}
-
-/// Ordered linear fold into rank `root`: the only reduce schedule that is
-/// correct for non-commutative operators at any root. Non-roots send once;
-/// the root receives and combines strictly in rank order (serial by design).
-/// `accum` must start as this rank's own contribution.
-void build_linear_reduce(CollOp& op, CollChain& ch, const CommInfo& ci,
-                         std::byte* accum, const void* sbuf, std::size_t bytes,
-                         Datatype dt, Op rop, int root, std::size_t count,
-                         std::size_t store) {
-  const int p = ci.size();
-  const int me = ci.my_rank;
-  if (me != root) {
-    CollStage st;
-    st.sends.push_back({root, sbuf, bytes});
-    ch.stages.push_back(std::move(st));
-    return;
-  }
-  const bool phantom = store == 0;
-  CollOp* opp = &op;
-  // Root with root > 0: accum must end up as fold(0..p-1) in index order, so
-  // the first arriving block (rank 0) *replaces* accum and the root's own
-  // block is re-folded at its position from a snapshot taken now.
-  std::byte* own = nullptr;
-  if (root != 0) {
-    const std::size_t own_t = add_temp(op, store);
-    if (!phantom) std::memcpy(op.temps[own_t].data(), accum, bytes);
-    own = op.temps[own_t].data();
-  }
-  for (int k = 0; k < p; ++k) {
-    if (k == root) continue;
-    const std::size_t t = add_temp(op, store);
-    CollStage st;
-    st.recvs.push_back({k, op.temps[t].data(), bytes});
-    const bool replace = (k == 0 && root != 0);
-    const bool fold_own = (root != 0 && k == root - 1);
-    st.on_complete = [opp, t, accum, own, dt, rop, count, bytes, replace,
-                      fold_own, phantom](RankCtx& rc) {
-      sim::advance(rc.profile().reduce_cost(bytes));
-      if (replace) {
-        if (!phantom) std::memcpy(accum, opp->temps[t].data(), bytes);
-      } else {
-        apply_op(rop, dt, opp->temps[t].data(), accum, count);
-      }
-      if (fold_own) {
-        sim::advance(rc.profile().reduce_cost(bytes));
-        apply_op(rop, dt, own, accum, count);
-      }
-    };
-    ch.stages.push_back(std::move(st));
   }
 }
 
@@ -291,7 +234,7 @@ Request RankCtx::ibarrier(Comm comm) {
   CommInfo& ci = comms_.get(comm);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBarrier,
-                   coll_tuner().choose(CollectiveId::kBarrier, 0, 0, p, true));
+                   coll_tuner().choose(CollectiveId::kBarrier, 0, 0, p));
   CollChain& ch = op->chain(0);
   const int me = ci.my_rank;
   for (int k = 1; k < p; k <<= 1) {
@@ -321,8 +264,7 @@ Request RankCtx::ibcast(void* buf, std::size_t count, Datatype dt, int root,
   const std::size_t bytes = count * datatype_size(dt);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBcast,
-                   coll_tuner().choose(CollectiveId::kBcast, bytes, count, p,
-                                       true));
+                   coll_tuner().choose(CollectiveId::kBcast, bytes, count, p));
   op->root = root;
   if (op->algo == CollAlgo::kPipeline) {
     // One chain per segment, each an independent binomial tree: the root
@@ -362,18 +304,12 @@ Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
   const std::size_t store = sbuf == nullptr ? 0 : bytes;
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kReduce,
-                   coll_tuner().choose(CollectiveId::kReduce, bytes, count, p,
-                                       op_commutative(rop)));
+                   coll_tuner().choose(CollectiveId::kReduce, bytes, count, p));
   op->root = root;
   std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
                                            ci.my_rank == root);
-  if (op->algo == CollAlgo::kLinear) {
-    build_linear_reduce(*op, op->chain(0), ci, accum, sbuf, bytes, dt, rop,
-                        root, count, store);
-  } else {
-    build_reduce_stages(*op, op->chain(0), ci, accum, bytes, dt, rop, root,
-                        count, store);
-  }
+  build_reduce_stages(*op, op->chain(0), ci, accum, bytes, dt, rop, root,
+                      count, store);
   return start_collective(std::move(op));
 }
 
@@ -396,7 +332,7 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kAllreduce,
                    coll_tuner().choose(CollectiveId::kAllreduce, bytes, count,
-                                       p, op_commutative(rop)));
+                                       p));
   std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
                                            /*result_here=*/true);
 
@@ -499,9 +435,8 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
       ch.stages.push_back(std::move(st));
     }
   } else {
-    // Reduce-to-0 + bcast: the order-preserving fallback (binomial combines
-    // at root 0 fold strictly lower⊕higher rank ranges, so it is correct
-    // even for non-commutative operators).
+    // Reduce-to-0 + bcast: the default for one rank and for small vectors
+    // on non-power-of-two communicators.
     assert(op->algo == CollAlgo::kReduceBcast);
     CollChain& ch = op->chain(0);
     build_reduce_stages(*op, ch, ci, accum, bytes, dt, rop, /*root=*/0, count,
@@ -536,7 +471,7 @@ Request RankCtx::ialltoall(const void* sbuf, void* rbuf,
   };
   auto op = new_op(ci, comm, CollectiveId::kAlltoall,
                    coll_tuner().choose(CollectiveId::kAlltoall, blk,
-                                       count_per_rank, p, true));
+                                       count_per_rank, p));
 
   // Self block: local copy at post time (phantom runs model their data
   // movement separately, so only real buffers are charged).
@@ -596,7 +531,7 @@ Request RankCtx::iallgather(const void* sbuf, void* rbuf,
                    coll_tuner().choose(CollectiveId::kAllgather,
                                        blk * static_cast<std::size_t>(p),
                                        count_per_rank * static_cast<std::size_t>(p),
-                                       p, true));
+                                       p));
 
   if (sbuf != nullptr && rb != nullptr) {
     sim::advance(profile().copy_cost(blk));
@@ -636,170 +571,6 @@ void RankCtx::allgather(const void* sbuf, void* rbuf, std::size_t count_per_rank
                         Datatype dt, Comm comm) {
   Request r = iallgather(sbuf, rbuf, count_per_rank, dt, comm);
   wait(r);
-}
-
-// --------------------------------------------------------- gather/scatter ----
-
-Request RankCtx::igather(const void* sbuf, void* rbuf,
-                         std::size_t count_per_rank, Datatype dt, int root,
-                         Comm comm) {
-  MpiEntry entry(*this, false, "Igather");
-  CommInfo& ci = comms_.get(comm);
-  const std::size_t blk = count_per_rank * datatype_size(dt);
-  const int p = ci.size();
-  const int me = ci.my_rank;
-  auto op = new_op(ci, comm, CollectiveId::kGather,
-                   coll_tuner().choose(CollectiveId::kGather, blk,
-                                       count_per_rank, p, true));
-  op->root = root;
-  if (me == root) {
-    auto* rb = static_cast<std::byte*>(rbuf);
-    sim::advance(profile().copy_cost(blk));
-    std::memcpy(rb + static_cast<std::size_t>(me) * blk, sbuf, blk);
-    CollStage st;
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      st.recvs.push_back({r, rb + static_cast<std::size_t>(r) * blk, blk});
-    }
-    if (!st.recvs.empty()) op->chain(0).stages.push_back(std::move(st));
-  } else {
-    CollStage st;
-    st.sends.push_back({root, sbuf, blk});
-    op->chain(0).stages.push_back(std::move(st));
-  }
-  return start_collective(std::move(op));
-}
-
-void RankCtx::gather(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-                     Datatype dt, int root, Comm comm) {
-  Request r = igather(sbuf, rbuf, count_per_rank, dt, root, comm);
-  wait(r);
-}
-
-Request RankCtx::iscatter(const void* sbuf, void* rbuf,
-                          std::size_t count_per_rank, Datatype dt, int root,
-                          Comm comm) {
-  MpiEntry entry(*this, false, "Iscatter");
-  CommInfo& ci = comms_.get(comm);
-  const std::size_t blk = count_per_rank * datatype_size(dt);
-  const int p = ci.size();
-  const int me = ci.my_rank;
-  auto op = new_op(ci, comm, CollectiveId::kScatter,
-                   coll_tuner().choose(CollectiveId::kScatter, blk,
-                                       count_per_rank, p, true));
-  op->root = root;
-  if (me == root) {
-    const auto* sb = static_cast<const std::byte*>(sbuf);
-    sim::advance(profile().copy_cost(blk));
-    std::memcpy(rbuf, sb + static_cast<std::size_t>(me) * blk, blk);
-    CollStage st;
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      st.sends.push_back({r, sb + static_cast<std::size_t>(r) * blk, blk});
-    }
-    if (!st.sends.empty()) op->chain(0).stages.push_back(std::move(st));
-  } else {
-    CollStage st;
-    st.recvs.push_back({root, rbuf, blk});
-    op->chain(0).stages.push_back(std::move(st));
-  }
-  return start_collective(std::move(op));
-}
-
-void RankCtx::scatter(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-                      Datatype dt, int root, Comm comm) {
-  Request r = iscatter(sbuf, rbuf, count_per_rank, dt, root, comm);
-  wait(r);
-}
-
-// -------------------------------------------------------------------- scan ----
-
-Request RankCtx::iscan(const void* sbuf, void* rbuf, std::size_t count,
-                       Datatype dt, Op rop, Comm comm) {
-  const std::size_t bytes = count * datatype_size(dt);
-  check_reduce_buffers("Iscan", sbuf, rbuf, bytes);
-  MpiEntry entry(*this, false, "Iscan");
-  CommInfo& ci = comms_.get(comm);
-  const bool phantom = sbuf == nullptr;
-  const std::size_t store = phantom ? 0 : bytes;
-  const int p = ci.size();
-  const int me = ci.my_rank;
-  auto op = new_op(ci, comm, CollectiveId::kScan,
-                   coll_tuner().choose(CollectiveId::kScan, bytes, count, p,
-                                       op_commutative(rop)));
-  CollChain& ch = op->chain(0);
-  CollOp* opp = op.get();
-  std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
-                                           /*result_here=*/true);
-  // Hillis-Steele inclusive scan: at distance d, receive the partial sum of
-  // [me-d, me] prefixes from rank me-d and send mine to me+d. A snapshot of
-  // the accumulator is sent (receives combine after both complete).
-  int round = 0;
-  for (int d = 1; d < p; d <<= 1, ++round) {
-    CollStage st;
-    const std::size_t snap = add_temp(*op, store);
-    if (!phantom) std::memcpy(op->temps[snap].data(), accum, bytes);
-    const std::size_t snap_runtime = snap;
-    std::size_t rtmp = 0;
-    bool has_recv = false;
-    if (me + d < p) st.sends.push_back({me + d, op->temps[snap].data(), bytes});
-    if (me - d >= 0) {
-      rtmp = add_temp(*op, store);
-      st.recvs.push_back({me - d, op->temps[rtmp].data(), bytes});
-      has_recv = true;
-    }
-    if (st.sends.empty() && st.recvs.empty()) break;
-    st.on_complete = [opp, rtmp, has_recv, accum, dt, rop, count, bytes,
-                      phantom, snap_runtime](RankCtx& rc) {
-      if (has_recv) {
-        sim::advance(rc.profile().reduce_cost(bytes));
-        apply_op(rop, dt, opp->temps[rtmp].data(), accum, count);
-      }
-      // Refresh the next round's snapshot now that accum changed.
-      (void)snap_runtime;
-      (void)phantom;
-    };
-    ch.stages.push_back(std::move(st));
-  }
-  // Snapshots for later rounds must reflect combines from earlier rounds:
-  // rebuild them lazily by chaining on_complete handlers. Simpler approach:
-  // each round's send snapshot is prepared by the previous round's
-  // on_complete; round 0's was prepared above. Patch the handlers:
-  for (std::size_t r = 0; r + 1 < ch.stages.size(); ++r) {
-    auto prev = ch.stages[r].on_complete;
-    // The next round's snapshot temp is the one its send points at.
-    const CollStage& next = ch.stages[r + 1];
-    std::byte* next_snap = next.sends.empty()
-                               ? nullptr
-                               : const_cast<std::byte*>(
-                                     static_cast<const std::byte*>(next.sends[0].buf));
-    ch.stages[r].on_complete = [prev, next_snap, accum, bytes,
-                                phantom](RankCtx& rc) {
-      if (prev) prev(rc);
-      if (next_snap != nullptr && !phantom) {
-        std::memcpy(next_snap, accum, bytes);
-      }
-    };
-  }
-  return start_collective(std::move(op));
-}
-
-void RankCtx::scan(const void* sbuf, void* rbuf, std::size_t count, Datatype dt,
-                   Op rop, Comm comm) {
-  Request r = iscan(sbuf, rbuf, count, dt, rop, comm);
-  wait(r);
-}
-
-// ---------------------------------------------------- reduce_scatter_block ----
-
-void RankCtx::reduce_scatter_block(const void* sbuf, void* rbuf,
-                                   std::size_t count_per_rank, Datatype dt,
-                                   Op op, Comm comm) {
-  const CommInfo& ci = comms_.get(comm);
-  const std::size_t total = count_per_rank * static_cast<std::size_t>(ci.size());
-  std::vector<std::byte> full(total * datatype_size(dt));
-  reduce(sbuf, full.data(), total, dt, op, /*root=*/0, comm);
-  scatter(full.data(), rbuf, count_per_rank, dt, /*root=*/0, comm);
 }
 
 }  // namespace smpi

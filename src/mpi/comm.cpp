@@ -39,9 +39,7 @@ CommInfo& CommTable::get(Comm c) {
   if (c.idx < 0 || static_cast<std::size_t>(c.idx) >= comms_.size()) {
     throw std::invalid_argument("invalid communicator handle");
   }
-  CommInfo& info = comms_[static_cast<std::size_t>(c.idx)];
-  if (info.freed) throw std::invalid_argument("use of freed communicator");
-  return info;
+  return comms_[static_cast<std::size_t>(c.idx)];
 }
 
 const CommInfo& CommTable::get(Comm c) const {
@@ -91,11 +89,6 @@ Comm CommTable::split(Comm parent,
   child.my_rank = static_cast<int>(
       std::find(members.begin(), members.end(), p.my_rank) - members.begin());
   return insert(std::move(child));
-}
-
-void CommTable::free(Comm c) {
-  if (c.idx <= 1) throw std::invalid_argument("cannot free WORLD/SELF");
-  get(c).freed = true;
 }
 
 }  // namespace smpi

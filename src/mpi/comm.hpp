@@ -20,7 +20,6 @@ struct CommInfo {
   int my_rank = -1;                 ///< my rank within the group
   std::uint32_t next_child = 0;     ///< counter for derived communicators
   std::uint64_t coll_seq = 0;       ///< per-comm collective sequence number
-  bool freed = false;
 
   [[nodiscard]] int size() const { return static_cast<int>(group.size()); }
   [[nodiscard]] int to_global(int comm_rank) const { return group.at(static_cast<std::size_t>(comm_rank)); }
@@ -44,8 +43,6 @@ class CommTable {
   /// parent-comm member so the split is computable locally — the Cluster
   /// gathers these via the collective layer before calling.
   Comm split(Comm parent, const std::vector<std::pair<int, int>>& color_key);
-
-  void free(Comm c);
 
  private:
   Comm insert(CommInfo info);

@@ -36,14 +36,6 @@ int Status::count(Datatype dt) const {
 
 namespace {
 
-/// MPI_Op_create registry. Four slots; fibers all run on one OS thread and
-/// registration happens before clusters spawn, so no synchronization.
-struct UserOpSlot {
-  UserOpFn fn = nullptr;
-  bool commutative = true;
-};
-UserOpSlot g_user_ops[4];  // NOLINT(cppcoreguidelines-avoid-non-const-global-variables)
-
 template <typename T>
 void apply_typed(Op op, const T* in, T* inout, std::size_t n) {
   switch (op) {
@@ -65,51 +57,14 @@ void apply_typed(Op op, const T* in, T* inout, std::size_t n) {
         return;
       }
       break;
-    default:
-      break;  // user ops are dispatched before apply_typed
   }
   throw std::invalid_argument("reduction op not supported for datatype");
 }
 
-[[nodiscard]] int user_slot(Op op) {
-  const int s = static_cast<int>(op) - static_cast<int>(Op::kUser0);
-  return (s >= 0 && s < 4) ? s : -1;
-}
-
 }  // namespace
-
-Op register_user_op(UserOpFn fn, bool commutative) {
-  if (fn == nullptr) throw std::invalid_argument("register_user_op: null fn");
-  int free_slot = -1;
-  for (int s = 0; s < 4; ++s) {
-    if (g_user_ops[s].fn == fn && g_user_ops[s].commutative == commutative) {
-      return static_cast<Op>(static_cast<int>(Op::kUser0) + s);
-    }
-    if (g_user_ops[s].fn == nullptr && free_slot < 0) free_slot = s;
-  }
-  if (free_slot < 0) throw std::runtime_error("register_user_op: all 4 slots taken");
-  g_user_ops[free_slot] = {fn, commutative};
-  return static_cast<Op>(static_cast<int>(Op::kUser0) + free_slot);
-}
-
-bool op_commutative(Op op) {
-  const int s = user_slot(op);
-  if (s < 0) return true;  // built-in sum/prod/max/min all commute
-  if (g_user_ops[s].fn == nullptr) {
-    throw std::invalid_argument("op_commutative: unregistered user op");
-  }
-  return g_user_ops[s].commutative;
-}
 
 void apply_op(Op op, Datatype dt, const void* in, void* inout, std::size_t count) {
   if (in == nullptr || inout == nullptr) return;  // phantom buffers: timing only
-  if (const int s = user_slot(op); s >= 0) {
-    if (g_user_ops[s].fn == nullptr) {
-      throw std::invalid_argument("apply_op: unregistered user op");
-    }
-    g_user_ops[s].fn(in, inout, count, dt);
-    return;
-  }
   switch (dt) {
     case Datatype::kByte:
     case Datatype::kChar:

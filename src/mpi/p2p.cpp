@@ -494,33 +494,6 @@ bool RankCtx::testall(std::span<Request> rs) {
   return true;
 }
 
-std::vector<int> RankCtx::waitsome(std::span<Request> rs) {
-  if (rs.empty()) return {};  // MPI_Waitsome(0, ...): no entry overhead
-  MpiEntry entry(*this, false, "Waitsome");
-  for (Request& r : rs) {
-    if (!r.is_null() && !handle_ok(r, "Waitsome")) {
-      r = kRequestNull;
-    }
-  }
-  bool any_active = false;
-  for (Request& r : rs) any_active = any_active || !r.is_null();
-  if (!any_active) return {};
-  wait_until(entry, [&] {
-    for (Request& r : rs) {
-      if (!r.is_null() && reqs_.get(r).settled()) return true;
-    }
-    return false;
-  });
-  std::vector<int> done;
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    if (!rs[i].is_null() && reqs_.get(rs[i]).settled()) {
-      done.push_back(static_cast<int>(i));
-      release_if_complete(rs[i], nullptr);
-    }
-  }
-  return done;
-}
-
 Request RankCtx::send_init(const void* buf, std::size_t count, Datatype dt,
                            int dst, int tag, Comm comm) {
   MpiEntry entry(*this, false, "Send_init");
@@ -606,15 +579,6 @@ void RankCtx::request_free(Request& r) {
   r = kRequestNull;
 }
 
-void RankCtx::sendrecv(const void* sbuf, std::size_t scount, int dst, int stag,
-                       void* rbuf, std::size_t rcount, int src, int rtag,
-                       Datatype dt, Comm comm, Status* st) {
-  Request rr = irecv(rbuf, rcount, dt, src, rtag, comm);
-  Request rs = isend(sbuf, scount, dt, dst, stag, comm);
-  wait(rr, st);
-  wait(rs);
-}
-
 bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
   MpiEntry entry(*this, false, "Iprobe");
   progress_poll();
@@ -628,22 +592,6 @@ bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
     st->bytes = m->bytes;
   }
   return true;
-}
-
-void RankCtx::probe(int src, int tag, Comm comm, Status* st) {
-  MpiEntry entry(*this, false, "Probe");
-  const CommInfo& ci = comms_.get(comm);
-  const int src_global = (src == kAnySource) ? kAnySource : ci.to_global(src);
-  const UnexpectedMsg* found = nullptr;
-  wait_until(entry, [&] {
-    found = match_.peek_unexpected(ci.context, src_global, tag);
-    return found != nullptr;
-  });
-  if (st != nullptr) {
-    st->source = ci.from_global(found->env.src_global);
-    st->tag = found->env.tag;
-    st->bytes = found->bytes;
-  }
 }
 
 void RankCtx::progress() {
@@ -669,11 +617,6 @@ Comm RankCtx::comm_split(Comm parent, int color, int key) {
   allgather(&mine, color_key.data(), 2, Datatype::kInt, parent);
   MpiEntry entry(*this, false, "Comm_split");
   return comms_.split(parent, color_key);
-}
-
-void RankCtx::comm_free(Comm c) {
-  MpiEntry entry(*this, false, "Comm_free");
-  comms_.free(c);
 }
 
 }  // namespace smpi

@@ -113,10 +113,6 @@ class RankCtx {
             Comm comm);
   void recv(void* buf, std::size_t count, Datatype dt, int src, int tag,
             Comm comm, Status* st = nullptr);
-  /// MPI_Sendrecv: simultaneous exchange (deadlock-free composite).
-  void sendrecv(const void* sbuf, std::size_t scount, int dst, int stag,
-                void* rbuf, std::size_t rcount, int src, int rtag, Datatype dt,
-                Comm comm, Status* st = nullptr);
 
   // ---------------- persistent point-to-point ----------------
   // MPI_Send_init / MPI_Recv_init: capture the envelope once, replay it with
@@ -153,11 +149,7 @@ class RankCtx {
   bool testany(std::span<Request> rs, int* index, Status* st = nullptr);
   /// MPI_Testall: true iff every active request has completed (all released).
   bool testall(std::span<Request> rs);
-  /// MPI_Waitsome: blocks until >=1 active request completes; returns the
-  /// indices completed this call (empty if none were active).
-  std::vector<int> waitsome(std::span<Request> rs);
   bool iprobe(int src, int tag, Comm comm, Status* st = nullptr);
-  void probe(int src, int tag, Comm comm, Status* st = nullptr);
 
   // ---------------- collectives ----------------
   void barrier(Comm comm);
@@ -180,28 +172,11 @@ class RankCtx {
                  Datatype dt, Comm comm);
   Request iallgather(const void* sbuf, void* rbuf, std::size_t count_per_rank,
                      Datatype dt, Comm comm);
-  void gather(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-              Datatype dt, int root, Comm comm);
-  Request igather(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-                  Datatype dt, int root, Comm comm);
-  void scatter(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-               Datatype dt, int root, Comm comm);
-  Request iscatter(const void* sbuf, void* rbuf, std::size_t count_per_rank,
-                   Datatype dt, int root, Comm comm);
-  void reduce_scatter_block(const void* sbuf, void* rbuf,
-                            std::size_t count_per_rank, Datatype dt, Op op,
-                            Comm comm);
-  /// Inclusive prefix reduction (MPI_Scan), binomial up-phase per rank.
-  void scan(const void* sbuf, void* rbuf, std::size_t count, Datatype dt,
-            Op op, Comm comm);
-  Request iscan(const void* sbuf, void* rbuf, std::size_t count, Datatype dt,
-                Op op, Comm comm);
 
   // ---------------- communicator management ----------------
   Comm comm_dup(Comm parent);
   /// Collective over `parent` (exchanges colors/keys internally).
   Comm comm_split(Comm parent, int color, int key);
-  void comm_free(Comm c);
 
   /// One locked pass of the progress engine (what MPI_Iprobe is typically
   /// used for by the "iprobe" approach).

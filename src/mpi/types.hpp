@@ -33,13 +33,13 @@ constexpr int part_wire_tag(int tag, int p) {
   return kPartTagBit | (tag << kPartTagShift) | p;
 }
 
-/// MPI_Init_thread levels. kSingle and kSerialized behave like kFunneled in
-/// this implementation (no library locking); kMultiple enables the global
-/// lock path that mainstream MPIs use.
+/// MPI_Init_thread levels. kFunneled: the library takes no lock, and two
+/// fibers of a rank inside it at once is a usage error (a rank's offload
+/// engines, registered as progress sharers, excepted). kMultiple: any fiber
+/// may call at any time; the global lock that mainstream MPIs use
+/// serializes the calls.
 enum class ThreadLevel : std::uint8_t {
-  kSingle,
   kFunneled,
-  kSerialized,
   kMultiple,
 };
 
@@ -56,32 +56,14 @@ enum class Datatype : std::uint8_t {
   kComplexDouble,
 };
 
-/// Reduction operations. kUser0..kUser3 are slots handed out by
-/// register_user_op (MPI_Op_create); unregistered slots are invalid.
+/// Reduction operations (all commutative, so every schedule may combine in
+/// any rank order).
 enum class Op : std::uint8_t {
   kSum,
   kProd,
   kMax,
   kMin,
-  kUser0,
-  kUser1,
-  kUser2,
-  kUser3,
 };
-
-/// User reduction function: inout[i] = f(inout[i], in[i]) elementwise, like
-/// MPI_User_function (the second operand is the accumulator).
-using UserOpFn = void (*)(const void* in, void* inout, std::size_t count,
-                          Datatype dt);
-
-/// MPI_Op_create: register `fn` into a kUser slot. Idempotent per function
-/// pointer (re-registering returns the same slot); at most 4 distinct user
-/// ops per process. Call before fibers spawn — the registry is unsynchronized.
-Op register_user_op(UserOpFn fn, bool commutative);
-
-/// Whether `op` commutes (built-ins do; user ops report their declaration).
-/// Collective algorithm selection gates order-sensitive schedules on this.
-bool op_commutative(Op op);
 
 /// Communicator handle; value type, valid within one rank.
 struct Comm {

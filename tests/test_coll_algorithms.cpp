@@ -36,34 +36,6 @@ std::uint8_t pat(int rank, std::size_t i) {
   return static_cast<std::uint8_t>(rank * 131 + i * 7 + 13);
 }
 
-// ---- 2x2 uint16 matrix multiply packed into one uint64: associative but
-// NOT commutative, the canonical order-sensitive user reduction. ----
-std::uint64_t mat_mul(std::uint64_t x, std::uint64_t y) {
-  const auto e = [](std::uint64_t m, int k) {
-    return static_cast<std::uint64_t>((m >> (16 * k)) & 0xffff);
-  };
-  const std::uint64_t r0 = e(x, 0) * e(y, 0) + e(x, 1) * e(y, 2);
-  const std::uint64_t r1 = e(x, 0) * e(y, 1) + e(x, 1) * e(y, 3);
-  const std::uint64_t r2 = e(x, 2) * e(y, 0) + e(x, 3) * e(y, 2);
-  const std::uint64_t r3 = e(x, 2) * e(y, 1) + e(x, 3) * e(y, 3);
-  return (r0 & 0xffff) | ((r1 & 0xffff) << 16) | ((r2 & 0xffff) << 32) |
-         ((r3 & 0xffff) << 48);
-}
-
-void mat_mul_op(const void* in, void* inout, std::size_t n, Datatype) {
-  const auto* a = static_cast<const std::uint64_t*>(in);
-  auto* b = static_cast<std::uint64_t*>(inout);
-  for (std::size_t i = 0; i < n; ++i) b[i] = mat_mul(b[i], a[i]);
-}
-
-std::uint64_t mat_pat(int rank, std::size_t i) {
-  // Entries kept small so products stay visibly distinct mod 2^16.
-  const auto v = [&](int k) {
-    return static_cast<std::uint64_t>((rank * 7 + i * 3 + k + 1) % 251);
-  };
-  return v(0) | (v(1) << 16) | (v(2) << 32) | (v(3) << 48);
-}
-
 }  // namespace
 
 // ========================================================================
@@ -97,6 +69,31 @@ TEST(CollTuner, ParseRejectsMalformedSpecs) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("fence"), std::string::npos) << msg;
     EXPECT_NE(msg.find("barrier|bcast|reduce|allreduce"), std::string::npos)
+        << msg;
+  }
+  // Nor gather, scatter or scan, and reduce has no linear schedule.
+  for (const char* spec :
+       {"scan:hillis-steele", "gather:linear", "scatter:linear"}) {
+    try {
+      CollTuner::parse(spec, base);
+      ADD_FAILURE() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      const std::string key(spec, std::string(spec).find(':'));
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+      EXPECT_NE(
+          msg.find("barrier|bcast|reduce|allreduce|alltoall|allgather "),
+          std::string::npos)
+          << msg;
+    }
+  }
+  try {
+    CollTuner::parse("reduce:linear", base);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown algorithm"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("binomial, dissemination, rdbl"), std::string::npos)
         << msg;
   }
 }
@@ -154,34 +151,28 @@ TEST(CollTuner, ParseRejectsTruncatedItems) {
 TEST(CollTuner, ThresholdStackingLargestWins) {
   const CollTuner t = CollTuner::parse("allreduce:rdbl@0,allreduce:ring@64k",
                                        base_tuner());
-  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 1024, 256, 8, true),
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 1024, 256, 8),
             CollAlgo::kRecursiveDoubling);
-  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 128 * 1024, 32 * 1024, 8, true),
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 128 * 1024, 32 * 1024, 8),
             CollAlgo::kRing);
 }
 
 TEST(CollTuner, IllegalForcedChoiceFallsBackLegally) {
-  // Ring allreduce needs a commutative op.
-  const CollTuner ring = CollTuner::parse("allreduce:ring@0", base_tuner());
-  EXPECT_EQ(ring.choose(CollectiveId::kAllreduce, 1 << 20, 1 << 18, 8, true),
-            CollAlgo::kRing);
-  EXPECT_EQ(ring.choose(CollectiveId::kAllreduce, 1 << 20, 1 << 18, 8, false),
-            CollAlgo::kReduceBcast);
   // Recursive doubling needs a power-of-two communicator.
   const CollTuner rd = CollTuner::parse("allreduce:rdbl@0", base_tuner());
-  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 8, true),
+  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
             CollAlgo::kRecursiveDoubling);
-  EXPECT_NE(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 6, true),
+  EXPECT_NE(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 6),
             CollAlgo::kRecursiveDoubling);
   // Rabenseifner additionally needs count % ranks == 0.
   const CollTuner rab = CollTuner::parse("allreduce:rabenseifner@0", base_tuner());
-  EXPECT_EQ(rab.choose(CollectiveId::kAllreduce, 4096, 1024, 8, true),
+  EXPECT_EQ(rab.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
             CollAlgo::kRabenseifner);
-  EXPECT_NE(rab.choose(CollectiveId::kAllreduce, 4092, 1023, 8, true),
+  EXPECT_NE(rab.choose(CollectiveId::kAllreduce, 4092, 1023, 8),
             CollAlgo::kRabenseifner);
   // A pipeline rule on allreduce is never legal; defaults apply untouched.
   const CollTuner pipe = CollTuner::parse("allreduce:pipeline@0", base_tuner());
-  EXPECT_NE(pipe.choose(CollectiveId::kAllreduce, 4096, 1024, 8, true),
+  EXPECT_NE(pipe.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
             CollAlgo::kPipeline);
 }
 
@@ -247,29 +238,19 @@ void check_allreduce_bytes(Op op, std::size_t bytes, bool in_place) {
       << " in_place=" << in_place;
 }
 
-/// The same for reduce to `root` (the result is checked there) and for the
-/// inclusive scan; in place means sbuf == rbuf at the root and everywhere
-/// for the scan.
-void check_reduce_and_scan_bytes(Op op, std::size_t bytes, int root,
-                                 bool in_place) {
+/// The same for reduce to `root`, where the result is checked; in place
+/// means sbuf == rbuf at the root.
+void check_reduce_bytes(Op op, std::size_t bytes, int root, bool in_place) {
   std::vector<std::uint8_t> out;
-  std::vector<std::uint8_t> in = contribution(bytes, in_place, out);
+  const std::vector<std::uint8_t> in = contribution(bytes, in_place, out);
   const bool root_in_place = in_place && rank() == root;
   reduce(root_in_place ? out.data() : in.data(), out.data(), bytes,
          Datatype::kByte, op, root);
-  if (rank() == root) {
-    const std::vector<std::uint8_t> want = fold_bytes(op, bytes, size());
-    ASSERT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
-        << "reduce mismatch: root=" << root << " bytes=" << bytes
-        << " ranks=" << size() << " in_place=" << in_place;
-  }
-  in = contribution(bytes, in_place, out);
-  ctx().scan(in_place ? out.data() : in.data(), out.data(), bytes,
-             Datatype::kByte, op, kCommWorld);
-  const std::vector<std::uint8_t> want = fold_bytes(op, bytes, rank() + 1);
+  if (rank() != root) return;
+  const std::vector<std::uint8_t> want = fold_bytes(op, bytes, size());
   ASSERT_EQ(std::memcmp(out.data(), want.data(), bytes), 0)
-      << "scan mismatch: bytes=" << bytes << " ranks=" << size()
-      << " in_place=" << in_place;
+      << "reduce mismatch: root=" << root << " bytes=" << bytes
+      << " ranks=" << size() << " in_place=" << in_place;
 }
 
 }  // namespace
@@ -300,9 +281,10 @@ TEST_P(CollAlgoRanks, AllreduceEveryAlgorithmBitwise) {
 }
 
 TEST_P(CollAlgoRanks, ReduceAndScanInPlaceAndOutOfPlaceBitwise) {
-  // The reduction schedules accumulate in the root's (the scan: every
-  // rank's) result buffer, so sbuf == rbuf must still give the reference.
-  static const char* kSpecs[] = {"", "reduce:linear@0", "reduce:binomial@0"};
+  // Reduce only, at roots 0 and p-1, in place and out of place: the
+  // schedule accumulates in the root's result buffer, so sbuf == rbuf must
+  // still give the reference.
+  static const char* kSpecs[] = {"", "reduce:binomial@0"};
   for (const char* spec : kSpecs) {
     Cluster c(cfg(GetParam(), spec));
     c.run([&](RankCtx&) {
@@ -311,55 +293,13 @@ TEST_P(CollAlgoRanks, ReduceAndScanInPlaceAndOutOfPlaceBitwise) {
                                       std::size_t{262144}}) {
         for (const int root : {0, size() - 1}) {
           for (const bool in_place : {false, true}) {
-            check_reduce_and_scan_bytes(Op::kSum, bytes, root, in_place);
-            check_reduce_and_scan_bytes(Op::kMax, bytes, root, in_place);
+            check_reduce_bytes(Op::kSum, bytes, root, in_place);
+            check_reduce_bytes(Op::kMax, bytes, root, in_place);
           }
         }
       }
     });
   }
-}
-
-TEST_P(CollAlgoRanks, AllreduceNonCommutativeUserOp) {
-  const Op matop = register_user_op(&mat_mul_op, /*commutative=*/false);
-  ASSERT_FALSE(op_commutative(matop));
-  // Force ring: illegal for a non-commutative op, so the schedule must fall
-  // back to the order-preserving reduce-bcast — and record THAT, not ring.
-  Cluster c(cfg(GetParam(), "allreduce:ring@0,seg:4k"));
-  c.run([&](RankCtx&) {
-    const int p = size();
-    for (const std::size_t count : {std::size_t{1}, std::size_t{127},
-                                    std::size_t{8192}, std::size_t{131072}}) {
-      for (const bool in_place : {false, true}) {
-        std::vector<std::uint64_t> in(count), out(count, 0);
-        for (std::size_t i = 0; i < count; ++i) in[i] = mat_pat(rank(), i);
-        if (in_place) out = in;
-        allreduce(in_place ? out.data() : in.data(), out.data(), count,
-                  Datatype::kLong, matop);
-        for (std::size_t i = 0; i < count; ++i) {
-          std::uint64_t acc = mat_pat(0, i);
-          for (int r = 1; r < p; ++r) acc = mat_mul(acc, mat_pat(r, i));
-          ASSERT_EQ(out[i], acc)
-              << "count=" << count << " i=" << i << " in_place=" << in_place;
-        }
-        // The ordered linear fold into the last rank replaces the root's
-        // accumulator with rank 0's block and re-folds its own block later.
-        if (in_place) out = in;
-        reduce(in_place && rank() == p - 1 ? out.data() : in.data(),
-               out.data(), count, Datatype::kLong, matop, p - 1);
-        if (rank() != p - 1) continue;
-        for (std::size_t i = 0; i < count; ++i) {
-          std::uint64_t acc = mat_pat(0, i);
-          for (int r = 1; r < p; ++r) acc = mat_mul(acc, mat_pat(r, i));
-          ASSERT_EQ(out[i], acc) << "reduce count=" << count << " i=" << i
-                                 << " in_place=" << in_place;
-        }
-      }
-    }
-  });
-  const CollStats& cs = c.rank(0).coll_stats();
-  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kRing), 0u);
-  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kReduceBcast), 8u);
 }
 
 TEST_P(CollAlgoRanks, BcastPipelinedAndBinomialBitwise) {
@@ -512,8 +452,9 @@ TEST(ReduceAliasing, PartialOverlapThrowsBeforeAnythingIsPosted) {
         });
       }
       // The library itself rejects it too, before entering MPI.
-      expect_overlap_rejected("Iscan", [&] {
-        (void)rc.iscan(lo, lo + 2, 8, Datatype::kLong, Op::kSum, kCommWorld);
+      expect_overlap_rejected("Iallreduce", [&] {
+        (void)rc.iallreduce(lo, lo + 2, 8, Datatype::kLong, Op::kSum,
+                            kCommWorld);
       });
       // Nothing was posted: the next collectives pair up and are exact.
       // rbuf counts at the root only, so the non-roots' overlapping rbuf is

@@ -126,38 +126,6 @@ TEST_P(CollRanks, AllgatherCollectsInRankOrder) {
   });
 }
 
-TEST_P(CollRanks, GatherScatterRoundTrip) {
-  Cluster c(cfg(GetParam()));
-  c.run([&](RankCtx&) {
-    const int p = size();
-    const int root = p - 1;
-    int v = rank() * 3 + 1;
-    std::vector<int> g(static_cast<std::size_t>(p), -1);
-    gather(&v, g.data(), 1, Datatype::kInt, root);
-    if (rank() == root) {
-      for (int r = 0; r < p; ++r) EXPECT_EQ(g[static_cast<std::size_t>(r)], r * 3 + 1);
-      for (auto& x : g) x *= 2;
-    }
-    int back = -1;
-    scatter(g.data(), &back, 1, Datatype::kInt, root);
-    EXPECT_EQ(back, (rank() * 3 + 1) * 2);
-  });
-}
-
-TEST_P(CollRanks, ReduceScatterBlock) {
-  Cluster c(cfg(GetParam()));
-  c.run([&](RankCtx&) {
-    const int p = size();
-    std::vector<int> in(static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) in[static_cast<std::size_t>(i)] = rank() + i;
-    int out = -1;
-    reduce_scatter_block(in.data(), &out, 1, Datatype::kInt, Op::kSum);
-    int want = 0;
-    for (int r = 0; r < p; ++r) want += r + rank();
-    EXPECT_EQ(out, want);
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollRanks,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16));
 

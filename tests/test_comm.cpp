@@ -77,15 +77,6 @@ TEST(CommTable, FromGlobalTranslations) {
   EXPECT_EQ(ci.from_global(1), kAnySource);  // not a member
 }
 
-TEST(CommTable, FreeAndUseAfterFree) {
-  CommTable t;
-  t.init(0, 2);
-  Comm d = t.dup(kCommWorld);
-  t.free(d);
-  EXPECT_THROW(static_cast<void>(t.get(d)), std::invalid_argument);
-  EXPECT_THROW(t.free(kCommWorld), std::invalid_argument);
-}
-
 TEST(CommTable, InvalidHandleThrows) {
   CommTable t;
   t.init(0, 2);
