@@ -2,8 +2,9 @@
 // REAL host time (not simulated): the lock-free MPSC command ring and the
 // request pool. These validate that the structures the paper's ~140 ns
 // command-post figure depends on are in fact O(100ns) operations.
-// BM_FiberSwitch and BM_EventCallback time the simulator itself: the host
-// cost of one fiber switch and of one timed callback, which bound how many
+// BM_FiberSwitch, BM_StepChain and BM_EventCallback time the simulator
+// itself: the host cost of one fiber switch, of one step of an
+// advance_steps chain and of one timed callback, which bound how many
 // simulated threads and messages a run can afford. BM_AllreduceRing times
 // the collective data path: copies, combines and stage payloads.
 #include <benchmark/benchmark.h>
@@ -110,6 +111,30 @@ void BM_FiberSwitch(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FiberSwitch);
+
+// One fiber runs 64-step chains (sim::Engine::advance_steps) while 32 other
+// fibers sit in the event queue, waking once per simulated millisecond. Each
+// step fires as an event, but only a chain's last step switches into the
+// fiber. `per_step` is host CPU time divided by the steps run.
+void BM_StepChain(benchmark::State& state) {
+  constexpr std::uint64_t kSteps = 64;
+  sim::Engine engine;
+  bool done = false;
+  engine.spawn("timed", [&] {
+    for (auto _ : state) sim::advance_steps(sim::Time(1), kSteps);
+    done = true;
+  });
+  for (int i = 0; i < 32; ++i) {
+    engine.spawn("queued", [&] {
+      while (!done) sim::advance(sim::Time::from_ms(1));
+    });
+  }
+  engine.run();
+  state.counters["per_step"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kSteps),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StepChain);
 
 // One Engine::call_at plus the dispatch of its callback, from scheduler
 // context: the path every wire delivery takes

@@ -197,6 +197,7 @@ void OffloadChannel::publish(std::size_t eidx, std::span<Command> group,
     const std::size_t k = lane->ring.try_push_n(rest);
     // SPSC publish: one tail store-release covers the pushed prefix.
     if (k != 0) san::channel_push(lane, k);
+    engines_[eidx]->backlog += k;
     rest = rest.subspan(k);
     if (rest.empty()) break;
     if (++spins > kFullSpinBound) {
@@ -240,6 +241,7 @@ void OffloadChannel::push_ring(Engine& e, std::span<const Command> group) {
       sim::advance(rc_.profile().cmd_enqueue);  // retry cost
     }
     san::channel_push(&e.ring);  // MPSC publish: seq store-release
+    ++e.backlog;
   }
 }
 
@@ -673,13 +675,14 @@ void OffloadChannel::process_command(Engine& e, const Command& cmd) {
   issue(e, cmd);
 }
 
-std::size_t OffloadChannel::drain_lane(Engine& e, Lane& lane,
+std::size_t OffloadChannel::drain_lane(Engine& e, Engine& owner, Lane& lane,
                                        std::size_t budget) {
   std::size_t popped = 0;
   Command cmd;
   while (popped < budget && lane.ring.try_pop(cmd)) {
     san::channel_pop(&lane);  // SPSC consume: joins the producer's publish
     ++popped;
+    --owner.backlog;
     ++lane.stats.drained;
     lane.gauge.set(static_cast<double>(lane.ring.size_approx()));
     process_command(e, cmd);
@@ -694,6 +697,7 @@ std::size_t OffloadChannel::drain_ring(Engine& e, Engine& owner,
   while (popped < budget && owner.ring.try_pop(cmd)) {
     san::channel_pop(&owner.ring);  // MPSC consume
     ++popped;
+    --owner.backlog;
     owner.g_ring.set(static_cast<double>(owner.ring.size_approx()));
     process_command(e, cmd);
   }
@@ -712,10 +716,15 @@ bool OffloadChannel::drain_lanes_round(Engine& e) {
   // process_command yields and a sibling fiber may bind a row mid-pass.
   const std::size_t rows = opts_.lane_count;
   if (rows == 0) return false;
+  if (e.backlog == 0) {
+    // Nothing queued: the pass would pop nothing and never yield.
+    e.drain_cursor = (e.drain_cursor + 1) % rows;
+    return false;
+  }
   const std::size_t n = engines_.size();
   bool any = false;
   const auto drain_row = [&](std::size_t row) {
-    any = drain_lane(e, *lanes_[row * n + e.index], kLaneDrainBound) != 0 ||
+    any = drain_lane(e, e, *lanes_[row * n + e.index], kLaneDrainBound) != 0 ||
           any;
   };
   for (std::size_t row = e.drain_cursor; row < next_lane_; ++row) {
@@ -741,7 +750,7 @@ bool OffloadChannel::steal_round(Engine& e) {
     // same-envelope traffic out of posted order.
     std::size_t budget = kStealBound;
     for (std::size_t row = 0; row < next_lane_ && budget > 0; ++row) {
-      budget -= drain_lane(e, *lanes_[row * n + v.index], budget);
+      budget -= drain_lane(e, v, *lanes_[row * n + v.index], budget);
     }
     budget -= drain_ring(e, v, budget);
     san::release(&v.claim, 0);  // hand consumer-side state to the next holder
@@ -756,16 +765,6 @@ bool OffloadChannel::steal_round(Engine& e) {
       rc_.arrivals().signal();
     }
     return true;  // one victim per pass: stay fair to our own queues
-  }
-  return false;
-}
-
-bool OffloadChannel::submissions_pending(const Engine& e) const {
-  if (!e.ring.empty_approx()) return true;
-  // Rows at or past next_lane_ were never bound to a submitter: always empty.
-  const std::size_t n = engines_.size();
-  for (std::size_t row = 0; row < next_lane_; ++row) {
-    if (!lanes_[row * n + e.index]->ring.empty_approx()) return true;
   }
   return false;
 }

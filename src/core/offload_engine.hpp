@@ -355,6 +355,12 @@ class OffloadChannel {
     std::vector<smpi::Request> scratch_reqs;
     std::size_t live_inflight = 0;
     std::size_t drain_cursor = 0;  ///< round-robin fairness cursor
+    /// Commands queued in this engine's lane column + ring: publish and
+    /// push_ring add what they push, drain_lane / drain_ring subtract what
+    /// any consumer (owner or thief) pops. Simulator bookkeeping like
+    /// next_lane_, so an idle poll reads one count instead of every lane;
+    /// the poll still charges Profile::cmd_detect.
+    std::size_t backlog = 0;
     sim::Time next_watchdog_scan{0};
     /// This engine's fiber, set for the whole lifetime of engine_main:
     /// submits from it (continuation callbacks) take the direct-issue path
@@ -442,9 +448,11 @@ class OffloadChannel {
   /// owner (as owner or thief) across the whole call — pops and the issues
   /// they feed must not interleave with another consumer of the same
   /// queues. `e` is the engine doing the work (tracks the resulting
-  /// in-flights). drain_lane / drain_ring pop and issue at most `budget`
-  /// commands and return how many they issued.
-  std::size_t drain_lane(Engine& e, Lane& lane, std::size_t budget);
+  /// in-flights); `owner` owns the queue (its backlog drops per pop).
+  /// drain_lane / drain_ring pop and issue at most `budget` commands and
+  /// return how many they issued.
+  std::size_t drain_lane(Engine& e, Engine& owner, Lane& lane,
+                         std::size_t budget);
   std::size_t drain_ring(Engine& e, Engine& owner, std::size_t budget);
   /// One round-robin pass over `e`'s lane column, kLaneDrainBound per lane.
   bool drain_lanes_round(Engine& e);
@@ -453,8 +461,10 @@ class OffloadChannel {
   /// re-ring the doorbell if leftovers remain.
   bool steal_round(Engine& e);
   void process_command(Engine& e, const Command& cmd);
-  /// This engine's own backlog (its lane column + its ring).
-  [[nodiscard]] bool submissions_pending(const Engine& e) const;
+  /// This engine's own backlog (its lane column + its ring) is non-empty.
+  [[nodiscard]] static bool submissions_pending(const Engine& e) {
+    return e.backlog != 0;
+  }
   /// Work an idle engine sees without a doorbell: its own backlog, a
   /// sibling's to steal, or a ready partition it owns. No side effects.
   [[nodiscard]] bool idle_work_pending(const Engine& e) const;

@@ -515,19 +515,28 @@ void OffloadProxy::waitall(std::span<PReq> rs) {
   trace::Scope tsc("wait:all", "offload");
   const auto& p = rc_.profile();
   RequestPool& pool = channel_.pool();
+  // rs[0, known) are null or seen set, `rereads` of them non-null. A set
+  // one-shot done flag stays set until release() below, so re-reading one
+  // observes nothing: each pass charges those re-reads and the read of the
+  // first unknown flag as one step chain, then reads on flag by flag.
+  std::size_t known = 0;
+  std::uint64_t rereads = 0;
   for (;;) {
     // One pass over the done flags per wake; the completion notifier's count
     // is snapshotted first so a flag published mid-scan re-runs the pass
     // instead of being slept past.
     const std::uint64_t seen = channel_.completions().count();
+    std::uint64_t steps = rereads + 1;
     bool all_done = true;
-    for (const PReq& r : rs) {
-      if (r.is_null()) continue;
-      sim::advance(p.done_flag_check);
-      if (!pool.done(slot_of(r))) {
+    for (; known < rs.size(); ++known) {
+      if (rs[known].is_null()) continue;
+      sim::advance_steps(p.done_flag_check, steps);
+      steps = 1;
+      if (!pool.done(slot_of(rs[known]))) {
         all_done = false;
         break;
       }
+      ++rereads;
     }
     if (all_done) break;
     channel_.completions().wait_beyond(seen);

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "mpi/coll_tuner.hpp"
@@ -67,8 +68,9 @@ struct CollOp {
   CollAlgo algo = CollAlgo::kUnknown;  ///< set by the builder via the tuner
   int root = -1;  ///< comm-rank root for rooted collectives (-1: unrooted)
   std::vector<CollChain> chains;
-  /// Scratch buffers owned by the schedule (accumulators, pack buffers).
-  std::vector<std::vector<std::byte>> temps;
+  /// Scratch buffers owned by the schedule (accumulators, receive temps),
+  /// uninitialised; a zero-byte temp is null (see add_temp).
+  std::vector<std::unique_ptr<std::byte[]>> temps;
   /// Final copy-out / epilogue, run once when the last chain completes.
   std::function<void(RankCtx&)> on_finish;
 

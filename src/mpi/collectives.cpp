@@ -38,10 +38,19 @@ std::unique_ptr<CollOp> new_op(CommInfo& ci, Comm comm, CollectiveId kind,
   return op;
 }
 
+/// Add an uninitialised temp of `bytes`: every schedule writes a temp
+/// (copy or receive) before it sends or combines from it. A zero-byte temp
+/// stays null, which phantom schedules and apply_op's null guard rely on.
 std::size_t add_temp(CollOp& op, std::size_t bytes) {
-  op.temps.emplace_back(bytes);
+  op.temps.push_back(bytes == 0
+                         ? nullptr
+                         : std::make_unique_for_overwrite<std::byte[]>(bytes));
   return op.temps.size() - 1;
 }
+
+/// The byte every barrier round sends: constant, so the wire bytes (and
+/// fault-injection checksums) never depend on uninitialised memory.
+constexpr std::byte kBarrierToken{0};
 
 /// Offset into a possibly-phantom buffer (phantom schedules carry byte
 /// counts but no storage).
@@ -62,7 +71,7 @@ std::byte* reduction_accumulator(RankCtx& rc, CollOp& op, const void* sbuf,
   const bool phantom = sbuf == nullptr;
   std::byte* accum = nullptr;
   if (phantom || rbuf == nullptr || !result_here) {
-    accum = op.temps[add_temp(op, phantom ? 0 : bytes)].data();
+    accum = op.temps[add_temp(op, phantom ? 0 : bytes)].get();
   } else {
     accum = static_cast<std::byte*>(rbuf);
   }
@@ -124,10 +133,10 @@ void build_reduce_stages(CollOp& op, CollChain& ch, const CommInfo& ci,
       if (src_rel >= p) continue;
       const std::size_t t = add_temp(op, store);
       CollStage st;
-      st.recvs.push_back({(src_rel + root) % p, op.temps[t].data(), bytes});
+      st.recvs.push_back({(src_rel + root) % p, op.temps[t].get(), bytes});
       st.on_complete = [opp, t, accum, dt, rop, count, bytes](RankCtx& rc) {
         sim::advance(rc.profile().reduce_cost(bytes));
-        apply_op(rop, dt, opp->temps[t].data(), accum, count);
+        apply_op(rop, dt, opp->temps[t].get(), accum, count);
       };
       ch.stages.push_back(std::move(st));
     } else {
@@ -178,12 +187,12 @@ void build_ring_allreduce(CollOp& op, const CommInfo& ci, std::byte* accum,
       CollStage st;
       st.sends.push_back(
           {right, at(accum, (base + coff(schunk)) * elem), cn(schunk) * elem});
-      st.recvs.push_back({left, op.temps[t].data(), cn(rchunk) * elem});
+      st.recvs.push_back({left, op.temps[t].get(), cn(rchunk) * elem});
       const std::size_t roff = (base + coff(rchunk)) * elem;
       const std::size_t rcnt = cn(rchunk);
       st.on_complete = [opp, t, accum, dt, rop, roff, rcnt, elem](RankCtx& rc) {
         sim::advance(rc.profile().reduce_cost(rcnt * elem));
-        apply_op(rop, dt, opp->temps[t].data(), at(accum, roff), rcnt);
+        apply_op(rop, dt, opp->temps[t].get(), at(accum, roff), rcnt);
       };
       ch.stages.push_back(std::move(st));
     }
@@ -240,11 +249,10 @@ Request RankCtx::ibarrier(Comm comm) {
   for (int k = 1; k < p; k <<= 1) {
     CollStage st;
     // 1-byte token: zero-length messages are legal but a token keeps the
-    // payload path uniform.
+    // payload path uniform. The received byte is never read.
     const std::size_t t = add_temp(*op, 1);
-    const std::size_t t2 = add_temp(*op, 1);
-    st.sends.push_back({(me + k) % p, op->temps[t].data(), 1});
-    st.recvs.push_back({(me - k + p) % p, op->temps[t2].data(), 1});
+    st.sends.push_back({(me + k) % p, &kBarrierToken, 1});
+    st.recvs.push_back({(me - k + p) % p, op->temps[t].get(), 1});
     ch.stages.push_back(std::move(st));
   }
   return start_collective(std::move(op));
@@ -378,12 +386,12 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
       const std::size_t t = add_temp(*op, phantom ? 0 : keep_n * elem);
       CollStage st;
       st.sends.push_back({partner, at(accum, send_lo * elem), keep_n * elem});
-      st.recvs.push_back({partner, op->temps[t].data(), keep_n * elem});
+      st.recvs.push_back({partner, op->temps[t].get(), keep_n * elem});
       st.on_complete = [opp, t, accum, dt, rop, keep_lo, keep_n, elem,
                         phantom](RankCtx& rc) {
         sim::advance(rc.profile().reduce_cost(keep_n * elem));
         if (!phantom) {
-          apply_op(rop, dt, opp->temps[t].data(), accum + keep_lo * elem, keep_n);
+          apply_op(rop, dt, opp->temps[t].get(), accum + keep_lo * elem, keep_n);
         }
       };
       ch.stages.push_back(std::move(st));
@@ -412,24 +420,24 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
       rtmps.push_back(add_temp(*op, store));
     }
     if (nrounds > 0 && !phantom) {
-      std::memcpy(op->temps[snaps[0]].data(), accum, bytes);
+      std::memcpy(op->temps[snaps[0]].get(), accum, bytes);
     }
     CollOp* opp = op.get();
     int round = 0;
     for (int k = 1; k < p; k <<= 1, ++round) {
       const int partner = ci.my_rank ^ k;
       CollStage st;
-      st.sends.push_back({partner, op->temps[snaps[static_cast<std::size_t>(round)]].data(), bytes});
-      st.recvs.push_back({partner, op->temps[rtmps[static_cast<std::size_t>(round)]].data(), bytes});
+      st.sends.push_back({partner, op->temps[snaps[static_cast<std::size_t>(round)]].get(), bytes});
+      st.recvs.push_back({partner, op->temps[rtmps[static_cast<std::size_t>(round)]].get(), bytes});
       const std::size_t rt = rtmps[static_cast<std::size_t>(round)];
       const bool last = (round == nrounds - 1);
       const std::size_t next_snap = last ? 0 : snaps[static_cast<std::size_t>(round + 1)];
       st.on_complete = [opp, rt, accum, dt, rop, count, bytes, last, phantom,
                         next_snap](RankCtx& rc) {
         sim::advance(rc.profile().reduce_cost(bytes));
-        apply_op(rop, dt, opp->temps[rt].data(), accum, count);
+        apply_op(rop, dt, opp->temps[rt].get(), accum, count);
         if (!last && !phantom) {
-          std::memcpy(opp->temps[next_snap].data(), accum, bytes);
+          std::memcpy(opp->temps[next_snap].get(), accum, bytes);
         }
       };
       ch.stages.push_back(std::move(st));

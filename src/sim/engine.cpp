@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <sstream>
@@ -14,6 +15,15 @@ namespace sim {
 namespace {
 thread_local Engine* g_current_engine = nullptr;
 constexpr std::size_t kDefaultStackBytes = 128 * 1024;
+
+// The fiber occupies its simulated core for [now, now+dt): one complete
+// slice on the fiber's track ("where does the CPU time go").
+void trace_cpu(Time now, Time dt, const Fiber& f) {
+  if (trace::Tracer::on() && dt > Time::zero()) {
+    trace::Tracer::instance().complete(now.ns(), dt.ns(), f.trace_pid(),
+                                       f.id() + 1, "cpu", "sim");
+  }
+}
 }  // namespace
 
 std::string Time::str() const {
@@ -117,13 +127,32 @@ void Engine::advance(Time dt) {
   Fiber* f = current_fiber_;
   assert(f != nullptr && "advance() called outside a fiber");
   assert(dt >= Time::zero() && "negative advance");
-  if (trace::Tracer::on() && dt > Time::zero()) {
-    // The fiber occupies its simulated core for [now, now+dt): one complete
-    // slice on the fiber's track ("where does the CPU time go").
-    trace::Tracer::instance().complete(now_.ns(), dt.ns(), f->trace_pid(),
-                                       f->id() + 1, "cpu", "sim");
-  }
+  trace_cpu(now_, dt, *f);
   schedule_fiber(*f, now_ + dt);
+  f->switch_out(scheduler_ctx_);
+}
+
+void Engine::advance_steps(Time dt, std::uint64_t n) {
+  if (n <= 1) {
+    if (n == 1) advance(dt);
+    return;
+  }
+  Fiber* f = current_fiber_;
+  assert(f != nullptr && "advance_steps() called outside a fiber");
+  assert(dt >= Time::zero() && "negative advance");
+  trace_cpu(now_, dt, *f);
+  auto lane = std::find_if(step_lanes_.begin(), step_lanes_.end(),
+                           [dt](const StepLane& l) { return l.dt == dt; });
+  if (lane == step_lanes_.end()) {
+    lane = step_lanes_.insert(lane, StepLane{dt, {}});
+  }
+  // The first step draws the seq the first advance(dt) would have drawn. The
+  // fiber is runnable (unblock() leaves it alone) and no queued wake of it
+  // stays live, as after schedule_fiber.
+  f->state_ = FiberState::kRunnable;
+  f->sched_gen_ += 1;
+  lane->steps.push_back(Step{now_ + dt, next_seq_++, f, n});
+  ++step_chains_;
   f->switch_out(scheduler_ctx_);
 }
 
@@ -142,6 +171,18 @@ void Engine::unblock(Fiber& f, Time delay) {
   schedule_fiber(f, now_ + delay);
 }
 
+void Engine::resume(Fiber& f) {
+  current_fiber_ = &f;
+  ++stats_.context_switches;
+  if (trace::Tracer::on()) {
+    trace::Tracer::instance().instant(now_.ns(), f.trace_pid(), f.id() + 1,
+                                      "ctx", "sim");
+  }
+  san::on_switch(f.id() + 1, f.name().c_str(), now_.ns());
+  f.switch_in(scheduler_ctx_);
+  current_fiber_ = nullptr;
+}
+
 void Engine::dispatch(const Event& ev) {
   now_ = ev.when;
   ++stats_.events_fired;
@@ -152,15 +193,7 @@ void Engine::dispatch(const Event& ev) {
         ev.fiber->sched_gen_ != ev.aux) {
       return;
     }
-    current_fiber_ = ev.fiber;
-    ++stats_.context_switches;
-    if (trace::Tracer::on()) {
-      trace::Tracer::instance().instant(now_.ns(), ev.fiber->trace_pid(),
-                                        ev.fiber->id() + 1, "ctx", "sim");
-    }
-    san::on_switch(ev.fiber->id() + 1, ev.fiber->name().c_str(), now_.ns());
-    ev.fiber->switch_in(scheduler_ctx_);
-    current_fiber_ = nullptr;
+    resume(*ev.fiber);
   } else {
     // Take the callable out and free its slot before the call: the callback
     // may schedule callbacks that grow the slab under it, and its captures
@@ -173,6 +206,41 @@ void Engine::dispatch(const Event& ev) {
   }
 }
 
+Engine::StepLane& Engine::next_step_lane() {
+  StepLane* best = nullptr;
+  for (StepLane& l : step_lanes_) {
+    if (l.steps.empty()) continue;
+    if (best == nullptr) {
+      best = &l;
+      continue;
+    }
+    const Step& a = l.steps.front();
+    const Step& b = best->steps.front();
+    if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) best = &l;
+  }
+  assert(best != nullptr && "no step chain queued");
+  return *best;
+}
+
+void Engine::fire_step(StepLane& lane) {
+  Step s = lane.steps.front();
+  lane.steps.pop_front();
+  now_ = s.when;
+  ++stats_.events_fired;
+  if (--s.left == 0) {
+    --step_chains_;
+    resume(*s.fiber);  // may add a lane: `lane` is not used past this
+    return;
+  }
+  // No fiber code runs between steps (hence no san::on_switch): the next
+  // step joins at the time and with the seq the fiber's next advance(dt)
+  // would have drawn here.
+  trace_cpu(now_, lane.dt, *s.fiber);
+  s.when = now_ + lane.dt;
+  s.seq = next_seq_++;
+  lane.steps.push_back(s);
+}
+
 Time Engine::run() { return run_until(Time::max()); }
 
 Time Engine::run_until(Time deadline) {
@@ -180,7 +248,19 @@ Time Engine::run_until(Time deadline) {
   running_ = true;
   Engine* prev = g_current_engine;
   g_current_engine = this;
-  while (!events_.empty()) {
+  for (;;) {
+    // The least of the heap top and the step lanes' fronts fires next.
+    if (step_chains_ != 0) {
+      StepLane& lane = next_step_lane();
+      const Step& s = lane.steps.front();
+      if (events_.empty() || s.when < events_.top().when ||
+          (s.when == events_.top().when && s.seq < events_.top().seq)) {
+        if (s.when > deadline) break;
+        fire_step(lane);
+        continue;
+      }
+    }
+    if (events_.empty()) break;
     const Event ev = events_.top();
     if (ev.when > deadline) break;
     events_.pop();

@@ -6,9 +6,14 @@
 // suspension points. Timed callbacks model autonomous hardware (NIC DMA
 // completion, wire delivery) that makes progress without occupying any
 // simulated core.
+//
+// A fiber that knows its next few steps observe nothing (advance_steps) runs
+// them as a step chain: every step still fires as an event in the position
+// advance() would give it, but only the last one switches into the fiber.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -60,6 +65,11 @@ class Engine {
 
   /// Model computation: suspend the calling fiber and resume it `dt` later.
   void advance(Time dt);
+  /// Exactly `n` back-to-back advance(dt) calls with no fiber code between
+  /// them: each step fires as an event at the time and with the sequence
+  /// number advance() would give it (events_fired counts it), but the fiber
+  /// is switched back in only after the n-th. n = 0 is a no-op.
+  void advance_steps(Time dt, std::uint64_t n);
   /// Reschedule the calling fiber at the current time, behind already-queued
   /// events (a cooperative yield).
   void yield();
@@ -101,12 +111,39 @@ class Engine {
   };
   static_assert(std::is_trivially_copyable_v<Event>);
 
+  /// The next step of an advance_steps chain: it fires at (when, seq);
+  /// `left` counts it and the steps after it.
+  struct Step {
+    Time when;
+    std::uint64_t seq;
+    Fiber* fiber;
+    std::uint64_t left;
+  };
+  /// The chains of one period `dt`. A step joins at now() + dt with the
+  /// newest seq, and every queued step of the period joined no later, so
+  /// appending keeps the FIFO in (when, seq) order.
+  struct StepLane {
+    Time dt;
+    std::deque<Step> steps;
+  };
+
   void schedule_fiber(Fiber& f, Time when);
   void dispatch(const Event& ev);
+  /// Switch into `f` from the scheduler until it suspends again.
+  void resume(Fiber& f);
+  /// The lane whose front step fires first; step_chains_ must be nonzero.
+  StepLane& next_step_lane();
+  /// Fire the front step of `lane`: the chain's last step resumes its fiber,
+  /// any other re-joins the lane one period later.
+  void fire_step(StepLane& lane);
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+  /// Step chains, one lane per distinct period (a handful at most), and
+  /// how many chains they hold: zero keeps run_until on the heap alone.
+  std::vector<StepLane> step_lanes_;
+  std::size_t step_chains_ = 0;
   /// call_at callables by slot; a slot is cleared and recycled through
   /// free_callbacks_ as its event fires.
   std::vector<std::function<void()>> callbacks_;
@@ -122,6 +159,9 @@ class Engine {
 /// Convenience accessors for the ambient engine inside fiber code.
 inline Time now() { return Engine::current()->now(); }
 inline void advance(Time dt) { Engine::current()->advance(dt); }
+inline void advance_steps(Time dt, std::uint64_t n) {
+  Engine::current()->advance_steps(dt, n);
+}
 inline void yield() { Engine::current()->yield(); }
 
 }  // namespace sim

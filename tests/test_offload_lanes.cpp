@@ -836,3 +836,115 @@ TEST(OffloadLanes, RowBoundMidPassIsDrainedInThatPass) {
   for (int i = 32; i < kA; ++i) want.push_back(i);
   EXPECT_EQ(order, want);
 }
+
+TEST(OffloadLanes, WaitallReturnTimesWithNullsAndOutOfOrderCompletions) {
+  // Three app fibers on rank 0 and two engines each wait on one window of
+  // receives with null entries at its front, middle and end. Ranks 1 and 2
+  // send the windows' messages pairwise swapped (index 1 before 0, 3 before
+  // 2, ...) with a compute gap between sends, so completions land out of
+  // order, every completion wakes all three waiters, and each pass re-reads
+  // a prefix of flags it has already seen set. The return times and the
+  // final clock were captured from a build whose waitall re-read every flag
+  // with one advance each; charging those re-reads as step chains must not
+  // move any of them.
+  constexpr int kFibers = 3, kPer = 6;
+  Cluster c(cfg(3));
+  std::vector<std::vector<std::int64_t>> returned(kFibers);
+  const sim::Time end = c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 4, .proxy_count = 2});
+    p.start_engine();
+    const auto tag = [](int f, int i) { return f * 100 + i; };
+    const auto peer = [](int i) { return 1 + i % 2; };
+    if (rc.rank() == 0) {
+      auto done = std::make_shared<int>(0);
+      const auto waiter = [&, done](int f) {
+        std::vector<int> got(kPer, -1);
+        std::vector<PReq> window;
+        window.emplace_back();
+        for (int i = 0; i < kPer; ++i) {
+          if (i == kPer / 2) window.emplace_back();
+          window.push_back(p.irecv(&got[static_cast<std::size_t>(i)], 1,
+                                   Datatype::kInt, peer(i), tag(f, i)));
+        }
+        window.emplace_back();
+        p.waitall(window);
+        returned[static_cast<std::size_t>(f)].push_back(sim::now().ns());
+        for (int i = 0; i < kPer; ++i) {
+          EXPECT_EQ(got[static_cast<std::size_t>(i)], tag(f, i) + 1000);
+        }
+        for (const PReq& r : window) EXPECT_TRUE(r.is_null());
+        ++*done;
+      };
+      for (int f = 1; f < kFibers; ++f) {
+        rc.cluster().spawn_on(0, "waiter" + std::to_string(f),
+                              [waiter, f] { waiter(f); });
+      }
+      waiter(0);
+      while (*done < kFibers) sim::advance(sim::Time::from_us(1));
+    } else {
+      for (int pair = 0; pair < kPer; pair += 2) {
+        for (const int i : {pair + 1, pair}) {
+          if (peer(i) != rc.rank()) continue;
+          for (int f = 0; f < kFibers; ++f) {
+            const int v = tag(f, i) + 1000;
+            p.send(&v, 1, Datatype::kInt, 0, tag(f, i));
+            compute(sim::Time::from_ns(700));
+          }
+        }
+      }
+    }
+    p.barrier();
+    p.stop();
+  });
+  EXPECT_EQ(returned, (std::vector<std::vector<std::int64_t>>{
+                          {11800}, {13310}, {14820}}));
+  EXPECT_EQ(end.ns(), 21055);
+}
+
+TEST(OffloadLanes, EnginesSleepOnceAStealHeavyBurstDrains) {
+  // All traffic targets one peer, so every command lands on one of the two
+  // engines and the other steals part of it (a thief's pops lower the
+  // victim's backlog count). Once the burst has drained both engines must
+  // reach the doorbell sleep: an idle poll reads the backlog counts, and a
+  // count left high by a thief's pops would keep both polling for good —
+  // thousands of cmd_detect spins over the idle window, and an engine that
+  // never exits at stop() (the short deadline turns that into a failure).
+  constexpr int kN = 96;
+  ClusterConfig conf = cfg(2);
+  conf.deadline = sim::Time::from_ms(20);
+  Cluster c(conf);
+  OffloadStats after_burst, after_idle;
+  c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, ProxyOptions{.lane_count = 2, .proxy_count = 2});
+    p.start_engine();
+    if (rc.rank() == 0) {
+      std::vector<int> vals(kN);
+      std::vector<Command> ops;
+      for (int i = 0; i < kN; ++i) {
+        vals[static_cast<std::size_t>(i)] = i;
+        ops.push_back(Command::isend(&vals[static_cast<std::size_t>(i)], 1,
+                                     Datatype::kInt, 1, 7));
+      }
+      std::vector<PReq> reqs(kN);
+      p.post_batch(ops, reqs);
+      p.waitall(reqs);
+      after_burst = p.channel().stats();
+      compute(sim::Time::from_ms(2));
+      after_idle = p.channel().stats();
+    } else {
+      for (int i = 0; i < kN; ++i) {
+        int v = -1;
+        p.recv(&v, 1, Datatype::kInt, 0, 7);
+        EXPECT_EQ(v, i);
+      }
+    }
+    p.barrier();
+    p.stop();
+  });
+  EXPECT_GT(after_burst.steal_commands, 0u);
+  EXPECT_GT(after_idle.engine_sleeps, after_burst.engine_sleeps);
+  // Each trip to the doorbell sleep takes kSpinPolls spins per engine; allow
+  // a few wakes (rank 1's barrier message arrives in the window).
+  EXPECT_LE(after_idle.engine_spins - after_burst.engine_spins,
+            8u * OffloadChannel::kSpinPolls);
+}

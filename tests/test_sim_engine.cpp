@@ -8,11 +8,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
+#include "trace/tracer.hpp"
 
 using namespace sim;
 using namespace sim::literals;
@@ -319,6 +322,144 @@ TEST(Engine, ManyFibersLargeFanout) {
   }
   e.run();
   EXPECT_EQ(done, 2000);
+}
+
+// ---- Step chains: advance_steps(dt, n) against n x advance(dt) ----
+
+namespace {
+
+struct StepRun {
+  /// (virtual ns, actor) of every observable action, in dispatch order.
+  std::vector<std::pair<std::int64_t, std::string>> log;
+  /// (clock, log length) where each run_until segment stopped.
+  std::vector<std::pair<std::int64_t, std::size_t>> stops;
+  EngineStats stats;
+  /// With the tracer on: every trace event but the "ctx" switch instants
+  /// as (phase, track, start, duration, name), and how many of those
+  /// instants there were.
+  std::vector<std::tuple<char, std::uint64_t, std::int64_t, std::int64_t,
+                         std::string>>
+      trace;
+  std::size_t ctx_instants = 0;
+};
+
+// Two fibers each run two chains of `n` steps, one with period 10 ns and one
+// with 15 ns, so their steps tie at multiples of 30 ns. A ticker fiber wakes
+// every 10 ns, on chain A's step times, and posts callbacks while the chains
+// run: one for now (behind the step due now), one a period later (tying a
+// later step). Callbacks posted before the run land on step times too, and
+// one spawns a fiber mid-chain. `chained` picks advance_steps or the loop it
+// abbreviates; the run stops at each of `deadlines` before running out.
+StepRun run_step_scenario(std::uint64_t n, bool chained,
+                          const std::vector<Time>& deadlines = {}) {
+  Engine e;
+  StepRun r;
+  const auto note = [&r, &e](const std::string& who) {
+    r.log.emplace_back(e.now().ns(), who);
+  };
+  const auto steps = [chained](Time dt, std::uint64_t k) {
+    if (chained) {
+      advance_steps(dt, k);
+    } else {
+      for (std::uint64_t i = 0; i < k; ++i) advance(dt);
+    }
+  };
+  e.spawn("A", [&] {
+    note("A0");
+    steps(10_ns, n);
+    note("A1");
+    steps(10_ns, n);
+    note("A2");
+  });
+  e.spawn("B", [&] {
+    note("B0");
+    steps(15_ns, n);
+    note("B1");
+    advance(5_ns);
+    note("B2");
+    steps(15_ns, n);
+    note("B3");
+  });
+  e.spawn("ticker", [&] {
+    for (int i = 0; i < 150; ++i) {
+      note("tick");
+      if (i % 7 == 3) e.call_after(0_ns, [&] { note("cb-now"); });
+      if (i % 11 == 5) e.call_after(10_ns, [&] { note("cb-next"); });
+      advance(10_ns);
+    }
+  });
+  for (const std::int64_t t : {0, 20, 30, 45, 100, 640, 1270}) {
+    e.call_at(Time(t), [&note, t] { note("pre" + std::to_string(t)); });
+  }
+  e.call_at(Time(330), [&] {
+    note("spawn");
+    e.spawn("late", [&] {
+      note("late0");
+      steps(10_ns, 3);
+      note("late1");
+    });
+  });
+  for (const Time d : deadlines) {
+    e.run_until(d);
+    r.stops.emplace_back(e.now().ns(), r.log.size());
+  }
+  e.run();
+  r.stops.emplace_back(e.now().ns(), r.log.size());
+  r.stats = e.stats();
+  if (!trace::Tracer::on()) return r;
+  for (const trace::Event& ev : trace::Tracer::instance().events()) {
+    if (ev.name == "ctx") {
+      ++r.ctx_instants;
+    } else {
+      r.trace.emplace_back(ev.ph, ev.tid, ev.ts_ns, ev.dur_ns, ev.name);
+    }
+  }
+  trace::Tracer::instance().clear();
+  return r;
+}
+
+/// Switches a chain of `n` steps saves: all but the last step's.
+std::uint64_t saved_switches(std::uint64_t n) { return n < 2 ? 0 : n - 1; }
+
+}  // namespace
+
+TEST(StepChain, MatchesRepeatedAdvance) {
+  for (const std::uint64_t n : {0, 1, 2, 64}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const StepRun want = run_step_scenario(n, false);
+    const StepRun got = run_step_scenario(n, true);
+    EXPECT_EQ(got.log, want.log);
+    EXPECT_EQ(got.stops, want.stops);
+    EXPECT_EQ(got.stats.events_fired, want.stats.events_fired);
+    // Four chains of n steps plus the late fiber's chain of three.
+    EXPECT_EQ(want.stats.context_switches - got.stats.context_switches,
+              4 * saved_switches(n) + saved_switches(3));
+  }
+}
+
+TEST(StepChain, TracesTheSameCpuSlicesWithoutTheSkippedSwitches) {
+  trace::Tracer::instance().clear();
+  trace::Tracer::set_enabled(true);
+  const StepRun want = run_step_scenario(64, false);
+  const StepRun got = run_step_scenario(64, true);
+  trace::Tracer::set_enabled(false);
+  EXPECT_FALSE(want.trace.empty());
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(want.ctx_instants - got.ctx_instants,
+            4 * saved_switches(64) + saved_switches(3));
+}
+
+TEST(StepChain, DeadlinesInsideAChainStopWhereRepeatedAdvanceStops) {
+  // A's first chain covers 0..640 ns; every deadline falls inside a chain
+  // (one exactly on a step time) and the next run_until resumes it.
+  const std::vector<Time> deadlines{255_ns, 300_ns, 333_ns, 900_ns};
+  const StepRun want = run_step_scenario(64, false, deadlines);
+  const StepRun got = run_step_scenario(64, true, deadlines);
+  EXPECT_EQ(got.log, want.log);
+  EXPECT_EQ(got.stops, want.stops);
+  EXPECT_EQ(got.stats.events_fired, want.stats.events_fired);
+  EXPECT_EQ(want.stats.context_switches - got.stats.context_switches,
+            4 * saved_switches(64) + saved_switches(3));
 }
 
 // ---- Stack-switch contract (sim/context.hpp), checked through fibers ----

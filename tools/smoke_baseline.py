@@ -15,6 +15,10 @@ benches run concurrently, one per CPU, and are reported in list order.
 differs (or whose binary is missing); `update` rewrites the baseline files
 from the current build. A change that moves a number on purpose updates
 the baseline in the same commit and says why in CHANGES.md.
+
+Each bench's line also shows the host CPU seconds it took (user + sys of
+the bench process). That number is host time, so it varies between runs
+and machines and gates nothing; it makes the deck's host cost visible.
 """
 
 import argparse
@@ -46,11 +50,18 @@ BENCHES = [
 ]
 
 
-def run_bench(binary: Path) -> tuple[int, str]:
+def run_bench(binary: Path) -> tuple[int, str, float]:
+    """Run one bench; return its exit status, stdout and CPU seconds."""
     env = dict(os.environ, MPIOFF_BENCH_SMOKE="1", MPIOFF_STATS="1")
     env.pop("MPIOFF_TRACE", None)
-    done = subprocess.run([str(binary)], env=env, stdout=subprocess.PIPE)
-    return done.returncode, done.stdout.decode("utf-8")
+    proc = subprocess.Popen([str(binary)], env=env, stdout=subprocess.PIPE)
+    with proc.stdout:
+        out = proc.stdout.read()
+    # Reap the child here, not through Popen, to get its resource usage.
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (proc.returncode, out.decode("utf-8"),
+            usage.ru_utime + usage.ru_stime)
 
 
 def main() -> int:
@@ -77,22 +88,24 @@ def main() -> int:
             print(f"smoke_baseline: {name}: no binary at {binary}")
             failed = True
             continue
-        rc, out = result
+        rc, out, cpu_s = result
+        cpu = f"[{cpu_s:.1f} CPU s]"
         if rc != 0:
-            print(f"smoke_baseline: {name}: exited with status {rc}")
+            print(f"smoke_baseline: {name}: exited with status {rc} {cpu}")
             failed = True
             continue
         path = base_dir / f"{name}.txt"
         if args.mode == "update":
             path.write_text(out, encoding="utf-8")
-            print(f"smoke_baseline: {name}: written")
+            print(f"smoke_baseline: {name}: written {cpu}")
             continue
         want = path.read_text(encoding="utf-8") if path.is_file() else ""
         if out == want:
-            print(f"smoke_baseline: {name}: OK")
+            print(f"smoke_baseline: {name}: OK {cpu}")
             continue
         failed = True
-        print(f"smoke_baseline: {name}: DIFFERS from {path.relative_to(root)}")
+        print(f"smoke_baseline: {name}: DIFFERS from "
+              f"{path.relative_to(root)} {cpu}")
         sys.stdout.writelines(difflib.unified_diff(
             want.splitlines(keepends=True), out.splitlines(keepends=True),
             fromfile="baseline", tofile="current"))
