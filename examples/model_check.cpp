@@ -4,7 +4,7 @@
 //   model_check list                        list specs and mutation sites
 //
 //   <spec>      ring | pool | lane | handshake | cont | whenany | mring | sleep
-//               | pready | chunk
+//               | chunk
 //   --random            random exploration (default: exhaustive DFS)
 //   --iters N           random-mode executions (default 2000)
 //   --seed S            random-mode base seed (default 1)
@@ -30,7 +30,7 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: model_check "
-               "<ring|pool|lane|handshake|cont|whenany|mring|sleep|pready|chunk|list> "
+               "<ring|pool|lane|handshake|cont|whenany|mring|sleep|chunk|list> "
                "[--random] "
                "[--iters N] [--seed S]\n"
                "                   [--replay-seed S] [--replay-trail T] "
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   const std::string spec = argv[1];
   if (spec == "list") {
     std::printf(
-        "specs: ring pool lane handshake cont whenany mring sleep pready chunk\n\n"
+        "specs: ring pool lane handshake cont whenany mring sleep chunk\n\n"
         "mutation matrix:\n");
     for (const auto& mc : chk::specs::mutation_matrix()) {
       std::printf("  %-30s -> %s\n", mc.site.str().c_str(), mc.spec);

@@ -137,112 +137,20 @@ float DistributedTrainer::train_step(const Tensor& x,
 
   // Data-parallel gradient sum — the paper's overlappable allreduce; the
   // real-math trainer issues it nonblocking and waits before the update.
-  // The ring modes route the same reduction through (persistent) p2p.
-  if (grad_mode_ == GradMode::kAllreduce) {
-    std::vector<float> wsum(conv_.wgrad.size()), bsum(conv_.bgrad.size());
-    PReq rw = proxy_.iallreduce(conv_.wgrad.data(), wsum.data(), conv_.wgrad.size(),
-                                Datatype::kFloat, smpi::Op::kSum);
-    PReq rb = proxy_.iallreduce(conv_.bgrad.data(), bsum.data(), conv_.bgrad.size(),
-                                Datatype::kFloat, smpi::Op::kSum);
-    proxy_.wait(rw);
-    proxy_.wait(rb);
-    conv_.wgrad = wsum;
-    conv_.bgrad = bsum;
-  } else {
-    ring_grad_sum();
-  }
+  std::vector<float> wsum(conv_.wgrad.size()), bsum(conv_.bgrad.size());
+  PReq rw = proxy_.iallreduce(conv_.wgrad.data(), wsum.data(), conv_.wgrad.size(),
+                              Datatype::kFloat, smpi::Op::kSum);
+  PReq rb = proxy_.iallreduce(conv_.bgrad.data(), bsum.data(), conv_.bgrad.size(),
+                              Datatype::kFloat, smpi::Op::kSum);
+  proxy_.wait(rw);
+  proxy_.wait(rb);
+  conv_.wgrad = wsum;
+  conv_.bgrad = bsum;
 
   conv_.sgd_step(lr);
   fc1_.sgd_step(lr);
   fc2_.sgd_step(lr);
   return loss;
-}
-
-namespace {
-
-/// Base tag of the gradient ring (well clear of the FC exchange traffic and
-/// below the partitioned-wire-tag ceiling).
-constexpr int kGradRingTag = 900;
-/// Partitions per ring block: "one partition per compute thread" at the
-/// small real-math scale — each backprop worker publishes its quarter.
-constexpr std::uint32_t kGradParts = 4;
-
-}  // namespace
-
-void DistributedTrainer::ring_grad_sum() {
-  const int p = rc_.nranks();
-  const int rank = rc_.rank();
-  const std::size_t nw = conv_.wgrad.size();
-  const std::size_t n = nw + conv_.bgrad.size();
-  if (p == 1) return;  // the local gradients already are the sum
-  if (ring_send_.size() != n) {
-    ring_send_.assign(n, 0.0f);
-    ring_recv_.assign(n, 0.0f);
-  }
-  if (grad_mode_ == GradMode::kRingPersistent && ring_sreq_.is_null()) {
-    const int left = (rank - 1 + p) % p;
-    const int right = (rank + 1) % p;
-    ring_rreq_ = proxy_.precv_init(ring_recv_.data(), n, Datatype::kFloat,
-                                   left, kGradRingTag, kGradParts);
-    ring_sreq_ = proxy_.psend_init(ring_send_.data(), n, Datatype::kFloat,
-                                   right, kGradRingTag, kGradParts);
-  }
-
-  // My block is wgrad ++ bgrad; circulate every rank's block around the
-  // ring (p-1 steps, each forwarding the block received the step before).
-  std::vector<float> mine(n);
-  std::memcpy(mine.data(), conv_.wgrad.data(), sizeof(float) * nw);
-  std::memcpy(mine.data() + nw, conv_.bgrad.data(), sizeof(float) * (n - nw));
-  std::vector<std::vector<float>> blocks(static_cast<std::size_t>(p));
-  blocks[static_cast<std::size_t>(rank)] = mine;
-  const std::size_t bytes = n * sizeof(float);
-  for (int s = 0; s < p - 1; ++s) {
-    // The block arriving this step originated s+1 hops to the left.
-    const int origin = (rank - 1 - s + p) % p;
-    const float* src = (s == 0) ? mine.data()
-                                : blocks[static_cast<std::size_t>((origin + 1) % p)].data();
-    if (grad_mode_ == GradMode::kRingPersistent) {
-      // Restart the pair (one lane command each), then stage the outgoing
-      // block a partition at a time, publishing readiness per chunk so the
-      // early quarters are on the wire while the rest is still copying.
-      proxy_.start(ring_rreq_);
-      proxy_.start(ring_sreq_);
-      for (std::uint32_t c = 0; c < kGradParts; ++c) {
-        const std::size_t lo = bytes * c / kGradParts;
-        const std::size_t hi = bytes * (c + 1) / kGradParts;
-        std::memcpy(reinterpret_cast<char*>(ring_send_.data()) + lo,
-                    reinterpret_cast<const char*>(src) + lo, hi - lo);
-        proxy_.pready(ring_sreq_, c);
-      }
-      proxy_.wait(ring_sreq_);
-      proxy_.wait(ring_rreq_);
-    } else {
-      std::memcpy(ring_send_.data(), src, bytes);
-      PReq rr = proxy_.irecv(ring_recv_.data(), n, Datatype::kFloat,
-                             (rank - 1 + p) % p, kGradRingTag);
-      PReq sr = proxy_.isend(ring_send_.data(), n, Datatype::kFloat,
-                             (rank + 1) % p, kGradRingTag);
-      proxy_.wait(rr);
-      proxy_.wait(sr);
-    }
-    blocks[static_cast<std::size_t>(origin)] = ring_recv_;
-  }
-
-  // Deterministic reduction: accumulate blocks in rank order 0..p-1 — the
-  // identical float-addition sequence in both ring modes, which is what
-  // makes their trained weights bitwise identical.
-  std::vector<float> sum(blocks[0]);
-  for (int r = 1; r < p; ++r) {
-    const std::vector<float>& b = blocks[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < n; ++i) sum[i] += b[i];
-  }
-  std::memcpy(conv_.wgrad.data(), sum.data(), sizeof(float) * nw);
-  std::memcpy(conv_.bgrad.data(), sum.data() + nw, sizeof(float) * (n - nw));
-}
-
-void DistributedTrainer::release_persistent() {
-  if (!ring_sreq_.is_null()) proxy_.request_free(ring_sreq_);
-  if (!ring_rreq_.is_null()) proxy_.request_free(ring_rreq_);
 }
 
 // ----------------------------------------------------------- SerialTrainer ----

@@ -27,18 +27,6 @@ namespace cnn {
 /// weights (deterministic seeds) exactly like a broadcast would.
 class DistributedTrainer {
  public:
-  /// How the data-parallel conv gradients are summed across ranks.
-  ///  kAllreduce      — nonblocking allreduce (the original path);
-  ///  kRingOneShot    — allgather ring of one-shot isend/irecv, then a local
-  ///                    sum in rank order;
-  ///  kRingPersistent — the same ring over init-once partitioned persistent
-  ///                    requests: each step restarts the pair, copies the
-  ///                    outgoing block a partition at a time and pready()s
-  ///                    each chunk (DESIGN.md §16). Both ring modes perform
-  ///                    identical arithmetic in identical order, so their
-  ///                    trained weights are bitwise identical.
-  enum class GradMode { kAllreduce, kRingOneShot, kRingPersistent };
-
   /// in: images (global_batch, in_c, h, w); global_batch divisible by ranks,
   /// fc1 output neurons divisible by ranks.
   DistributedTrainer(smpi::RankCtx& rc, core::Proxy& proxy, int in_c, int h,
@@ -50,31 +38,17 @@ class DistributedTrainer {
                    const std::vector<float>& global_targets, int global_batch,
                    float lr);
 
-  void set_grad_mode(GradMode m) { grad_mode_ = m; }
-  /// Free the persistent gradient-ring requests (call after the last
-  /// train_step and before the proxy stops; idempotent).
-  void release_persistent();
-
   Conv2d& conv() { return conv_; }
   Linear& fc1() { return fc1_; }
   Linear& fc2() { return fc2_; }
 
  private:
-  /// Sum wgrad/bgrad across ranks through the allgather ring (one-shot or
-  /// persistent per grad_mode_), accumulating blocks in rank order.
-  void ring_grad_sum();
-
   smpi::RankCtx& rc_;
   core::Proxy& proxy_;
   Conv2d conv_;
   Linear fc1_, fc2_;  ///< model-parallel: each rank owns out_f/P rows
   int fc_hidden_, fc_out_;
   int feat_ = 0;  ///< flattened conv feature size
-  GradMode grad_mode_ = GradMode::kAllreduce;
-  // Gradient-ring state: fixed-address staging buffers (the persistent
-  // requests are bound to them) holding wgrad ++ bgrad concatenated.
-  std::vector<float> ring_send_, ring_recv_;
-  core::PersistentReq ring_sreq_{}, ring_rreq_{};
 };
 
 /// Serial reference trainer with identical topology and seeds.

@@ -346,96 +346,6 @@ void DistributedDslash::apply_chained(SpinorField& out) {
   fold_boundary(out);
 }
 
-void DistributedDslash::pack_face_chunk(int mu, int lo, int hi) {
-  const Dims& d = dec_.local();
-  const auto m = static_cast<std::size_t>(mu);
-  Dims fd = d;
-  fd[m] = 1;
-  for (int fi = lo; fi < hi; ++fi) {
-    // Decode the face index back to face coordinates (inverse of the
-    // column-major site_index over fd, which face_index uses).
-    Dims c{};
-    int r = fi;
-    c[kX] = r % fd[kX];
-    r /= fd[kX];
-    c[kY] = r % fd[kY];
-    r /= fd[kY];
-    c[kZ] = r % fd[kZ];
-    r /= fd[kZ];
-    c[kT] = r;
-    // Bottom face: raw spinor for the -mu neighbor's +mu term.
-    c[m] = 0;
-    const cf* s = psi_.site(site_index(c, d));
-    std::copy(s, s + kSpinorFloats,
-              send_minus_[mu].begin() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats);
-    // Top face: premultiplied U^dag psi for the +mu neighbor's -mu term.
-    c[m] = d[m] - 1;
-    const int x = site_index(c, d);
-    matdag_vec(gauge_.link(x, mu), psi_.site(x),
-               send_plus_[mu].data() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats);
-  }
-}
-
-void DistributedDslash::init_persistent() {
-  using smpi::Datatype;
-  for (int mu = 0; mu < 4; ++mu) {
-    if (!dec_.partitioned(mu)) continue;
-    const std::size_t n = recv_plus_[mu].size();
-    const int up = dec_.neighbor_rank(mu, +1);
-    const int dn = dec_.neighbor_rank(mu, -1);
-    // Partition boundaries must land on site boundaries (the pack works in
-    // whole sites), so pick the largest power-of-two partition count that
-    // divides the face. Neighbor ranks share the local dims in a uniform
-    // decomposition, so both ends derive the same count.
-    const auto faces = static_cast<int>(dec_.face_sites(mu));
-    int parts = 8;
-    while (parts > 1 && faces % parts != 0) parts /= 2;
-    halo_parts_[mu] = parts;
-    const auto np = static_cast<std::uint32_t>(parts);
-    halo_mu_.push_back(mu);
-    halo_reqs_.push_back(proxy_.precv_init(recv_plus_[mu].data(), n,
-                                           Datatype::kComplexFloat, up, mu * 2, np));
-    halo_reqs_.push_back(proxy_.precv_init(recv_minus_[mu].data(), n,
-                                           Datatype::kComplexFloat, dn, mu * 2 + 1, np));
-    halo_reqs_.push_back(proxy_.psend_init(send_minus_[mu].data(), n,
-                                           Datatype::kComplexFloat, dn, mu * 2, np));
-    halo_reqs_.push_back(proxy_.psend_init(send_plus_[mu].data(), n,
-                                           Datatype::kComplexFloat, up, mu * 2 + 1, np));
-  }
-}
-
-void DistributedDslash::apply_partitioned(SpinorField& out) {
-  if (halo_reqs_.empty()) init_persistent();
-  // One lane command per request instead of a fresh envelope: restart the
-  // whole exchange (receives post, sends arm awaiting partition readiness).
-  proxy_.startall(halo_reqs_);
-  // Pack each face a partition at a time and publish readiness as we go —
-  // early chunks are on the wire while the rest of the face is still being
-  // produced (the paper's compute/communication overlap, one level deeper).
-  for (std::size_t g = 0; g < halo_mu_.size(); ++g) {
-    const int mu = halo_mu_[g];
-    const int parts = halo_parts_[mu];
-    const auto faces = static_cast<int>(dec_.face_sites(mu));
-    core::PersistentReq& send_dn = halo_reqs_[g * 4 + 2];
-    core::PersistentReq& send_up = halo_reqs_[g * 4 + 3];
-    for (int p = 0; p < parts; ++p) {
-      pack_face_chunk(mu, faces * p / parts, faces * (p + 1) / parts);
-      proxy_.pready(send_dn, static_cast<std::uint32_t>(p));
-      proxy_.pready(send_up, static_cast<std::uint32_t>(p));
-    }
-  }
-  interior(out);
-  for (core::PersistentReq& r : halo_reqs_) proxy_.wait(r);
-  boundary(out);
-}
-
-void DistributedDslash::release_persistent() {
-  for (core::PersistentReq& r : halo_reqs_) proxy_.request_free(r);
-  halo_reqs_.clear();
-  halo_mu_.clear();
-  for (int& p : halo_parts_) p = 0;
-}
-
 void DistributedDslash::apply_to(const SpinorField& in, SpinorField& out) {
   psi_.v = in.v;
   apply(out);

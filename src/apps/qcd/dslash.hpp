@@ -101,25 +101,9 @@ class DistributedDslash {
   void apply_chained(SpinorField& out);
   /// Apply to an arbitrary input field (copies into psi storage).
   void apply_to(const SpinorField& in, SpinorField& out);
-  /// out = D psi through init-once persistent/partitioned halo requests
-  /// (DESIGN.md §16). The first call creates one partitioned psend/precv
-  /// pair per split dimension and direction; every call restarts them,
-  /// packs each face in partition-sized chunks and pready()s each chunk so
-  /// early partitions ship while the rest of the face is still packing,
-  /// overlaps the interior stencil, then waits the whole exchange before
-  /// the boundary accumulation. Bit-identical to apply(): same receive
-  /// buffers, same interior/boundary arithmetic in the same order.
-  void apply_partitioned(SpinorField& out);
-  /// Free the persistent halo requests (must be called after the last
-  /// generation completed and before the proxy stops; idempotent).
-  void release_persistent();
 
  private:
   void pack_faces();
-  /// Pack face sites [lo, hi) of dimension mu into send_minus_/send_plus_
-  /// — the chunk-granular form of pack_faces (identical per-site math).
-  void pack_face_chunk(int mu, int lo, int hi);
-  void init_persistent();
   void interior(SpinorField& out);
   void boundary(SpinorField& out);
   /// Continuation body: scratch_plus_[mu] = U(x,mu) * recv_plus_[mu] over
@@ -137,12 +121,6 @@ class DistributedDslash {
   std::vector<cf> send_minus_[4], send_plus_[4];
   std::vector<cf> recv_plus_[4], recv_minus_[4];
   std::vector<cf> scratch_plus_[4];  ///< apply_chained face accumulators
-  // Persistent/partitioned halo state (apply_partitioned): per split mu the
-  // requests come in groups of four — {recv_plus, recv_minus, send_minus,
-  // send_plus} — mirroring the one-shot batch order in apply().
-  std::vector<core::PersistentReq> halo_reqs_;
-  std::vector<int> halo_mu_;          ///< which mu each group of four serves
-  int halo_parts_[4] = {0, 0, 0, 0};  ///< partitions per dimension
 };
 
 }  // namespace qcd

@@ -10,7 +10,6 @@
 #include "core/cont_table.hpp"
 #include "core/drain_claim.hpp"
 #include "core/mpsc_ring.hpp"
-#include "core/part_ready.hpp"
 #include "core/request_pool.hpp"
 #include "core/spsc_lane.hpp"
 #include "mpi/types.hpp"
@@ -419,61 +418,6 @@ Result check_doorbell(const Options& opt, bool buggy) {
   });
 }
 
-Result check_pready(const Options& opt, const PreadyCfg& cfg) {
-  return explore(opt, [cfg](Sim& sim) {
-    const int n = cfg.publishers;
-    core::PartReadyWordT<ModelAtomics> word;
-    // One plain payload cell per partition: the compute fiber's slice of the
-    // user buffer. Nothing orders these against the engine except the ready
-    // word's release/acquire pair — weaken either side and the consumer
-    // reads an unpublished slice.
-    std::vector<var<int>> payload(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      ModelAtomics::set_name(payload[static_cast<std::size_t>(p)],
-                             "pready.payload", static_cast<std::size_t>(p));
-    }
-
-    std::vector<std::function<void()>> bodies;
-    for (int p = 0; p < n; ++p) {
-      bodies.push_back([&, p] {
-        payload[static_cast<std::size_t>(p)].ref_w() = 100 + p;
-        const std::uint64_t old = word.mark(static_cast<unsigned>(p));
-        check((old & (std::uint64_t{1} << p)) == 0,
-              "mark() reports a fresh bit (no double pready)");
-      });
-    }
-    // Engine consumer: poll the word, ship every newly-ready partition by
-    // reading its payload (the NIC serializes straight from the user
-    // buffer). `shipped` is the engine's plain mirror mask.
-    bodies.push_back([&] {
-      const std::uint64_t all = (std::uint64_t{1} << n) - 1;
-      std::uint64_t shipped = 0;
-      while (shipped != all) {
-        const std::uint64_t ready = word.load();
-        std::uint64_t fresh = ready & ~shipped;
-        if (fresh == 0) {
-          Sim::yield();
-          continue;
-        }
-        for (int p = 0; p < n; ++p) {
-          if ((fresh & (std::uint64_t{1} << p)) != 0) {
-            check(payload[static_cast<std::size_t>(p)].ref_r() == 100 + p,
-                  "partition payload visible when its ready bit is");
-          }
-        }
-        shipped |= fresh;
-      }
-    });
-    sim.threads(std::move(bodies));
-
-    check(word.load() == (std::uint64_t{1} << n) - 1,
-          "every partition marked exactly once");
-    // Re-arm is quiescent by construction once all threads joined.
-    word.reset();
-    check(word.load() == 0, "reset clears the word for the next generation");
-  });
-}
-
 Result check_chunk(const Options& opt, const ChunkCfg& cfg) {
   return explore(opt, [&cfg](Sim& sim) {
     using Slots = core::ChunkedSlots<var<int>, ModelAtomics, 1>;
@@ -514,7 +458,6 @@ Result run_spec(const std::string& spec, const Options& opt) {
   if (spec == "whenany") return check_whenany(opt);
   if (spec == "mring") return check_mring(opt);
   if (spec == "sleep") return check_doorbell(opt);
-  if (spec == "pready") return check_pready(opt);
   if (spec == "chunk") return check_chunk(opt);
   throw std::invalid_argument("unknown spec: " + spec);
 }
@@ -560,12 +503,6 @@ std::vector<MutationCase> mutation_matrix() {
       // spec exercises two holders, so only it can catch a weakening.
       {{"claim.state", OpKind::kRmw, Side::kAcquire}, "mring"},
       {{"claim.state", OpKind::kStore, Side::kRelease}, "mring"},
-      // Partition-ready word: the publisher's fetch_or release publishes the
-      // partition payload, the engine's acquire load reads it before the
-      // NIC serializes the slice. The only ordering between compute fibers
-      // and the engine for partitioned sends — both sides load-bearing.
-      {{"pready.word", OpKind::kRmw, Side::kRelease}, "pready"},
-      {{"pready.word", OpKind::kLoad, Side::kAcquire}, "pready"},
       // ChunkedSlots install: the CAS's release publishes the winner's
       // Init writes; the directory load's acquire (word already set) and
       // the CAS's failure acquire (lost the race) are the only edges that
@@ -584,7 +521,7 @@ std::vector<Site> collect_sites() {
   std::set<Site> all;
   for (const char* spec :
        {"ring", "pool", "lane", "handshake", "cont", "whenany", "mring",
-        "sleep", "pready", "chunk"}) {
+        "sleep", "chunk"}) {
     const Result r = run_spec(spec, opt);
     if (r.failed) {
       throw std::logic_error(std::string("collect_sites: spec '") + spec +

@@ -106,19 +106,6 @@ struct WhenAnyCfg {
 };
 Result check_whenany(const Options& opt, const WhenAnyCfg& cfg = {});
 
-/// The partition-ready word of a partitioned send (core/part_ready.hpp):
-/// N publisher fibers each write a plain payload cell (their slice of the
-/// user buffer) and then mark(p) their partition bit; the engine consumer
-/// polls the word and, for every newly-observed bit, reads that partition's
-/// payload — exactly what the offload engine does before handing the slice
-/// to the NIC. The payload cells are plain chk::vars ordered ONLY by the
-/// word's release/acquire pair, so weakening either side races immediately.
-/// Also asserts mark() reports a prior double-mark via its return value.
-struct PreadyCfg {
-  int publishers = 2;
-};
-Result check_pready(const Options& opt, const PreadyCfg& cfg = {});
-
 /// The chunk install of core::ChunkedSlots (the storage under the ring,
 /// pool and continuation slots): N threads first-touch the same unbuilt
 /// chunk — one-entry chunks, so entry 1 is chunk 1 — and read the plain
@@ -134,8 +121,7 @@ struct ChunkCfg {
 Result check_chunk(const Options& opt, const ChunkCfg& cfg = {});
 
 /// Run a spec by name ("ring" | "pool" | "lane" | "handshake" | "cont" |
-/// "whenany" | "mring" | "sleep" | "pready" | "chunk") with its default
-/// cfg.
+/// "whenany" | "mring" | "sleep" | "chunk") with its default cfg.
 Result run_spec(const std::string& spec, const Options& opt);
 
 /// One row of the mutation suite: weakening `site` must be caught by `spec`.

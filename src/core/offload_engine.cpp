@@ -1,7 +1,6 @@
 #include "core/offload_engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -309,28 +308,12 @@ void OffloadChannel::push_to_engine(std::size_t eidx, Command cmd) {
 
 // ------------------------------------------- persistent application side ----
 
-void Persistent::create_requests(smpi::RankCtx& rc) {
-  const std::uint32_t n = std::max<std::uint32_t>(partitions, 1);
-  const std::uint64_t bytes = cmd.count * smpi::datatype_size(cmd.dtype);
-  reqs.resize(n);
-  for (std::uint32_t p = 0; p < n; ++p) {
-    Command c = cmd;
-    if (partitions != 0) {
-      const std::uint64_t lo = bytes * p / n;
-      if (is_send()) {
-        c.sbuf = static_cast<const char*>(c.sbuf) + lo;
-      } else {
-        c.rbuf = static_cast<char*>(c.rbuf) + lo;
-      }
-      c.count = bytes * (p + 1) / n - lo;
-      c.dtype = smpi::Datatype::kByte;
-      c.tag = smpi::part_wire_tag(cmd.tag, static_cast<int>(p));
-    }
-    reqs[p] =
-        is_send()
-            ? rc.send_init(c.sbuf, c.count, c.dtype, c.peer, c.tag, c.comm)
-            : rc.recv_init(c.rbuf, c.count, c.dtype, c.peer, c.tag, c.comm);
-  }
+void Persistent::create_request(smpi::RankCtx& rc) {
+  req = cmd.op == CmdOp::kIsend
+            ? rc.send_init(cmd.sbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                           cmd.comm)
+            : rc.recv_init(cmd.rbuf, cmd.count, cmd.dtype, cmd.peer, cmd.tag,
+                           cmd.comm);
 }
 
 void OffloadChannel::persist_init(Persistent& ps) {
@@ -340,12 +323,10 @@ void OffloadChannel::persist_init(Persistent& ps) {
   sim::advance(rc_.profile().cmd_enqueue);
   ps.cmd.proxy = alloc_slot(nullptr);  // pinned for the lifetime of the request
   ps.home_engine = engine_of(ps.cmd);
-  ps.shipped.assign(ps.ready.size(), 0);
   if (slot_persist_.size() <= ps.cmd.proxy) {
     slot_persist_.resize(static_cast<std::size_t>(ps.cmd.proxy) + 1, nullptr);
   }
   slot_persist_[ps.cmd.proxy] = &ps;
-  persist_.push_back(&ps);
 }
 
 void OffloadChannel::persist_start(Persistent& ps) {
@@ -355,7 +336,7 @@ void OffloadChannel::persist_start(Persistent& ps) {
   sim::advance(rc_.profile().request_pool_op);
   pool_.rearm(ps.cmd.proxy);
   cont_.reset(ps.cmd.proxy);
-  ps.open();
+  ps.state = PState::kStarted;
   persist_post(ps, CmdOp::kStartPersistent);
 }
 
@@ -547,118 +528,20 @@ void OffloadChannel::track_inflight(Engine& e, smpi::Request real,
 // ------------------------------------------------ persistent engine side ----
 
 void OffloadChannel::engine_start_persistent(Engine& e, Persistent& ps) {
-  // The rc_-level persistent requests are created lazily on the first start
+  // The rc_-level persistent request is created lazily on the first start
   // (init never enters MPI from the engine); every generation after that is
-  // a bare MPI_Start per request.
-  if (ps.reqs.empty()) ps.create_requests(rc_);
-  ps.remaining = static_cast<std::uint32_t>(ps.reqs.size());
-  if (ps.is_send() && ps.partitions != 0) {
-    // Arm only: partitions ship from pump_persistent as pready bits land,
-    // which is the whole point — early partitions go to the wire while
-    // sibling compute threads are still producing theirs.
-    std::fill(ps.shipped.begin(), ps.shipped.end(), 0);
-    ps.armed = true;
-    ++armed_psends_;
-    // The arm races ahead-published pready bits: creating the per-partition
-    // requests above yields, so an app thread may publish (and ring the
-    // doorbell for) every partition before `armed` flips — a sibling engine
-    // that polled in that window saw armed_psends_ == 0, judged the bits
-    // un-actionable, and went to sleep past all of their signals. Re-ring
-    // the doorbell after the arm so it re-evaluates ownership.
-    for (const PartReadyWord& w : ps.ready) {
-      if (w.load() != 0) {
-        rc_.arrivals().signal();
-        break;
-      }
-    }
-    return;
-  }
-  // Plain, or a partitioned receive: everything posts now (the receiver has
-  // no readiness to wait for).
-  for (smpi::Request& r : ps.reqs) {
-    rc_.start(r);
-    track_inflight(e, r, ps.cmd.proxy);
-  }
+  // a bare MPI_Start.
+  if (ps.req.is_null()) ps.create_request(rc_);
+  rc_.start(ps.req);
+  track_inflight(e, ps.req, ps.cmd.proxy);
 }
 
 void OffloadChannel::engine_free_persistent(Persistent& ps) {
-  for (smpi::Request& r : ps.reqs) {
-    if (!r.is_null()) rc_.request_free(r);
-  }
-  ps.reqs.clear();
+  // Null when no generation ever started: the request is created lazily.
+  if (!ps.req.is_null()) rc_.request_free(ps.req);
   slot_persist_[ps.cmd.proxy] = nullptr;
   free_slot(ps.cmd.proxy);
   completions_.signal();
-}
-
-std::size_t OffloadChannel::partition_engine(const Persistent& ps,
-                                             std::uint32_t p) const {
-  const std::size_t n = engines_.size();
-  if (n == 1) return 0;
-  // Deterministic disjoint ownership: every engine computes the same map, so
-  // no two engines ever race to ship one partition. Mixing (comm, peer, p)
-  // spreads one request's partitions across engines — per-partition wire
-  // tags make them independent envelopes, so cross-engine issue is
-  // order-safe.
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.cmd.comm.idx))
-       << 32) ^
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps.cmd.peer)) ^
-      (static_cast<std::uint64_t>(p + 1) << 20);
-  return static_cast<std::size_t>(mix64(key) >> 32) % n;
-}
-
-int OffloadChannel::next_owned_ready(const Persistent& ps, std::size_t w,
-                                     const Engine& e) const {
-  std::uint64_t avail = ps.ready[w].load() & ~ps.shipped[w];
-  while (avail != 0) {
-    const int bit = std::countr_zero(avail);
-    const auto p =
-        static_cast<std::uint32_t>(w * 64 + static_cast<unsigned>(bit));
-    if (partition_engine(ps, p) == e.index) return bit;
-    avail &= avail - 1;
-  }
-  return -1;
-}
-
-bool OffloadChannel::persistent_ready_pending(const Engine& e) const {
-  if (armed_psends_ == 0) return false;
-  for (const Persistent* psp : persist_) {
-    const Persistent& ps = *psp;
-    if (!ps.armed) continue;
-    for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      if (next_owned_ready(ps, w, e) >= 0) return true;
-    }
-  }
-  return false;
-}
-
-bool OffloadChannel::pump_persistent(Engine& e) {
-  if (armed_psends_ == 0) return false;
-  bool any = false;
-  // By index: every ship yields, and a sibling fiber's persist_init may
-  // grow (reallocate) persist_ meanwhile. The records themselves never move.
-  for (std::size_t i = 0; i < persist_.size(); ++i) {
-    Persistent& ps = *persist_[i];
-    if (!ps.armed) continue;  // also gates slots whose start is still queued
-    for (std::size_t w = 0; w < ps.ready.size(); ++w) {
-      // Re-read the word after every ship: rc_.start yields, and bits
-      // published meanwhile should go out in this same pass.
-      for (int bit; (bit = next_owned_ready(ps, w, e)) >= 0;) {
-        // Shipped bit set BEFORE issuing: the issue yields, and our own
-        // next pass (or a sibling's re-check) must see the partition as
-        // taken.
-        ps.shipped[w] |= 1ull << bit;
-        const std::size_t p = w * 64 + static_cast<unsigned>(bit);
-        trace::Scope tsc("part:ship", "offload");
-        sim::advance(rc_.profile().cmd_dequeue);
-        rc_.start(ps.reqs[p]);
-        track_inflight(e, ps.reqs[p], ps.cmd.proxy);
-        any = true;
-      }
-    }
-  }
-  return any;
 }
 
 void OffloadChannel::process_command(Engine& e, const Command& cmd) {
@@ -769,13 +652,13 @@ bool OffloadChannel::steal_round(Engine& e) {
   return false;
 }
 
-bool OffloadChannel::idle_work_pending(const Engine& e) const {
+bool OffloadChannel::idle_work_pending() const {
   // A sibling's backlog counts too: it is ours to steal, and nothing rings
   // our doorbell for it.
   for (const auto& v : engines_) {
     if (submissions_pending(*v)) return true;
   }
-  return persistent_ready_pending(e);
+  return false;
 }
 
 void OffloadChannel::drive_progress(Engine& e) {
@@ -794,19 +677,7 @@ void OffloadChannel::drive_progress(Engine& e) {
     ++stats_.testany_calls;
     const bool flag = rc_.testany(e.scratch_reqs, &idx, &st);
     if (!flag || idx < 0) break;
-    const std::uint32_t proxy = e.inflight[static_cast<std::size_t>(idx)].proxy;
-    // One generation (or one partition) of a persistent request publishes
-    // the done flag only when the whole generation is in: a partitioned
-    // send/recv is complete when its LAST partition lands. (The front end
-    // reports the whole-message Status.)
-    Persistent* ps = persistent_at(proxy);
-    if (ps == nullptr || --ps->remaining == 0) {
-      if (ps != nullptr && ps->armed) {
-        ps->armed = false;
-        --armed_psends_;
-      }
-      complete_slot(e, proxy, st);
-    }
+    complete_slot(e, e.inflight[static_cast<std::size_t>(idx)].proxy, st);
     --e.live_inflight;
     e.g_inflight.set(static_cast<double>(e.live_inflight));
     if (e.live_inflight == 0) break;
@@ -935,9 +806,6 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // else: a thief holds our queues; progress/continuations still run, and
     // the spin polls below keep virtual time moving until it releases.
     drive_progress(e);
-    // Ship any partition bits published since the last pass — this is where
-    // early partitions overlap the senders still computing.
-    worked = pump_persistent(e) || worked;
     worked = run_continuations(e) || worked;
     if (!worked) worked = steal_round(e);
     if (shutdown_requested_ && e.live_inflight == 0 &&
@@ -964,13 +832,13 @@ void OffloadChannel::engine_main(std::size_t idx) {
     for (int i = 0; i < kSpinPolls && !woke; ++i) {
       ++stats_.engine_spins;
       sim::advance(p.cmd_detect);
-      woke = idle_work_pending(e) || rc_.arrivals().count() > seen;
+      woke = idle_work_pending() || rc_.arrivals().count() > seen;
     }
     for (int i = 0; i < kYieldPolls && !woke; ++i) {
       ++stats_.engine_yields;
       sim::yield();
       sim::advance(p.cmd_detect);
-      woke = idle_work_pending(e) || rc_.arrivals().count() > seen;
+      woke = idle_work_pending() || rc_.arrivals().count() > seen;
     }
     if (woke) continue;
     ++stats_.engine_sleeps;
@@ -984,11 +852,8 @@ void OffloadChannel::engine_main(std::size_t idx) {
     // snapshot: armed equals the final count and the sleep never wakes. The
     // check-layer doorbell spec forces exactly that interleaving.)
     const std::uint64_t armed = rc_.arrivals().count();
-    if (idle_work_pending(e) || !e.cont_ready.empty() ||
+    if (idle_work_pending() || !e.cont_ready.empty() ||
         (shutdown_requested_ && e.live_inflight == 0)) {
-      // (persistent_ready_pending: a pready published between our pump pass
-      // and this snapshot would otherwise be stranded — its doorbell signal
-      // may already be counted in `armed`.)
       // Own work re-checked under the armed snapshot — or a sibling still
       // has a backlog, which nothing would ring OUR doorbell for: keep
       // polling and retrying the steal instead of sleeping past it.

@@ -61,7 +61,6 @@
 #include "core/cont_table.hpp"
 #include "core/drain_claim.hpp"
 #include "core/mpsc_ring.hpp"
-#include "core/part_ready.hpp"
 #include "core/proxy_options.hpp"
 #include "core/request_pool.hpp"
 #include "core/spsc_lane.hpp"
@@ -82,51 +81,22 @@ using ContFn = std::function<void(const smpi::Status&)>;
 /// (wait/test or a fired continuation); kFreed is terminal.
 enum class PState : std::uint8_t { kInactive, kStarted, kFreed };
 
-/// One persistent (or partitioned) request: the single record behind a
-/// PersistentReq under every approach. The Proxy front end owns it (and its
-/// state machine); the direct proxies keep rc_-level requests in it, the
-/// offload channel additionally its pinned pool slot and engine-side
-/// generation state. Envelope fields are written once at init; `ready` is
-/// the one lock-free handoff (core/part_ready.hpp).
+/// One persistent request: the single record behind a PersistentReq under
+/// every approach. The Proxy front end owns it (and its state machine); the
+/// direct proxies keep the rc_-level request in it, the offload channel
+/// additionally its pinned pool slot and home engine. Envelope fields are
+/// written once at init.
 struct Persistent {
-  // ---- envelope (init-time) ----
-  Command cmd;                   ///< the equivalent one-shot kIsend/kIrecv;
-                                 ///  offload: cmd.proxy is the pinned slot
-  std::uint32_t partitions = 0;  ///< 0 = plain persistent
-  // ---- front end ----
+  Command cmd;  ///< the equivalent one-shot kIsend/kIrecv;
+                ///  offload: cmd.proxy is the pinned slot
   PState state = PState::kInactive;
-  std::uint32_t marked = 0;  ///< partitions pready'd this generation
-  /// Partition-ready words, bit p%64 of word p/64 (partitioned sends).
-  std::vector<PartReadyWord> ready;
-  /// rc_-level persistent requests: one, or one per partition. Created at
-  /// init on the caller's thread (direct), lazily on the engine (offload).
-  std::vector<smpi::Request> reqs;
-  // ---- offload engine side ----
-  std::size_t home_engine = 0;         ///< engine_of of the envelope
-  std::vector<std::uint64_t> shipped;  ///< mirror mask: partitions issued
-  std::uint32_t remaining = 0;  ///< parts of this generation still in flight
-  bool armed = false;  ///< partitioned send: generation open for shipping
+  /// The rc_-level persistent request: created at init on the caller's
+  /// thread (direct), lazily on the engine (offload).
+  smpi::Request req;
+  std::size_t home_engine = 0;  ///< offload: engine_of of the envelope
 
-  [[nodiscard]] bool is_send() const { return cmd.op == CmdOp::kIsend; }
-  /// A partitioned send that cannot complete yet: some partition unmarked.
-  [[nodiscard]] bool unmarked() const {
-    return is_send() && partitions != 0 && marked != partitions;
-  }
-  /// The whole-message Status of a partitioned request: the base tag (the
-  /// per-partition wire tags are an implementation detail), total bytes.
-  [[nodiscard]] smpi::Status whole_status() const {
-    return {cmd.peer, cmd.tag, cmd.count * smpi::datatype_size(cmd.dtype)};
-  }
-  /// Open a generation: forget the last one's marks, state -> kStarted.
-  void open() {
-    for (PartReadyWord& w : ready) w.reset();
-    marked = 0;
-    state = PState::kStarted;
-  }
-  /// Create `reqs` on `rc`: the envelope as is, or one byte slice of the
-  /// buffer per partition under its partition wire tag (wildcard receives
-  /// can never match these frames — matching.cpp rejects tag-bit-30).
-  void create_requests(smpi::RankCtx& rc);
+  /// Create `req` on `rc` from the envelope (MPI_Send_init/MPI_Recv_init).
+  void create_request(smpi::RankCtx& rc);
 };
 
 struct OffloadStats {
@@ -270,22 +240,19 @@ class OffloadChannel {
     return engine_for_current_fiber() != nullptr;
   }
 
-  // ---------------- persistent / partitioned requests ----------------
+  // ---------------- persistent requests ----------------
   // A persistent offload request pins one RequestPool slot for its whole
   // lifetime; every re-arm publishes only that slot (CmdOp::kStartPersistent,
   // charged at Profile::cmd_enqueue_persist instead of a full enqueue).
-  // Partitioned sends additionally carry a per-partition ready word the
-  // engines poll: pready(p) from any compute fiber publishes one bit, and the
-  // engine that owns partition p (partition-hash sharding) ships it while
-  // sibling partitions are still computing. Validation and the state machine
-  // are the Proxy front end's; these are the offload actions behind it.
+  // Validation and the state machine are the Proxy front end's; these are
+  // the offload actions behind it.
 
   /// Pin a pool slot for `p` and pick its home engine. `p` must outlive the
   /// channel's use of it (the Proxy keeps records at stable addresses).
   void persist_init(Persistent& p);
-  /// Re-arm the pinned slot, open the generation and publish it.
+  /// Re-arm the pinned slot, start the generation and publish it.
   void persist_start(Persistent& p);
-  /// Hand `p` to its engine for teardown (MPI-level requests + pool slot).
+  /// Hand `p` to its engine for teardown (MPI-level request + pool slot).
   void persist_free(Persistent& p);
 
   /// Enqueue one shutdown command per engine (each engine exits after
@@ -420,27 +387,10 @@ class OffloadChannel {
     return proxy < slot_persist_.size() ? slot_persist_[proxy] : nullptr;
   }
   /// Process kStartPersistent: lazily create the MPI-level persistent
-  /// request(s), then start (plain / partitioned recv) or arm for shipping
-  /// (partitioned send).
+  /// request, then start it.
   void engine_start_persistent(Engine& e, Persistent& ps);
-  /// Process kFreePersistent: free the MPI-level requests and the pool slot.
+  /// Process kFreePersistent: free the MPI-level request and the pool slot.
   void engine_free_persistent(Persistent& ps);
-  /// Ship every ready-but-unshipped partition owned by engine `e`
-  /// (partition-hash sharding: disjoint per-engine sets, so sibling engines
-  /// never race on a partition). Returns true when anything shipped.
-  bool pump_persistent(Engine& e);
-  /// Engine `e` owns partition `p` of slot `ps`.
-  [[nodiscard]] std::size_t partition_engine(const Persistent& ps,
-                                             std::uint32_t p) const;
-  /// The lowest bit of ready word `w` of `ps` whose partition is ready,
-  /// unshipped and owned by `e`, else -1. pump_persistent (what to ship)
-  /// and persistent_ready_pending (whether to sleep) share it.
-  [[nodiscard]] int next_owned_ready(const Persistent& ps, std::size_t w,
-                                     const Engine& e) const;
-  /// A ready-but-unshipped partition owned by `e` exists: the engine must
-  /// not sleep past it (pready rings the rank doorbell, and this is the
-  /// matching pre-sleep re-check).
-  [[nodiscard]] bool persistent_ready_pending(const Engine& e) const;
   /// Publish a completion: done flag, stats, doorbell — and hand the slot
   /// to the discovering engine's continuation queue when one is armed.
   void complete_slot(Engine& e, std::uint32_t proxy, const smpi::Status& st);
@@ -465,9 +415,9 @@ class OffloadChannel {
   [[nodiscard]] static bool submissions_pending(const Engine& e) {
     return e.backlog != 0;
   }
-  /// Work an idle engine sees without a doorbell: its own backlog, a
-  /// sibling's to steal, or a ready partition it owns. No side effects.
-  [[nodiscard]] bool idle_work_pending(const Engine& e) const;
+  /// Work an idle engine sees without a doorbell: its own backlog or a
+  /// sibling's to steal. No side effects.
+  [[nodiscard]] bool idle_work_pending() const;
   void drive_progress(Engine& e);
   /// Take the callback and Status of a fired slot and reset its claim; a
   /// one-shot slot is freed, a persistent one stays pinned (the callback may
@@ -496,15 +446,11 @@ class OffloadChannel {
   /// Communicators pinned to hash(comm) routing because a wildcard receive
   /// was posted on them (sticky; see engine_of).
   std::vector<int> wildcard_comms_;
-  /// Persistent records in init order (owned by the Proxy; never reused
-  /// within a run — persistent requests are long-lived by design).
-  std::vector<Persistent*> persist_;
-  /// Pool slot -> the persistent record pinning it (nullptr = one-shot).
-  /// Completion and continuation paths consult this to count parts and to
-  /// keep instead of free a persistent slot.
+  /// Pool slot -> the persistent record pinning it (nullptr = one-shot;
+  /// the Proxy keeps records at stable addresses). The issue path looks up
+  /// start/free commands here, and the continuation path keeps instead of
+  /// frees a persistent slot.
   std::vector<Persistent*> slot_persist_;
-  /// Armed partitioned sends (fast-path gate for pump_persistent).
-  std::size_t armed_psends_ = 0;
   /// Signalled by an engine whenever it publishes a done flag; application
   /// waiters use it to model their done-flag spin loop without event spam.
   sim::Notifier completions_;

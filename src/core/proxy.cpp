@@ -77,33 +77,12 @@ Persistent& Proxy::persistent_of(const PersistentReq& r, const char* call) {
   return persist_[static_cast<std::size_t>(r.v - 1)];
 }
 
-std::uint32_t Proxy::checked_partitions(const char* call,
-                                        std::uint32_t partitions, int tag,
-                                        int peer) {
-  if (partitions == 0 ||
-      partitions > static_cast<std::uint32_t>(smpi::kMaxPartitions)) {
-    misuse(call, "partition count out of range");
-  }
-  if (tag < 0 || tag >= smpi::kMaxPartBaseTag) {
-    misuse(call, "partitioned base tag out of range");
-  }
-  if (peer == smpi::kAnySource) {
-    // Partition frames are invisible to wildcard matching by design
-    // (mpi/matching.cpp); a wildcard partitioned receive would never match.
-    misuse(call, "partitioned ops require a specific peer");
-  }
-  return partitions;
-}
-
-PersistentReq Proxy::persistent_init(const Command& cmd,
-                                     std::uint32_t partitions) {
+PersistentReq Proxy::persistent_init(const Command& cmd) {
   // The handle is fixed before binding: binding yields, and sibling fibers
   // may init their own requests meanwhile.
   PersistentReq r{persist_.size() + 1};
   Persistent& p = persist_.emplace_back();
   p.cmd = cmd;
-  p.partitions = partitions;
-  p.ready = std::vector<PartReadyWord>((partitions + 63) / 64);
   persist_bind(p);
   return r;
 }
@@ -117,27 +96,6 @@ void Proxy::start(PersistentReq& r) {
   persist_start(p);
 }
 
-void Proxy::pready_range(PersistentReq& r, std::uint32_t lo,
-                         std::uint32_t hi) {
-  Persistent& p = persistent_of(r, "pready");
-  if (!p.is_send() || p.partitions == 0) {
-    misuse("pready", "request is not a partitioned send");
-  }
-  if (p.state != PState::kStarted) misuse("pready", "no generation started");
-  if (lo > hi || hi >= p.partitions) misuse("pready", "partition out of range");
-  persist_pready(p, lo, hi);
-}
-
-void Proxy::mark_ready(Persistent& p, std::uint32_t part) {
-  // One release-RMW: publishes the partition's payload bytes to whoever
-  // observes the bit. The previous value is the double-mark check for free.
-  const std::uint64_t prev = p.ready[part / 64].mark(part % 64);
-  if ((prev >> (part % 64)) & 1u) {
-    misuse("pready", "partition marked ready twice in one generation");
-  }
-  ++p.marked;
-}
-
 void Proxy::wait(PersistentReq& r, smpi::Status* st) {
   Persistent& p = persistent_of(r, "wait");
   if (p.state == PState::kFreed) misuse("wait", "request was freed");
@@ -145,13 +103,7 @@ void Proxy::wait(PersistentReq& r, smpi::Status* st) {
     if (st != nullptr) *st = smpi::Status{};
     return;  // trivially complete, like MPI_Wait on an inactive request
   }
-  if (p.unmarked()) {
-    misuse("wait",
-           "wait with unmarked partitions (the send can never complete; "
-           "pready every partition first)");
-  }
   persist_complete(p, st, true);
-  if (st != nullptr && p.partitions != 0) *st = p.whole_status();
   p.state = PState::kInactive;
 }
 
@@ -163,7 +115,6 @@ bool Proxy::test(PersistentReq& r, smpi::Status* st) {
     return true;
   }
   if (!persist_complete(p, st, false)) return false;
-  if (st != nullptr && p.partitions != 0) *st = p.whole_status();
   p.state = PState::kInactive;
   return true;
 }
@@ -187,17 +138,11 @@ void Proxy::attach_continuation(PersistentReq& r, ContFn fn) {
     misuse("attach_continuation",
            "no generation started on this persistent request");
   }
-  if (p.unmarked()) {
-    // An unmarked partition can never ship, so the generation — and the
-    // continuation — could never complete.
-    misuse("attach_continuation",
-           "attach with unmarked partitions (pready every partition first)");
-  }
   persist_attach(p, [&p, f = std::move(fn)](const smpi::Status& st) {
     // Consumed first: the callback observes kInactive and may start() the
     // next generation from inside itself.
     p.state = PState::kInactive;
-    f(p.partitions == 0 ? st : p.whole_status());
+    f(st);
   });
 }
 
@@ -210,63 +155,28 @@ smpi::Request unwrap(PReq r) { return smpi::Request{static_cast<int>(r.v)}; }
 
 PReq DirectProxy::post(const Command& cmd) { return wrap(execute(rc_, cmd)); }
 
-void DirectProxy::persist_bind(Persistent& p) { p.create_requests(rc_); }
+void DirectProxy::persist_bind(Persistent& p) { p.create_request(rc_); }
 
 void DirectProxy::persist_start(Persistent& p) {
-  p.open();
-  // A partitioned send arms only — pready ships each partition; everything
-  // else posts now (a receiver has no readiness to wait for).
-  if (p.partitions == 0) {
-    rc_.start(p.reqs[0]);
-  } else if (!p.is_send()) {
-    rc_.startall(p.reqs);
-  }
-}
-
-void DirectProxy::persist_pready(Persistent& p, std::uint32_t lo,
-                                 std::uint32_t hi) {
-  for (std::uint32_t part = lo; part <= hi; ++part) {
-    mark_ready(p, part);
-    rc_.start(p.reqs[part]);  // direct approach: ships right here
-  }
+  p.state = PState::kStarted;
+  rc_.start(p.req);
 }
 
 bool DirectProxy::persist_complete(Persistent& p, smpi::Status* st,
                                    bool block) {
-  if (p.partitions == 0) {
-    // Persistent at the MPI layer: the handle survives completion.
-    if (!block) return rc_.test(p.reqs[0], st);
-    rc_.wait(p.reqs[0], st);
-    return true;
-  }
-  // Unstarted partitions are inactive — hence settled — at the MPI layer
-  // and would wrongly pass a testall; an unfinished partitioned send is
-  // simply not complete yet.
-  if (p.unmarked()) return false;
-  // waitall nulls array entries of completed persistent requests (the
-  // dead-slot contract) — complete copies so the originals stay valid.
-  std::vector<smpi::Request> copies(p.reqs);
-  if (!block) return rc_.testall(copies);
-  rc_.waitall(copies);
+  // Persistent at the MPI layer: the handle survives completion.
+  if (!block) return rc_.test(p.req, st);
+  rc_.wait(p.req, st);
   return true;
 }
 
 void DirectProxy::persist_attach(Persistent& p, ContFn fn) {
-  // `fn` fires once every rc_-level request of the generation completed.
-  auto remaining = std::make_shared<std::size_t>(p.reqs.size());
-  auto cb = std::make_shared<ContFn>(std::move(fn));
-  for (const smpi::Request req : p.reqs) {
-    PReq pr = wrap(req);
-    attach_continuation(pr, [remaining, cb](const smpi::Status& st) {
-      if (--*remaining == 0) (*cb)(st);
-    });
-  }
+  PReq pr = wrap(p.req);
+  attach_continuation(pr, std::move(fn));
 }
 
 void DirectProxy::persist_free(Persistent& p) {
-  for (smpi::Request& req : p.reqs) {
-    if (!req.is_null()) rc_.request_free(req);
-  }
+  if (!p.req.is_null()) rc_.request_free(p.req);
 }
 
 void DirectProxy::wait(PReq& r, smpi::Status* st) {
@@ -583,24 +493,11 @@ bool OffloadProxy::testall(std::span<PReq> rs) {
   return true;
 }
 
-// Persistent & partitioned: the pinned pool slot and the engines' ready-word
-// machinery (OffloadChannel::persist_*).
+// Persistent: the pinned pool slot (OffloadChannel::persist_*).
 
 void OffloadProxy::persist_bind(Persistent& p) { channel_.persist_init(p); }
 
 void OffloadProxy::persist_start(Persistent& p) { channel_.persist_start(p); }
-
-void OffloadProxy::persist_pready(Persistent& p, std::uint32_t lo,
-                                  std::uint32_t hi) {
-  for (std::uint32_t part = lo; part <= hi; ++part) {
-    sim::advance(rc_.profile().pready_publish);
-    mark_ready(p, part);
-  }
-  trace::instant("pready", "offload");
-  // Doorbell: a sleeping engine re-checks persistent_ready_pending against
-  // this signal's count before committing to sleep.
-  rc_.arrivals().signal();
-}
 
 bool OffloadProxy::persist_complete(Persistent& p, smpi::Status* st,
                                     bool block) {

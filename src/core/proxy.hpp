@@ -46,8 +46,8 @@ smpi::ThreadLevel required_thread_level(Approach a);
 /// The application-facing front end. Every nonblocking op is spelled once,
 /// as a Command handed to post(); the blocking forms are post + wait.
 /// Persistent requests live in one record type (core::Persistent) whose
-/// validation, inactive -> started -> inactive state machine, misuse
-/// reporting and whole-message Status are all here.
+/// validation, inactive -> started -> inactive state machine and misuse
+/// reporting are all here.
 /// What an approach overrides is only what the paper varies: who issues a
 /// posted op and who discovers its completion.
 class Proxy {
@@ -96,42 +96,18 @@ class Proxy {
   /// (OffloadProxy::kBatchFlush commands per chunk).
   virtual void post_batch(std::span<const Command> ops, std::span<PReq> out);
 
-  // ---- persistent & partitioned point-to-point (MPI-4 style) ----
+  // ---- persistent point-to-point (MPI_Send_init/MPI_Recv_init) ----
   // init-once/start-many: the envelope is registered once, then each
   // generation cycles start -> complete -> (restart | free). Completion
   // calls return the handle to the inactive state instead of consuming it.
-  // Partitioned variants split the buffer into `partitions` contiguous byte
-  // slices; pready(p), callable from ANY compute fiber, publishes slice p as
-  // ready so it can ship while sibling slices are still being computed —
-  // a direct approach ships it from the caller's thread right there, the
-  // offload engines poll a per-partition ready word and issue early
-  // partitions without the sender ever entering MPI.
 
   PersistentReq send_init(const void* b, std::size_t n, smpi::Datatype dt,
                           int dst, int tag, smpi::Comm c = smpi::kCommWorld) {
-    return persistent_init(Command::isend(b, n, dt, dst, tag, c), 0);
+    return persistent_init(Command::isend(b, n, dt, dst, tag, c));
   }
   PersistentReq recv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
                           int tag, smpi::Comm c = smpi::kCommWorld) {
-    return persistent_init(Command::irecv(b, n, dt, src, tag, c), 0);
-  }
-  /// Partitioned send: `partitions` contiguous byte slices of the buffer
-  /// (1..kMaxPartitions; tag < kMaxPartBaseTag; a specific peer). Every
-  /// generation must mark each partition ready exactly once via pready.
-  PersistentReq psend_init(const void* b, std::size_t n, smpi::Datatype dt,
-                           int dst, int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) {
-    return persistent_init(
-        Command::isend(b, n, dt, dst, tag, c),
-        checked_partitions("psend_init", partitions, tag, dst));
-  }
-  /// Partitioned receive: posts all partitions at start().
-  PersistentReq precv_init(void* b, std::size_t n, smpi::Datatype dt, int src,
-                           int tag, std::uint32_t partitions,
-                           smpi::Comm c = smpi::kCommWorld) {
-    return persistent_init(
-        Command::irecv(b, n, dt, src, tag, c),
-        checked_partitions("precv_init", partitions, tag, src));
+    return persistent_init(Command::irecv(b, n, dt, src, tag, c));
   }
   /// Begin one generation. Throws std::logic_error when the previous
   /// generation's completion has not been consumed or the request was freed.
@@ -140,28 +116,17 @@ class Proxy {
   void startall(std::span<PersistentReq> rs) {
     for (PersistentReq& r : rs) start(r);
   }
-  /// Mark partition `p` of a started partitioned send ready. Throws on
-  /// double-mark, on an inactive generation, or on a non-partitioned handle.
-  void pready(PersistentReq& r, std::uint32_t p) { pready_range(r, p, p); }
-  /// pready for every partition in [lo, hi]. The bounds are checked before
-  /// any partition is marked; a double-mark throws at the first repeated
-  /// partition, leaving the ones before it marked. Misuse is reported under
-  /// the call name "pready".
-  void pready_range(PersistentReq& r, std::uint32_t lo, std::uint32_t hi);
   /// Block until the current generation completes; the handle returns to
   /// the inactive state (NOT nulled — start it again or free it). Trivially
-  /// complete with an empty Status when no generation is active. Throws when
-  /// a partitioned send still has unmarked partitions.
+  /// complete with an empty Status when no generation is active.
   void wait(PersistentReq& r, smpi::Status* st = nullptr);
-  /// Nonblocking wait(PersistentReq&). A partitioned send with unmarked
-  /// partitions reports false (it can never complete yet).
+  /// Nonblocking wait(PersistentReq&).
   bool test(PersistentReq& r, smpi::Status* st = nullptr);
   /// Retire the request (requires no generation in flight); nulls `r`.
   void request_free(PersistentReq& r);
   /// Bind `fn` to the CURRENT generation's completion. The handle is NOT
   /// consumed: the callback observes the request back in the inactive state
-  /// and may start() the next generation from inside itself. Throws when
-  /// a partitioned send still has unmarked partitions.
+  /// and may start() the next generation from inside itself.
   void attach_continuation(PersistentReq& r, ContFn fn);
 
   // ---- completion ----
@@ -278,14 +243,11 @@ class Proxy {
 
   // ---- persistent actions: what an approach does at each step of the
   // front end's state machine (the checks have already passed) ----
-  /// Init: create the rc_-level requests (direct) or pin a pool slot.
+  /// Init: create the rc_-level request (direct) or pin a pool slot.
   virtual void persist_bind(Persistent& p) = 0;
-  /// Start: must call p.open() once the generation may be observed.
+  /// Start: must set p.state to kStarted once the generation may be
+  /// observed.
   virtual void persist_start(Persistent& p) = 0;
-  /// pready [lo, hi]: mark each partition via mark_ready and ship or
-  /// publish it.
-  virtual void persist_pready(Persistent& p, std::uint32_t lo,
-                              std::uint32_t hi) = 0;
   /// Consume the generation's completion (block or poll once); false while
   /// it is still running.
   virtual bool persist_complete(Persistent& p, smpi::Status* st,
@@ -295,8 +257,6 @@ class Proxy {
   /// Release whatever persist_bind acquired.
   virtual void persist_free(Persistent& p) = 0;
 
-  /// Mark one partition ready; a second mark in one generation is misuse.
-  void mark_ready(Persistent& p, std::uint32_t part);
   /// Look up a handle, throwing on null/out-of-range.
   Persistent& persistent_of(const PersistentReq& r, const char* call);
 
@@ -304,9 +264,7 @@ class Proxy {
 
  private:
   [[noreturn]] void misuse(const char* call, const char* what);
-  std::uint32_t checked_partitions(const char* call, std::uint32_t partitions,
-                                   int tag, int peer);
-  PersistentReq persistent_init(const Command& cmd, std::uint32_t partitions);
+  PersistentReq persistent_init(const Command& cmd);
 
   /// deque: stable addresses (continuation callbacks and the offload
   /// channel hold records), never reused.
@@ -314,8 +272,8 @@ class Proxy {
 };
 
 /// Direct-call proxy (baseline); also the base for iprobe and comm-self.
-/// The caller's thread enters MPI itself: post() executes the op, pready
-/// ships its partition immediately, completion calls are the MPI ones.
+/// The caller's thread enters MPI itself: post() executes the op, completion
+/// calls are the MPI ones.
 class DirectProxy : public Proxy {
  public:
   using Proxy::Proxy;
@@ -345,8 +303,6 @@ class DirectProxy : public Proxy {
   PReq post(const Command& cmd) override;
   void persist_bind(Persistent& p) override;
   void persist_start(Persistent& p) override;
-  void persist_pready(Persistent& p, std::uint32_t lo,
-                      std::uint32_t hi) override;
   bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
   void persist_attach(Persistent& p, ContFn fn) override;
   void persist_free(Persistent& p) override;
@@ -433,13 +389,10 @@ class OffloadProxy : public Proxy {
 
  protected:
   PReq post(const Command& cmd) override;
-  // Persistent & partitioned: a pinned pool slot per request; start
-  // publishes one cheap kStartPersistent command, pready publishes a
-  // partition-ready bit the engines poll (early-partition shipping).
+  // Persistent: a pinned pool slot per request; start publishes one cheap
+  // kStartPersistent command.
   void persist_bind(Persistent& p) override;
   void persist_start(Persistent& p) override;
-  void persist_pready(Persistent& p, std::uint32_t lo,
-                      std::uint32_t hi) override;
   bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
   void persist_attach(Persistent& p, ContFn fn) override;
   void persist_free(Persistent& p) override;

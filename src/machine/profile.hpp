@@ -112,9 +112,6 @@ struct Profile {
   /// mpi_call_overhead for that entry: no argument validation, no envelope
   /// construction — matches the cheap MPI_Start of mainstream MPIs).
   sim::Time persist_start{40};
-  /// App-side publish of one partition-ready bit (MPI_Pready): one RMW on
-  /// the ready word plus the engine doorbell.
-  sim::Time pready_publish{25};
   /// Cost for a producer to gain ownership of the shared MPSC ring's tail
   /// cache line when another thread touched it last. This is the per-push
   /// serialization that sharded per-thread lanes exist to avoid: concurrent

@@ -10,14 +10,7 @@ bool MatchingEngine::matches(std::uint32_t recv_ctx, int recv_src_global,
                              int recv_tag, const Envelope& e) {
   if (recv_ctx != e.context) return false;
   if (recv_src_global != kAnySource && recv_src_global != e.src_global) return false;
-  if (recv_tag == kAnyTag) {
-    // Partition frames (tag bit 30) carry one slice of a partitioned
-    // transfer; a wildcard receive must never intercept one.
-    if ((e.tag & kPartTagBit) != 0) return false;
-  } else if (recv_tag != e.tag) {
-    return false;
-  }
-  return true;
+  return recv_tag == kAnyTag || recv_tag == e.tag;
 }
 
 void MatchingEngine::post_recv(RequestImpl* r) { posted_.push_back(r); }

@@ -541,22 +541,6 @@ void RankCtx::start(Request r) {
   // entry stays cheap is the point of persistent requests.
 }
 
-void RankCtx::startall(std::span<Request> rs) {
-  if (rs.empty()) return;  // MPI_Startall(0, ...): no entry overhead
-  const auto& p = profile();
-  MpiEntry entry(*this, false, "Startall", &p.persist_start);
-  for (Request& r : rs) {
-    if (r.is_null()) {
-      san::mpi_persist_misuse(rank_, "Startall", "null request");
-      throw std::logic_error("MPI_Startall on the null request");
-    }
-    if (!handle_ok(r, "Startall")) {
-      throw std::logic_error("MPI_Startall on a freed request handle");
-    }
-    start_internal(reqs_.get(r));
-  }
-}
-
 void RankCtx::request_free(Request& r) {
   MpiEntry entry(*this, false, "Request_free");
   if (r.is_null()) return;

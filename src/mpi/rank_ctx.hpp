@@ -133,8 +133,6 @@ class RankCtx {
   /// are treated as registered buffers (the caller promises byte stability
   /// for the generation), so eager starts skip the CPU bounce-copy charge.
   void start(Request r);
-  /// MPI_Startall; empty span is a no-op with no entry overhead.
-  void startall(std::span<Request> rs);
   /// MPI_Request_free restricted to persistent requests: requires the
   /// request inactive (or complete), releases the table slot, nulls `r`.
   void request_free(Request& r);

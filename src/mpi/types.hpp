@@ -15,24 +15,6 @@ inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 inline constexpr int kProcNull = -2;
 
-// ---- partitioned point-to-point tag encoding ----
-// A partitioned operation (MPI_Psend_init-style) ships every partition as an
-// independent wire message; the partition index is folded into the tag so
-// normal matching pairs partition p of the send with partition p of the
-// receive. Bit 30 marks a partition frame — kAnyTag receives never match one
-// (a wildcard must not steal a single slice out of a partitioned transfer).
-// The base tag occupies bits [12, 29), so partitioned ops accept base tags
-// in [0, 2^17) and partition counts in [1, 4096].
-inline constexpr int kPartTagBit = 1 << 30;
-inline constexpr int kPartTagShift = 12;
-inline constexpr int kMaxPartitions = 1 << kPartTagShift;  // 4096
-inline constexpr int kMaxPartBaseTag = 1 << 17;
-
-/// Wire tag of partition `p` of a partitioned op with base tag `tag`.
-constexpr int part_wire_tag(int tag, int p) {
-  return kPartTagBit | (tag << kPartTagShift) | p;
-}
-
 /// MPI_Init_thread levels. kFunneled: the library takes no lock, and two
 /// fibers of a rank inside it at once is a usage error (a rank's offload
 /// engines, registered as progress sharers, excepted). kMultiple: any fiber

@@ -534,9 +534,8 @@ void coll_posted_slow(int rank, std::uint32_t ctx, int kind, int root,
 void persist_misuse_slow(int rank, const char* call, const char* what) {
   raise("persist-misuse",
         std::string(call) + " on rank " + std::to_string(rank) + ": " + what +
-            " — persistent/partitioned requests cycle init -> start -> "
-            "complete -> (restart | free), with every partition marked "
-            "ready exactly once per generation");
+            " — persistent requests cycle init -> start -> complete -> "
+            "(restart | free)");
 }
 
 void teardown_slow(int rank, std::size_t leaked) {

@@ -219,12 +219,11 @@ inline void mpi_coll_posted(int rank, std::uint32_t ctx, int kind, int root,
                             const char* name) {
   if (detail::g_usage) detail::coll_posted_slow(rank, ctx, kind, root, name);
 }
-/// Persistent/partitioned lifecycle misuse (start-before-complete, Pready on
-/// an inactive request, double-marked partition, wait with unmarked
-/// partitions, free of an active request). Records a "persist-misuse"
-/// report; the call site ALWAYS throws std::logic_error afterwards, so this
-/// hook only feeds the report stream (and fail:1 turns it into san::Error,
-/// which still IS a logic_error).
+/// Persistent lifecycle misuse (start-before-complete, use of a freed
+/// request, attach without a started generation, free of an active
+/// request). Records a "persist-misuse" report; the call site ALWAYS throws
+/// std::logic_error afterwards, so this hook only feeds the report stream
+/// (and fail:1 turns it into san::Error, which still IS a logic_error).
 inline void mpi_persist_misuse(int rank, const char* call, const char* what) {
   if (detail::g_usage) detail::persist_misuse_slow(rank, call, what);
 }

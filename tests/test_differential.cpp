@@ -1,8 +1,9 @@
 // Differential conformance: one seeded random workload mixing point-to-point
-// traffic, collectives, and every completion surface (wait/waitall/waitany/
-// testall), executed under all four proxy approaches. The payloads each rank
-// receives must be identical — bit for bit — no matter which approach carried
-// them, and every approach must drain its request bookkeeping at teardown.
+// traffic, collectives, every completion surface (wait/waitall/waitany/
+// testall) and restarted persistent requests, executed under all four proxy
+// approaches. The payloads each rank receives must be identical — bit for
+// bit — no matter which approach carried them, and every approach must drain
+// its request bookkeeping at teardown.
 // A faulted variant (drops, duplicates, corruption, reordering) must still
 // deliver the same bytes through the reliability sublayer.
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@ namespace {
 
 constexpr int kRanks = 6;  // even (pairwise step) and not a power of two
 constexpr int kSteps = 28;
+constexpr int kPersistGens = 3;  // generations of the persistent phase
+constexpr int kPersistTag = 100;  // clear of the scripted steps' tags
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* b = static_cast<const unsigned char*>(data);
@@ -163,6 +166,35 @@ RunOut run_workload(Approach a, std::uint64_t seed, const char* fault_spec) {
         default:
           break;
       }
+    }
+    {
+      // Persistent phase, after the scripted steps so their schedule stays
+      // as it is: one recv_init/send_init ring pair restarted for
+      // kPersistGens generations, each with fresh payload bytes.
+      const std::size_t bytes = 1 + script() % 6000;
+      const int right = (me + 1) % np;
+      const int left = (me + np - 1) % np;
+      std::vector<std::uint8_t> sb(bytes), rb(bytes, 0);
+      core::PersistentReq rr = p->recv_init(
+          rb.data(), bytes, smpi::Datatype::kByte, left, kPersistTag);
+      core::PersistentReq sr = p->send_init(
+          sb.data(), bytes, smpi::Datatype::kByte, right, kPersistTag);
+      for (int g = 0; g < kPersistGens; ++g) {
+        for (std::size_t i = 0; i < bytes; ++i) {
+          sb[i] = payload(seed, me, kSteps + g, i);
+        }
+        p->start(rr);
+        p->start(sr);
+        p->wait(rr);
+        p->wait(sr);
+        for (std::size_t i = 0; i < bytes; ++i) {
+          ASSERT_EQ(rb[i], payload(seed, left, kSteps + g, i))
+              << "generation " << g << " byte " << i;
+        }
+        digest = fnv1a(rb.data(), bytes, digest);
+      }
+      p->request_free(rr);
+      p->request_free(sr);
     }
     p->barrier();
     // Nothing may still be parked in the proxy's own bookkeeping...

@@ -44,6 +44,8 @@ TEST(Matching, Wildcards) {
   EXPECT_TRUE(MatchingEngine::matches(5, kAnySource, 9, {5, 7, 9}));
   EXPECT_TRUE(MatchingEngine::matches(5, 7, kAnyTag, {5, 7, 1234}));
   EXPECT_TRUE(MatchingEngine::matches(5, kAnySource, kAnyTag, {5, 0, 0}));
+  // kAnyTag matches every tag, however large (no tag bit is reserved).
+  EXPECT_TRUE(MatchingEngine::matches(5, 7, kAnyTag, {5, 7, 1 << 30}));
   // Context never wildcards.
   EXPECT_FALSE(MatchingEngine::matches(5, kAnySource, kAnyTag, {6, 0, 0}));
 }

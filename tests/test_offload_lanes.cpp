@@ -18,11 +18,14 @@ using namespace core;
 
 namespace {
 
+// A 20 ms virtual deadline: every test here finishes within a few ms, so an
+// engine that never reaches its doorbell sleep (and so polls every
+// cmd_detect) fails fast instead of polling for minutes of host time.
 ClusterConfig cfg(int n) {
   ClusterConfig c;
   c.nranks = n;
   c.thread_level = ThreadLevel::kFunneled;
-  c.deadline = sim::Time::from_sec(30);
+  c.deadline = sim::Time::from_ms(20);
   return c;
 }
 
