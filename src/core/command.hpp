@@ -22,11 +22,10 @@ enum class CmdOp : std::uint8_t {
   kIallreduce,
   kIalltoall,
   kIallgather,
-  /// Re-arm a persistent request. As a Proxy::post_batch element `count`
-  /// carries the PersistentReq handle; on an offload engine's queues
-  /// `proxy` names the request's pinned pool slot and nothing else — the
-  /// envelope already lives in the persistent record, which is why this
-  /// command is cheap to publish (Profile::cmd_enqueue_persist).
+  /// Re-arm an offload persistent request: `proxy` names its pinned pool
+  /// slot and nothing else — the envelope already lives in the persistent
+  /// record, which is why this command is cheap to publish
+  /// (Profile::cmd_enqueue_persist).
   kStartPersistent,
   /// Tear down an offload persistent request's MPI-level requests and
   /// release its pinned pool slot (`proxy`). Ring FIFO guarantees it runs
@@ -62,10 +61,9 @@ struct PReq {
 };
 
 /// Persistent (init-once/start-many) request handle: index + 1 of the
-/// proxy's persistent record, under every approach. Unlike PReq, completion
-/// calls do NOT consume it: wait/test return it to the inactive state,
-/// ready for the next start(); only request_free() retires it. Zero is the
-/// null handle.
+/// proxy's persistent record, under every approach. Unlike PReq, wait does
+/// NOT consume it: it returns to the inactive state, ready for the next
+/// start(); only request_free() retires it. Zero is the null handle.
 struct PersistentReq {
   std::uint64_t v = 0;
   [[nodiscard]] bool is_null() const { return v == 0; }
@@ -96,11 +94,6 @@ struct Command {
                        int tag, smpi::Comm c = smpi::kCommWorld) {
     return {.op = CmdOp::kIrecv, .rbuf = b, .count = n, .dtype = dt,
             .peer = src, .tag = tag, .comm = c};
-  }
-  /// Start an initialized persistent request inside a batch; its `out`
-  /// slot stays null (the persistent handle itself is how the caller waits).
-  static Command start(PersistentReq r) {
-    return {.op = CmdOp::kStartPersistent, .count = r.v};
   }
 };
 

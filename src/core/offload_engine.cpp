@@ -333,6 +333,9 @@ void OffloadChannel::persist_start(Persistent& ps) {
   trace::Scope tsc("persist:start", "offload");
   // Re-arm the pinned pool slot and the continuation claim; both are
   // quiescent (previous generation consumed, next start not yet published).
+  // The claim needs it although nothing arms a persistent slot:
+  // complete_slot fires every slot, so a pinned slot ends each generation
+  // kFired, and the next generation's fire would find it claimed.
   sim::advance(rc_.profile().request_pool_op);
   pool_.rearm(ps.cmd.proxy);
   cont_.reset(ps.cmd.proxy);
@@ -347,8 +350,10 @@ void OffloadChannel::persist_free(Persistent& ps) {
 void OffloadChannel::persist_post(Persistent& ps, CmdOp op) {
   const Command cmd{.op = op, .proxy = ps.cmd.proxy};
   if (Engine* e = engine_for_current_fiber(); e != nullptr) {
-    // A continuation restarting or freeing its own request: issue directly,
-    // like every other engine-context post.
+    // A one-shot continuation starting or freeing a persistent request:
+    // issue directly, like every other engine-context post. Publishing
+    // instead could deadlock the callback on a full lane or ring that only
+    // this engine drains.
     sim::advance(rc_.profile().cmd_dequeue);
     issue(*e, cmd);
     return;
@@ -384,11 +389,10 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
   consume_done(proxy, st, keep);
 }
 
-bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st,
-                               bool keep) {
+bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st) {
   sim::advance(rc_.profile().done_flag_check);
   if (!pool_.done(proxy)) return false;
-  consume_done(proxy, st, keep);
+  consume_done(proxy, st, false);
   return true;
 }
 
@@ -401,7 +405,7 @@ void OffloadChannel::consume_done(std::uint32_t proxy, smpi::Status* st,
   completions_.signal();  // a freed slot may unblock a pool-exhausted submit
 }
 
-bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
+void OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
   const auto& p = rc_.profile();
   // Publish the callback record first; the arm() claim's release makes it
   // visible to the engines. (From engine context — a callback chaining onto
@@ -415,7 +419,7 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
   if (!cont_.arm(proxy)) {
     // Claim won: the completer will find kArmed and queue the callback.
     ++stats_.cont_armed;
-    return false;
+    return;
   }
   // Already fired: the completion's Status/payload are visible (failed-CAS
   // acquire), so run the callback inline on this thread.
@@ -428,7 +432,6 @@ bool OffloadChannel::attach_continuation(std::uint32_t proxy, ContFn fn) {
     f(st);
   }
   completions_.signal();  // the callback may have set a cont_wait Event
-  return true;
 }
 
 void OffloadChannel::shutdown() {
@@ -692,10 +695,8 @@ ContFn OffloadChannel::consume_fired(std::uint32_t proxy, smpi::Status& st) {
   rec = nullptr;
   st = pool_.status(proxy);
   cont_.reset(proxy);
-  if (persistent_at(proxy) == nullptr) {
-    free_slot(proxy);
-    completions_.signal();
-  }
+  free_slot(proxy);
+  completions_.signal();
   return fn;
 }
 

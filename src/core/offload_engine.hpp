@@ -77,8 +77,8 @@ namespace core {
 using ContFn = std::function<void(const smpi::Status&)>;
 
 /// Lifecycle of a persistent (init-once/start-many) request. kInactive ->
-/// kStarted at Start; kStarted -> kInactive when the completion is consumed
-/// (wait/test or a fired continuation); kFreed is terminal.
+/// kStarted at Start; kStarted -> kInactive when wait consumes the
+/// completion; kFreed is terminal.
 enum class PState : std::uint8_t { kInactive, kStarted, kFreed };
 
 /// One persistent request: the single record behind a PersistentReq under
@@ -214,9 +214,8 @@ class OffloadChannel {
   /// slot of a persistent request).
   void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr,
                  bool keep = false);
-  /// Nonblocking wait_done.
-  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr,
-                 bool keep = false);
+  /// Nonblocking wait_done; frees the slot once it is done.
+  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr);
   /// Return a completed, already-acquired slot to the pool. The caller
   /// signals completions() (once per batch of frees).
   void free_slot(std::uint32_t proxy);
@@ -224,12 +223,12 @@ class OffloadChannel {
   /// Bind `fn` to run exactly once when `proxy` completes. Consumes the
   /// slot: the side that runs the callback frees it, so the caller must not
   /// wait on or test the slot afterwards. When the request already
-  /// completed, the callback runs inline on the calling thread (returns
-  /// true); otherwise the discovering engine runs it from its completion
-  /// pass (returns false). Continuations may submit follow-up work — from
-  /// engine context such posts bypass the lanes/rings and issue directly,
-  /// so a full ring can never deadlock a posting callback.
-  bool attach_continuation(std::uint32_t proxy, ContFn fn);
+  /// completed, the callback runs inline on the calling thread; otherwise
+  /// the discovering engine runs it from its completion pass.
+  /// Continuations may submit follow-up work — from engine context such
+  /// posts bypass the lanes/rings and issue directly, so a full ring can
+  /// never deadlock a posting callback.
+  void attach_continuation(std::uint32_t proxy, ContFn fn);
 
   /// True when the calling fiber is ONE OF the offload engines
   /// (continuation callbacks run there). Blocking completion calls are
@@ -419,9 +418,8 @@ class OffloadChannel {
   /// sibling's to steal. No side effects.
   [[nodiscard]] bool idle_work_pending() const;
   void drive_progress(Engine& e);
-  /// Take the callback and Status of a fired slot and reset its claim; a
-  /// one-shot slot is freed, a persistent one stays pinned (the callback may
-  /// restart its request).
+  /// Take the callback and Status of a fired slot, reset its claim and free
+  /// the slot (only one-shot slots are ever armed).
   ContFn consume_fired(std::uint32_t proxy, smpi::Status& st);
   /// Run up to kContRunBound queued continuations; returns true when any
   /// ran (the engine re-drains before sleeping: callbacks post). Leftovers
@@ -448,8 +446,7 @@ class OffloadChannel {
   std::vector<int> wildcard_comms_;
   /// Pool slot -> the persistent record pinning it (nullptr = one-shot;
   /// the Proxy keeps records at stable addresses). The issue path looks up
-  /// start/free commands here, and the continuation path keeps instead of
-  /// frees a persistent slot.
+  /// start/free commands here.
   std::vector<Persistent*> slot_persist_;
   /// Signalled by an engine whenever it publishes a done flag; application
   /// waiters use it to model their done-flag spin loop without event spam.

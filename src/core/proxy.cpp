@@ -42,23 +42,24 @@ smpi::ThreadLevel required_thread_level(Approach a) {
 
 // -------------------------------------------------------------- front end ----
 
-void Proxy::post_batch(std::span<const Command> ops, std::span<PReq> out) {
+namespace {
+// post_batch's whole-batch check, shared by every override: equal span
+// lengths and only isend/irecv ops, so a rejected batch posts nothing.
+void check_batch(std::span<const Command> ops, std::span<const PReq> out) {
   if (ops.size() != out.size()) {
     throw std::invalid_argument("post_batch: ops/out span size mismatch");
   }
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Command& o = ops[i];
-    if (o.op == CmdOp::kIsend || o.op == CmdOp::kIrecv) {
-      out[i] = post(o);
-    } else if (o.op == CmdOp::kStartPersistent) {
-      PersistentReq pr{o.count};
-      start(pr);
-      out[i] = PReq{};  // completion goes through the persistent handle
-    } else {
-      throw std::invalid_argument(
-          "post_batch: only isend/irecv/start ops batch");
+  for (const Command& o : ops) {
+    if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
+      throw std::invalid_argument("post_batch: only isend/irecv ops batch");
     }
   }
+}
+}  // namespace
+
+void Proxy::post_batch(std::span<const Command> ops, std::span<PReq> out) {
+  check_batch(ops, out);
+  for (std::size_t i = 0; i < ops.size(); ++i) out[i] = post(ops[i]);
 }
 
 // Persistent requests: one record (core::Persistent) and one state machine
@@ -103,20 +104,8 @@ void Proxy::wait(PersistentReq& r, smpi::Status* st) {
     if (st != nullptr) *st = smpi::Status{};
     return;  // trivially complete, like MPI_Wait on an inactive request
   }
-  persist_complete(p, st, true);
+  persist_complete(p, st);
   p.state = PState::kInactive;
-}
-
-bool Proxy::test(PersistentReq& r, smpi::Status* st) {
-  Persistent& p = persistent_of(r, "test");
-  if (p.state == PState::kFreed) misuse("test", "request was freed");
-  if (p.state == PState::kInactive) {
-    if (st != nullptr) *st = smpi::Status{};
-    return true;
-  }
-  if (!persist_complete(p, st, false)) return false;
-  p.state = PState::kInactive;
-  return true;
 }
 
 void Proxy::request_free(PersistentReq& r) {
@@ -130,20 +119,6 @@ void Proxy::request_free(PersistentReq& r) {
     persist_free(p);
   }
   r = PersistentReq{};
-}
-
-void Proxy::attach_continuation(PersistentReq& r, ContFn fn) {
-  Persistent& p = persistent_of(r, "attach_continuation");
-  if (p.state != PState::kStarted) {
-    misuse("attach_continuation",
-           "no generation started on this persistent request");
-  }
-  persist_attach(p, [&p, f = std::move(fn)](const smpi::Status& st) {
-    // Consumed first: the callback observes kInactive and may start() the
-    // next generation from inside itself.
-    p.state = PState::kInactive;
-    f(st);
-  });
 }
 
 // ------------------------------------------------------------ DirectProxy ----
@@ -162,17 +137,8 @@ void DirectProxy::persist_start(Persistent& p) {
   rc_.start(p.req);
 }
 
-bool DirectProxy::persist_complete(Persistent& p, smpi::Status* st,
-                                   bool block) {
-  // Persistent at the MPI layer: the handle survives completion.
-  if (!block) return rc_.test(p.req, st);
-  rc_.wait(p.req, st);
-  return true;
-}
-
-void DirectProxy::persist_attach(Persistent& p, ContFn fn) {
-  PReq pr = wrap(p.req);
-  attach_continuation(pr, std::move(fn));
+void DirectProxy::persist_complete(Persistent& p, smpi::Status* st) {
+  rc_.wait(p.req, st);  // persistent at the MPI layer: the handle survives
 }
 
 void DirectProxy::persist_free(Persistent& p) {
@@ -362,18 +328,7 @@ PReq OffloadProxy::post(const Command& cmd) {
 
 void OffloadProxy::post_batch(std::span<const Command> ops,
                               std::span<PReq> out) {
-  const auto is_start = [](const Command& o) {
-    return o.op == CmdOp::kStartPersistent;
-  };
-  if (ops.size() != out.size() ||
-      std::any_of(ops.begin(), ops.end(), is_start)) {
-    // (The base rejects mismatched spans.) Persistent starts carry a
-    // pre-pinned pool slot and a different command shape than the
-    // alloc-as-you-publish batch path — post mixed groups element-wise
-    // (each start is already the cheap re-arm form).
-    Proxy::post_batch(ops, out);
-    return;
-  }
+  check_batch(ops, out);
   // Per-call scratch: submit_batch advances virtual time (and a real enqueue
   // would block), so another fiber can enter post_batch concurrently — a
   // shared member buffer would be clobbered mid-flush.
@@ -382,12 +337,6 @@ void OffloadProxy::post_batch(std::span<const Command> ops,
     const std::size_t n = std::min(kBatchFlush, ops.size() - base);
     scratch.assign(ops.begin() + static_cast<std::ptrdiff_t>(base),
                    ops.begin() + static_cast<std::ptrdiff_t>(base + n));
-    for (const Command& o : scratch) {
-      if (o.op != CmdOp::kIsend && o.op != CmdOp::kIrecv) {
-        throw std::invalid_argument(
-            "post_batch: only isend/irecv/start ops batch");
-      }
-    }
     channel_.submit_batch(scratch);
     for (std::size_t i = 0; i < n; ++i) {
       out[base + i] = preq_of(scratch[i].proxy);
@@ -499,19 +448,10 @@ void OffloadProxy::persist_bind(Persistent& p) { channel_.persist_init(p); }
 
 void OffloadProxy::persist_start(Persistent& p) { channel_.persist_start(p); }
 
-bool OffloadProxy::persist_complete(Persistent& p, smpi::Status* st,
-                                    bool block) {
+void OffloadProxy::persist_complete(Persistent& p, smpi::Status* st) {
   // Consume the completion WITHOUT freeing the pinned slot: the request
   // returns to kInactive, ready for the next start.
-  if (!block) return channel_.test_done(p.cmd.proxy, st, true);
   channel_.wait_done(p.cmd.proxy, st, true);
-  return true;
-}
-
-void OffloadProxy::persist_attach(Persistent& p, ContFn fn) {
-  // Same arm/fire protocol as one-shot slots; the channel keeps instead of
-  // frees a persistent slot once its callback is consumed.
-  channel_.attach_continuation(p.cmd.proxy, std::move(fn));
 }
 
 void OffloadProxy::persist_free(Persistent& p) { channel_.persist_free(p); }

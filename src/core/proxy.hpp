@@ -88,18 +88,19 @@ class Proxy {
     wait(r, st);
   }
 
-  /// Post a group of nonblocking point-to-point operations (Command::isend,
-  /// ::irecv or ::start); `out[i]` receives the request for `ops[i]` (spans
-  /// must be the same length; a start's entry stays null). The default
-  /// posts one at a time; the offload proxy serializes whole chunks into its
-  /// submission lane with one publish and one doorbell each
-  /// (OffloadProxy::kBatchFlush commands per chunk).
+  /// Post a group of nonblocking point-to-point operations (Command::isend
+  /// or ::irecv); `out[i]` receives the request for `ops[i]`. Mismatched
+  /// span lengths or any other op throw std::invalid_argument before
+  /// anything is posted. The default posts one at a time; the offload proxy
+  /// serializes whole chunks into its submission lane with one publish and
+  /// one doorbell each (OffloadProxy::kBatchFlush commands per chunk).
   virtual void post_batch(std::span<const Command> ops, std::span<PReq> out);
 
   // ---- persistent point-to-point (MPI_Send_init/MPI_Recv_init) ----
   // init-once/start-many: the envelope is registered once, then each
-  // generation cycles start -> complete -> (restart | free). Completion
-  // calls return the handle to the inactive state instead of consuming it.
+  // generation cycles start -> wait -> (restart | free). wait returns the
+  // handle to the inactive state instead of consuming it. A continuation may
+  // start or free a persistent request.
 
   PersistentReq send_init(const void* b, std::size_t n, smpi::Datatype dt,
                           int dst, int tag, smpi::Comm c = smpi::kCommWorld) {
@@ -120,14 +121,8 @@ class Proxy {
   /// the inactive state (NOT nulled — start it again or free it). Trivially
   /// complete with an empty Status when no generation is active.
   void wait(PersistentReq& r, smpi::Status* st = nullptr);
-  /// Nonblocking wait(PersistentReq&).
-  bool test(PersistentReq& r, smpi::Status* st = nullptr);
   /// Retire the request (requires no generation in flight); nulls `r`.
   void request_free(PersistentReq& r);
-  /// Bind `fn` to the CURRENT generation's completion. The handle is NOT
-  /// consumed: the callback observes the request back in the inactive state
-  /// and may start() the next generation from inside itself.
-  void attach_continuation(PersistentReq& r, ContFn fn);
 
   // ---- completion ----
   virtual void wait(PReq& r, smpi::Status* st = nullptr) = 0;
@@ -248,12 +243,8 @@ class Proxy {
   /// Start: must set p.state to kStarted once the generation may be
   /// observed.
   virtual void persist_start(Persistent& p) = 0;
-  /// Consume the generation's completion (block or poll once); false while
-  /// it is still running.
-  virtual bool persist_complete(Persistent& p, smpi::Status* st,
-                                bool block) = 0;
-  /// Run `fn` once when the current generation completes.
-  virtual void persist_attach(Persistent& p, ContFn fn) = 0;
+  /// Block until the generation completes and consume its completion.
+  virtual void persist_complete(Persistent& p, smpi::Status* st) = 0;
   /// Release whatever persist_bind acquired.
   virtual void persist_free(Persistent& p) = 0;
 
@@ -266,8 +257,8 @@ class Proxy {
   [[noreturn]] void misuse(const char* call, const char* what);
   PersistentReq persistent_init(const Command& cmd);
 
-  /// deque: stable addresses (continuation callbacks and the offload
-  /// channel hold records), never reused.
+  /// deque: stable addresses (the offload channel holds records), never
+  /// reused.
   std::deque<Persistent> persist_;
 };
 
@@ -277,11 +268,9 @@ class Proxy {
 class DirectProxy : public Proxy {
  public:
   using Proxy::Proxy;
-  // The PReq overrides below would hide the front end's PersistentReq
-  // overloads — keep both visible.
+  // The PReq override below would hide the front end's PersistentReq
+  // overload — keep both visible.
   using Proxy::wait;
-  using Proxy::test;
-  using Proxy::attach_continuation;
   [[nodiscard]] Approach approach() const override { return Approach::kBaseline; }
 
   void wait(PReq& r, smpi::Status* st = nullptr) override;
@@ -303,8 +292,7 @@ class DirectProxy : public Proxy {
   PReq post(const Command& cmd) override;
   void persist_bind(Persistent& p) override;
   void persist_start(Persistent& p) override;
-  bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
-  void persist_attach(Persistent& p, ContFn fn) override;
+  void persist_complete(Persistent& p, smpi::Status* st) override;
   void persist_free(Persistent& p) override;
 
   /// Test each armed request once; run + retire completed ones. Safe against
@@ -352,8 +340,6 @@ class OffloadProxy : public Proxy {
   /// Explicit tuning (tests/ablations); the environment is NOT consulted.
   OffloadProxy(smpi::RankCtx& rc, const ProxyOptions& opts);
   using Proxy::wait;
-  using Proxy::test;
-  using Proxy::attach_continuation;
   [[nodiscard]] Approach approach() const override { return Approach::kOffload; }
   void start_engine() override;
   void stop() override;
@@ -393,8 +379,7 @@ class OffloadProxy : public Proxy {
   // kStartPersistent command.
   void persist_bind(Persistent& p) override;
   void persist_start(Persistent& p) override;
-  bool persist_complete(Persistent& p, smpi::Status* st, bool block) override;
-  void persist_attach(Persistent& p, ContFn fn) override;
+  void persist_complete(Persistent& p, smpi::Status* st) override;
   void persist_free(Persistent& p) override;
 
  private:

@@ -46,19 +46,15 @@ void Join::then(ContFn fin) && {
   }
 }
 
-AnyJoin::AnyJoin(core::Proxy& p, std::span<core::PReq> rs,
-                 std::span<core::PersistentReq> gens)
-    : proxy_(&p) {
+AnyJoin::AnyJoin(core::Proxy& p, std::span<core::PReq> rs) : proxy_(&p) {
   reqs_.reserve(rs.size());
   for (core::PReq& r : rs) {
     reqs_.push_back(std::exchange(r, core::PReq{}));
   }
-  gens_.assign(gens.begin(), gens.end());
 }
 
-AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs,
-                 std::span<core::PersistentReq> gens) {
-  return AnyJoin(p, rs, gens);
+AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs) {
+  return AnyJoin(p, rs);
 }
 
 void AnyJoin::then(AnyFn win) && {
@@ -66,8 +62,7 @@ void AnyJoin::then(AnyFn win) && {
 }
 
 void AnyJoin::then(AnyFn win, ContFn settled) && {
-  const std::size_t members = reqs_.size() + gens_.size();
-  if (members == 0) {
+  if (reqs_.empty()) {
     throw std::invalid_argument("cont::when_any: empty group has no winner");
   }
   // The claim word is the only cross-context state; the countdown is a plain
@@ -81,7 +76,7 @@ void AnyJoin::then(AnyFn win, ContFn settled) && {
     ContFn settled;
   };
   auto st = std::make_shared<State>();
-  st->remaining = members;
+  st->remaining = reqs_.size();
   st->win = std::move(win);
   st->settled = std::move(settled);
   auto member_done = [st](std::size_t i, const smpi::Status& s) {
@@ -95,13 +90,6 @@ void AnyJoin::then(AnyFn win, ContFn settled) && {
     // Null / already-completed handles run the callback inline from
     // attach_continuation — they race for the win right here at arm time.
     proxy_->attach_continuation(reqs_[i], [member_done, i](
-                                              const smpi::Status& s) {
-      member_done(i, s);
-    });
-  }
-  for (std::size_t j = 0; j < gens_.size(); ++j) {
-    const std::size_t i = reqs_.size() + j;
-    proxy_->attach_continuation(gens_[j], [member_done, i](
                                               const smpi::Status& s) {
       member_done(i, s);
     });

@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -99,50 +98,6 @@ inline Pending irecv(core::Proxy& p, void* b, std::size_t n,
 /// Adopt any proxy request (collectives, post_batch output, ...).
 inline Pending wrap(core::Proxy& p, core::PReq r) { return Pending(p, r); }
 
-/// The current generation of a STARTED persistent request, awaiting its
-/// `.then()`. Unlike Pending, chaining does NOT consume the handle: the
-/// callback observes the request back in the inactive state and may
-/// p.start(r) the next generation from inside itself — a self-restarting
-/// receive loop is three lines. Not RAII (the persistent handle's lifetime
-/// is the caller's, via request_free).
-class PendingGeneration {
- public:
-  PendingGeneration(core::Proxy& p, core::PersistentReq r)
-      : proxy_(&p), r_(r) {}
-  /// Chain `fn` onto the current generation's completion.
-  void then(ContFn fn) && { proxy_->attach_continuation(r_, std::move(fn)); }
-
- private:
-  core::Proxy* proxy_;
-  core::PersistentReq r_;
-};
-
-/// cont::generation(proxy, pr).then(cb) — chain onto the current generation
-/// of a started persistent request.
-inline PendingGeneration generation(core::Proxy& p, core::PersistentReq r) {
-  return PendingGeneration(p, r);
-}
-
-/// when_all over started persistent generations: `fin` runs exactly once,
-/// after every member's CURRENT generation completes (with the Status of the
-/// last one). Handles are NOT consumed — each member is back in the inactive
-/// state when `fin` runs, so the callback may restart the whole set.
-inline void when_all_generations(core::Proxy& p,
-                                 std::span<core::PersistentReq> rs,
-                                 ContFn fin) {
-  if (rs.empty()) {
-    fin(smpi::Status{});
-    return;
-  }
-  auto remaining = std::make_shared<std::size_t>(rs.size());
-  auto cb = std::make_shared<ContFn>(std::move(fin));
-  for (core::PersistentReq& r : rs) {
-    p.attach_continuation(r, [remaining, cb](const smpi::Status& st) {
-      if (--*remaining == 0) (*cb)(st);
-    });
-  }
-}
-
 /// One-shot completion flag for joining a continuation graph back to the
 /// application thread: the graph's tail continuation set()s it, the
 /// application wait()s. Setting twice is harmless; waiting a set event
@@ -203,18 +158,12 @@ using AnyFn = std::function<void(std::size_t, const smpi::Status&)>;
 ///   * `settled`, if provided, runs exactly once after EVERY member
 ///     completed (winner and losers alike) — the buffer-reclamation /
 ///     slot-reuse hook;
-///   * one-shot members (span of PReq) are consumed (nulled); a null or
-///     already-completed handle counts as completing at arm time, so it
-///     races for the win like any other member (first arm wins, inline);
-///   * persistent members (span of PersistentReq) are NOT consumed: the
-///     group attaches to each member's CURRENT generation, and a loser is
-///     back in the inactive state once `settled` runs — `win`/`settled` may
-///     restart it (hedge loops over persistent requests re-arm for free);
-///   * an entirely empty group throws std::invalid_argument (there is no
-///     meaningful winner).
-///
-/// Member indexing: one-shots are 0..rs.size()-1 in span order; persistent
-/// generations follow at rs.size()..rs.size()+gens.size()-1.
+///   * members are one-shot requests, consumed (nulled) at arm time and
+///     indexed 0..rs.size()-1 in span order; a null or already-completed
+///     handle counts as completing at arm time, so it races for the win like
+///     any other member (first arm wins, inline);
+///   * an empty group throws std::invalid_argument (there is no meaningful
+///     winner).
 class AnyJoin {
  public:
   /// Arm the race: `win(index, status)` for the first completion.
@@ -223,19 +172,14 @@ class AnyJoin {
   void then(AnyFn win, ContFn settled) &&;
 
  private:
-  friend AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs,
-                          std::span<core::PersistentReq> gens);
-  AnyJoin(core::Proxy& p, std::span<core::PReq> rs,
-          std::span<core::PersistentReq> gens);
+  friend AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs);
+  AnyJoin(core::Proxy& p, std::span<core::PReq> rs);
   core::Proxy* proxy_;
   std::vector<core::PReq> reqs_;
-  std::vector<core::PersistentReq> gens_;
 };
 
 /// Racing combinator: when_any(proxy, reqs).then(win[, settled]). Consumes
-/// (nulls) every one-shot handle in `rs`; started persistent generations in
-/// `gens` are raced without being consumed.
-AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs,
-                 std::span<core::PersistentReq> gens = {});
+/// (nulls) every handle in `rs`.
+AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs);
 
 }  // namespace cont

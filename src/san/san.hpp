@@ -220,10 +220,10 @@ inline void mpi_coll_posted(int rank, std::uint32_t ctx, int kind, int root,
   if (detail::g_usage) detail::coll_posted_slow(rank, ctx, kind, root, name);
 }
 /// Persistent lifecycle misuse (start-before-complete, use of a freed
-/// request, attach without a started generation, free of an active
-/// request). Records a "persist-misuse" report; the call site ALWAYS throws
-/// std::logic_error afterwards, so this hook only feeds the report stream
-/// (and fail:1 turns it into san::Error, which still IS a logic_error).
+/// request, free of an active request). Records a "persist-misuse" report;
+/// the call site ALWAYS throws std::logic_error afterwards, so this hook
+/// only feeds the report stream (and fail:1 turns it into san::Error, which
+/// still IS a logic_error).
 inline void mpi_persist_misuse(int rank, const char* call, const char* what) {
   if (detail::g_usage) detail::persist_misuse_slow(rank, call, what);
 }

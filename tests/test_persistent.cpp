@@ -1,12 +1,14 @@
 // Persistent point-to-point (DESIGN.md §16): the request lifecycle state
 // machine (init -> start -> complete -> restart), pool-slot reuse across
-// generations, teardown under sharded engines, and continuation interop
-// over generations. The differential workload (test_differential.cpp) soaks
-// persistent restarts across all four approaches, clean and faulted.
+// generations, teardown under sharded engines, and starting and freeing a
+// persistent request from one-shot continuations. The differential workload
+// (test_differential.cpp) soaks persistent restarts across all four
+// approaches, clean and faulted.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -171,64 +173,72 @@ TEST(PersistentLifecycle, HaloFreesAndStopsUnderShardedEngines) {
 
 // -------------------------------------------------------------- continuation --
 
-TEST(PersistentContinuation, GenerationChainsAndRestarts) {
-  constexpr int kGens = 4;
-  smpi::Cluster cluster(ccfg(2));
+class PersistentContinuation : public ::testing::TestWithParam<Approach> {};
+
+TEST_P(PersistentContinuation, OneShotCallbacksStartAndFree) {
+  // A one-shot continuation starts a persistent send, the application
+  // thread waits on that generation, and a later continuation frees the
+  // request. Under offload both callbacks run on the engine, so the start
+  // and the free take the engine-context path (issued inline, no publish).
+  const Approach a = GetParam();
+  smpi::Cluster cluster(ccfg(2, a));
   cluster.run([&](smpi::RankCtx& rc) {
-    auto p = core::make_proxy(Approach::kOffload, rc);
+    auto p = core::make_proxy(a, rc);
     p->start_engine();
-    std::vector<char> buf(128);
+    std::vector<char> buf(256);
+    char go = 0, bye = 0;
     if (rc.rank() == 0) {
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<char>(i * 7);
+      }
       PersistentReq s =
-          p->send_init(buf.data(), buf.size(), Datatype::kByte, 1, 21);
-      // Self-restarting generation loop: the callback observes the handle
-      // back in the inactive state and starts the next generation itself.
-      int fired = 0;
-      cont::Event done;
-      core::ContFn next = [&](const smpi::Status&) {
-        if (++fired == kGens) {
-          done.set();
-          return;
-        }
-        p->start(s);
-        cont::generation(*p, s).then(next);
-      };
-      p->start(s);
-      cont::generation(*p, s).then(next);
-      done.wait(*p);
-      EXPECT_EQ(fired, kGens);
-      p->request_free(s);
+          p->send_init(buf.data(), buf.size(), Datatype::kByte, 1, 41);
+      cont::Event started, freed;
+      cont::irecv(*p, &go, 1, Datatype::kByte, 1, 40)
+          .then([&](const smpi::Status&) {
+            p->start(s);
+            started.set();
+          });
+      started.wait(*p);
+      p->wait(s);
+      EXPECT_FALSE(s.is_null()) << "wait keeps the handle";
+      cont::irecv(*p, &bye, 1, Datatype::kByte, 1, 42)
+          .then([&](const smpi::Status&) {
+            p->request_free(s);
+            freed.set();
+          });
+      freed.wait(*p);
+      EXPECT_TRUE(s.is_null());
+      EXPECT_EQ(p->inflight(), 0u);
     } else {
-      sink_recvs(*p, buf.data(), buf.size(), 21, kGens);
+      // Each token leaves well after rank 0 has armed its callback, so under
+      // offload the engine (not the attaching thread) runs both.
+      smpi::compute(sim::Time::from_us(50));
+      p->send(&go, 1, Datatype::kByte, 0, 40);
+      std::vector<char> got(buf.size());
+      p->recv(got.data(), got.size(), Datatype::kByte, 0, 41);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], static_cast<char>(i * 7)) << "byte " << i;
+      }
+      smpi::compute(sim::Time::from_us(50));
+      p->send(&bye, 1, Datatype::kByte, 0, 42);
     }
     p->barrier();
     p->stop();
+    EXPECT_EQ(p->inflight(), 0u) << "rank " << rc.rank();
+    EXPECT_EQ(rc.requests().active_count(), 0u) << "rank " << rc.rank();
   });
 }
 
-TEST(PersistentContinuation, WhenAllGenerations) {
-  smpi::Cluster cluster(ccfg(2));
-  cluster.run([&](smpi::RankCtx& rc) {
-    auto p = core::make_proxy(Approach::kOffload, rc);
-    p->start_engine();
-    std::vector<char> a(64), b(64);
-    if (rc.rank() == 0) {
-      std::vector<PersistentReq> rs = {
-          p->send_init(a.data(), a.size(), Datatype::kByte, 1, 31),
-          p->send_init(b.data(), b.size(), Datatype::kByte, 1, 32)};
-      p->startall(rs);
-      cont::Event done;
-      cont::when_all_generations(*p, rs,
-                                 [&done](const smpi::Status&) { done.set(); });
-      done.wait(*p);
-      for (PersistentReq& r : rs) p->request_free(r);
-    } else {
-      core::PReq r31 = p->irecv(a.data(), a.size(), Datatype::kByte, 0, 31);
-      core::PReq r32 = p->irecv(b.data(), b.size(), Datatype::kByte, 0, 32);
-      p->wait(r31);
-      p->wait(r32);
-    }
-    p->barrier();
-    p->stop();
-  });
-}
+INSTANTIATE_TEST_SUITE_P(Approaches, PersistentContinuation,
+                         ::testing::Values(Approach::kBaseline,
+                                           Approach::kIprobe,
+                                           Approach::kCommSelf,
+                                           Approach::kOffload),
+                         [](const ::testing::TestParamInfo<Approach>& info) {
+                           std::string n = core::approach_name(info.param);
+                           for (auto& ch : n) {
+                             if (ch == '-') ch = '_';
+                           }
+                           return n;
+                         });

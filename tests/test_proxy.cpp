@@ -2,6 +2,7 @@
 // code must produce identical data under every proxy (only timing differs).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -106,6 +107,41 @@ TEST_P(ProxyMatrix, ComputeThreadAccounting) {
                            : cores;
     EXPECT_EQ(p->compute_threads(cores), expect);
     (void)rc;
+  });
+}
+
+TEST_P(ProxyMatrix, PostBatchRejectsTheWholeBatchBeforePosting) {
+  // Ten sends and one op post_batch does not take: the call throws before
+  // it posts anything, under every approach — offload included, whose
+  // batches go out in kBatchFlush-command chunks.
+  const Approach a = GetParam();
+  Cluster c(cfg_for(a, 2));
+  c.run([&](RankCtx& rc) {
+    auto p = make_proxy(a, rc);
+    p->start_engine();
+    if (rc.rank() == 0) {
+      std::vector<char> buf(64);
+      std::vector<Command> ops;
+      for (int i = 0; i < 10; ++i) {
+        ops.push_back(Command::isend(buf.data(), buf.size(), Datatype::kByte,
+                                     1, i));
+      }
+      ops.push_back({.op = CmdOp::kIbarrier});
+      std::vector<PReq> out(ops.size());
+      EXPECT_THROW(p->post_batch(ops, out), std::invalid_argument);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_TRUE(out[i].is_null()) << "entry " << i << " was posted";
+      }
+      std::vector<PReq> short_out(2);
+      ops.pop_back();
+      EXPECT_THROW(p->post_batch(ops, short_out), std::invalid_argument);
+      EXPECT_EQ(p->inflight(), 0u);
+    }
+    p->barrier();
+    p->stop();
+    // Nothing was left in flight: no send a caller cannot wait on. (The
+    // comm-self helper's standing loopback receive retires at stop().)
+    EXPECT_EQ(rc.requests().active_count(), 0u) << "rank " << rc.rank();
   });
 }
 
