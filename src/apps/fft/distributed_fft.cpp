@@ -1,12 +1,10 @@
 #include "apps/fft/distributed_fft.hpp"
 
 #include <cmath>
-#include <memory>
 #include <numbers>
 #include <stdexcept>
 
 #include "mpi/cluster.hpp"
-#include "mpi/continuation.hpp"
 
 namespace fft {
 
@@ -29,40 +27,6 @@ DistributedFft::DistributedFft(smpi::RankCtx& rc, core::Proxy& proxy,
   }
 }
 
-void DistributedFft::pack_tiles(const std::vector<cd>& block,
-                                std::vector<cd>& sendbuf, std::size_t a,
-                                std::size_t b) {
-  const auto p = static_cast<std::size_t>(nranks_);
-  const std::size_t ra = a / p;
-  const std::size_t rb = b / p;
-  for (std::size_t dest = 0; dest < p; ++dest) {
-    cd* out = sendbuf.data() + dest * ra * rb;
-    for (std::size_t r = 0; r < ra; ++r) {
-      for (std::size_t c = 0; c < rb; ++c) {
-        out[r * rb + c] = block[r * b + dest * rb + c];
-      }
-    }
-  }
-}
-
-void DistributedFft::unpack_tiles(const std::vector<cd>& recvbuf,
-                                  std::vector<cd>& block, std::size_t a,
-                                  std::size_t b) {
-  // Received tile from rank i holds rows [i*ra, (i+1)*ra) x my column block;
-  // transpose into out[c][global_row].
-  const auto p = static_cast<std::size_t>(nranks_);
-  const std::size_t ra = a / p;
-  const std::size_t rb = b / p;
-  for (std::size_t i = 0; i < p; ++i) {
-    const cd* tile = recvbuf.data() + i * ra * rb;
-    for (std::size_t r = 0; r < ra; ++r) {
-      for (std::size_t c = 0; c < rb; ++c) {
-        block[c * a + i * ra + r] = tile[r * rb + c];
-      }
-    }
-  }
-}
-
 void DistributedFft::transpose(std::vector<cd>& block, std::size_t a,
                                std::size_t b) {
   // I own a/P rows of an a x b matrix (row-major); produce my b/P rows of
@@ -72,10 +36,26 @@ void DistributedFft::transpose(std::vector<cd>& block, std::size_t a,
   const std::size_t ra = a / p;  // my row count before
   const std::size_t rb = b / p;  // my row count after
   std::vector<cd> sendbuf(block.size()), recvbuf(block.size());
-  pack_tiles(block, sendbuf, a, b);
+  for (std::size_t dest = 0; dest < p; ++dest) {
+    cd* out = sendbuf.data() + dest * ra * rb;
+    for (std::size_t r = 0; r < ra; ++r) {
+      for (std::size_t c = 0; c < rb; ++c) {
+        out[r * rb + c] = block[r * b + dest * rb + c];
+      }
+    }
+  }
   proxy_.alltoall(sendbuf.data(), recvbuf.data(), ra * rb,
                   Datatype::kComplexDouble);
-  unpack_tiles(recvbuf, block, a, b);
+  // The tile from rank i holds rows [i*ra, (i+1)*ra) x my column block;
+  // transpose it into block[c][global_row].
+  for (std::size_t i = 0; i < p; ++i) {
+    const cd* tile = recvbuf.data() + i * ra * rb;
+    for (std::size_t r = 0; r < ra; ++r) {
+      for (std::size_t c = 0; c < rb; ++c) {
+        block[c * a + i * ra + r] = tile[r * rb + c];
+      }
+    }
+  }
 }
 
 void DistributedFft::forward(std::vector<cd>& block) {
@@ -113,72 +93,6 @@ void DistributedFft::forward(std::vector<cd>& block) {
   // (q, s) is X[q + R*s]; after transposing to C x R ownership, rank p holds
   // X[k] for k in [p*N/P, (p+1)*N/P) contiguously.
   transpose(block, rows_, cols_);
-}
-
-void DistributedFft::forward_chained(std::vector<cd>& block) {
-  const std::size_t n = total();
-  const auto p = static_cast<std::size_t>(nranks_);
-  if (block.size() != local()) throw std::invalid_argument("bad block size");
-  // Exchange buffers shared by all three stages (each stage's alltoall has
-  // fully completed before the next pack reuses them); shared_ptr because
-  // the continuations outlive this frame's locals between stages.
-  struct Bufs {
-    std::vector<cd> send, recv;
-  };
-  auto bufs = std::make_shared<Bufs>();
-  bufs->send.resize(block.size());
-  bufs->recv.resize(block.size());
-  const std::size_t count = (rows_ / p) * (cols_ / p);  // same every stage
-  const std::size_t my_cols = cols_ / p;
-  const std::size_t my_rows = rows_ / p;
-  const std::size_t b0 = static_cast<std::size_t>(rank_) * my_cols;
-  cont::Event done;
-
-  // Stages in reverse order so each can capture its successor by value.
-  // `block` and `done` are captured by reference: done.wait below keeps
-  // this frame alive until the tail continuation has run.
-  auto stage3 = [this, bufs, &block, &done](const smpi::Status&) {
-    unpack_tiles(bufs->recv, block, rows_, cols_);  // step 6 unpack
-    done.set();
-  };
-  auto stage2 = [this, bufs, &block, count, my_rows,
-                 stage3](const smpi::Status&) {
-    unpack_tiles(bufs->recv, block, cols_, rows_);  // step 4 unpack
-    for (std::size_t r = 0; r < my_rows; ++r) {     // step 5
-      fft_inplace(block.data() + r * cols_, cols_);
-    }
-    pack_tiles(block, bufs->send, rows_, cols_);  // step 6 pack
-    cont::wrap(proxy_, proxy_.ialltoall(bufs->send.data(), bufs->recv.data(),
-                                        count, Datatype::kComplexDouble))
-        .then(stage3);
-  };
-  auto stage1 = [this, bufs, &block, n, count, my_cols, b0,
-                 stage2](const smpi::Status&) {
-    unpack_tiles(bufs->recv, block, rows_, cols_);  // step 1 unpack
-    for (std::size_t r = 0; r < my_cols; ++r) {     // step 2
-      fft_inplace(block.data() + r * rows_, rows_);
-    }
-    for (std::size_t r = 0; r < my_cols; ++r) {  // step 3: twiddle
-      const std::size_t b = b0 + r;
-      for (std::size_t q = 0; q < rows_; ++q) {
-        const double ang = -2.0 * std::numbers::pi *
-                           static_cast<double>((b * q) % n) /
-                           static_cast<double>(n);
-        block[r * rows_ + q] *= cd(std::cos(ang), std::sin(ang));
-      }
-    }
-    pack_tiles(block, bufs->send, cols_, rows_);  // step 4 pack
-    cont::wrap(proxy_, proxy_.ialltoall(bufs->send.data(), bufs->recv.data(),
-                                        count, Datatype::kComplexDouble))
-        .then(stage2);
-  };
-  // Kick off stage 0 from the application thread; everything after runs as
-  // continuations.
-  pack_tiles(block, bufs->send, rows_, cols_);  // step 1 pack
-  cont::wrap(proxy_, proxy_.ialltoall(bufs->send.data(), bufs->recv.data(),
-                                      count, Datatype::kComplexDouble))
-      .then(stage1);
-  done.wait(proxy_);
 }
 
 // ------------------------------------------------------------------ perf ----

@@ -38,23 +38,10 @@ class DistributedFft {
 
   /// Forward transform of this rank's block.
   void forward(std::vector<cd>& block);
-  /// Forward transform as a three-stage continuation chain: each of the
-  /// three all-to-alls completes into a continuation that unpacks, runs the
-  /// stage's FFTs/twiddle, packs, and posts the next exchange — all from the
-  /// proxy's continuation context (the offload engine fiber posts follow-up
-  /// collectives directly). The application thread only waits the tail
-  /// event. Bit-identical to forward(): same helpers, same order.
-  void forward_chained(std::vector<cd>& block);
 
  private:
   /// Own rows of an a x b matrix -> own rows of its transpose (alltoall).
   void transpose(std::vector<cd>& block, std::size_t a, std::size_t b);
-  /// transpose()'s pack half: column-blocks per destination into sendbuf.
-  void pack_tiles(const std::vector<cd>& block, std::vector<cd>& sendbuf,
-                  std::size_t a, std::size_t b);
-  /// transpose()'s unpack half: received tiles -> my rows of the transpose.
-  void unpack_tiles(const std::vector<cd>& recvbuf, std::vector<cd>& block,
-                    std::size_t a, std::size_t b);
 
   smpi::RankCtx& rc_;
   core::Proxy& proxy_;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "mpi/continuation.hpp"
 #include "sim/rng.hpp"
 
 namespace qcd {
@@ -122,34 +121,6 @@ void dslash_reference(const GaugeField& u, const SpinorField& in, SpinorField& o
   });
 }
 
-std::complex<double> spinor_dot(const SpinorField& a, const SpinorField& b) {
-  std::complex<double> acc = 0;
-  for (std::size_t i = 0; i < a.v.size(); ++i) {
-    acc += std::conj(std::complex<double>(a.v[i])) * std::complex<double>(b.v[i]);
-  }
-  return acc;
-}
-
-double spinor_norm2(const SpinorField& a) {
-  double acc = 0;
-  for (const cf& z : a.v) acc += static_cast<double>(std::norm(z));
-  return acc;
-}
-
-void spinor_axpy(cf alpha, const SpinorField& x, SpinorField& y) {
-  for (std::size_t i = 0; i < x.v.size(); ++i) y.v[i] += alpha * x.v[i];
-}
-
-void spinor_xpay(const SpinorField& x, cf alpha, SpinorField& y) {
-  for (std::size_t i = 0; i < x.v.size(); ++i) y.v[i] = x.v[i] + alpha * y.v[i];
-}
-
-void spinor_scale(cf alpha, SpinorField& y) {
-  for (auto& z : y.v) z *= alpha;
-}
-
-void spinor_copy(const SpinorField& x, SpinorField& y) { y.v = x.v; }
-
 // ------------------------------------------------------ DistributedDslash ----
 
 DistributedDslash::DistributedDslash(const Decomposition& dec, core::Proxy& proxy)
@@ -161,7 +132,6 @@ DistributedDslash::DistributedDslash(const Decomposition& dec, core::Proxy& prox
     send_plus_[mu].resize(n);
     recv_plus_[mu].resize(n);
     recv_minus_[mu].resize(n);
-    scratch_plus_[mu].resize(n);
   }
 }
 
@@ -265,90 +235,6 @@ void DistributedDslash::apply(SpinorField& out) {
   interior(out);
   proxy_.waitall(reqs);
   boundary(out);
-}
-
-void DistributedDslash::compute_face_plus(int mu) {
-  const Dims& d = dec_.local();
-  const auto m = static_cast<std::size_t>(mu);
-  auto& scratch = scratch_plus_[mu];
-  std::fill(scratch.begin(), scratch.end(), cf(0));
-  for_each_site(d, [&](const Dims& c) {
-    if (c[m] != d[m] - 1) return;
-    const int x = site_index(c, d);
-    const int fi = face_index(c, d, mu);
-    // 0 + acc == acc exactly, so the later fold's `out += scratch` adds the
-    // same float values boundary()'s direct mat_vec_acc would.
-    mat_vec_acc(gauge_.link(x, mu),
-                recv_plus_[mu].data() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats,
-                scratch.data() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats);
-  });
-}
-
-void DistributedDslash::fold_boundary(SpinorField& out) {
-  // Same mu order, same site order, same per-site term order (+mu then -mu)
-  // as boundary() — the fold is an addition-for-addition replay.
-  const Dims& d = dec_.local();
-  for (int mu = 0; mu < 4; ++mu) {
-    if (!dec_.partitioned(mu)) continue;
-    const auto m = static_cast<std::size_t>(mu);
-    for_each_site(d, [&](const Dims& c) {
-      const int x = site_index(c, d);
-      cf* o = out.site(x);
-      if (c[m] == d[m] - 1) {
-        const int fi = face_index(c, d, mu);
-        vec_acc(scratch_plus_[mu].data() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats, o);
-      }
-      if (c[m] == 0) {
-        const int fi = face_index(c, d, mu);
-        vec_acc(recv_minus_[mu].data() + static_cast<std::ptrdiff_t>(fi) * kSpinorFloats, o);
-      }
-    });
-  }
-}
-
-void DistributedDslash::apply_chained(SpinorField& out) {
-  using smpi::Datatype;
-  pack_faces();
-  // Same batched post as apply(); ops come in groups of four per partitioned
-  // mu, the group's first op being the +mu-face receive whose continuation
-  // does the face's U*psi work.
-  std::vector<core::Command> ops;
-  std::vector<int> mus;
-  for (int mu = 0; mu < 4; ++mu) {
-    if (!dec_.partitioned(mu)) continue;
-    const std::size_t n = recv_plus_[mu].size();
-    const int up = dec_.neighbor_rank(mu, +1);
-    const int dn = dec_.neighbor_rank(mu, -1);
-    mus.push_back(mu);
-    ops.push_back(core::Command::irecv(recv_plus_[mu].data(), n,
-                                       Datatype::kComplexFloat, up, mu * 2));
-    ops.push_back(core::Command::irecv(recv_minus_[mu].data(), n,
-                                       Datatype::kComplexFloat, dn, mu * 2 + 1));
-    ops.push_back(core::Command::isend(send_minus_[mu].data(), n,
-                                       Datatype::kComplexFloat, dn, mu * 2));
-    ops.push_back(core::Command::isend(send_plus_[mu].data(), n,
-                                       Datatype::kComplexFloat, up, mu * 2 + 1));
-  }
-  std::vector<core::PReq> reqs(ops.size());
-  proxy_.post_batch(ops, reqs);
-  cont::Event done;
-  // The per-request hook moves each +mu face's boundary arithmetic into the
-  // completion continuation (it runs where the proxy runs continuations —
-  // the offload engine fiber, or a direct proxy's progress pump). It writes
-  // only this->scratch_plus_, never `out`, which interior() still owns.
-  cont::when_all(proxy_, reqs,
-                 [this, mus](std::size_t i, const smpi::Status&) {
-                   if (i % 4 == 0) compute_face_plus(mus[i / 4]);
-                 })
-      .then([&done](const smpi::Status&) { done.set(); });
-  interior(out);
-  done.wait(proxy_);
-  fold_boundary(out);
-}
-
-void DistributedDslash::apply_to(const SpinorField& in, SpinorField& out) {
-  psi_.v = in.v;
-  apply(out);
 }
 
 }  // namespace qcd

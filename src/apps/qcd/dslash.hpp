@@ -9,8 +9,8 @@
 // the spin-projection algebra (which halves the transferred spinor), but has
 // the identical nearest-neighbor data movement, halo-exchange communication
 // pattern, and comparable arithmetic intensity. This simplified D is
-// Hermitian, which the solvers exploit. Performance experiments use the
-// paper's Wilson-Dslash figure of 1320 flops/site.
+// Hermitian. Performance experiments use the paper's Wilson-Dslash figure
+// of 1320 flops/site.
 #pragma once
 
 #include <complex>
@@ -63,21 +63,14 @@ struct GaugeField {
   }
 };
 
-/// Deterministic pseudo-random fields. The gauge field is a perturbation of
-/// the identity (keeps the Wilson matrix well conditioned for solver tests).
+/// Deterministic pseudo-random fields. The gauge field is the identity plus
+/// uniform noise of amplitude `epsilon` in each entry's real and imaginary
+/// parts.
 void fill_random_spinor(SpinorField& f, std::uint64_t seed);
 void fill_random_gauge(GaugeField& g, std::uint64_t seed, float epsilon = 0.1f);
 
 /// Single-rank reference: periodic boundaries over the whole field.
 void dslash_reference(const GaugeField& u, const SpinorField& in, SpinorField& out);
-
-/// axpy/dot helpers used by solvers (double-precision accumulation).
-std::complex<double> spinor_dot(const SpinorField& a, const SpinorField& b);
-double spinor_norm2(const SpinorField& a);
-void spinor_axpy(cf alpha, const SpinorField& x, SpinorField& y);  // y += a*x
-void spinor_xpay(const SpinorField& x, cf alpha, SpinorField& y);  // y = x + a*y
-void spinor_scale(cf alpha, SpinorField& y);
-void spinor_copy(const SpinorField& x, SpinorField& y);
 
 /// Distributed operator: owns halo buffers and performs the Listing-1 loop
 /// (pack -> post nonblocking exchange -> interior -> wait -> boundary) with
@@ -92,25 +85,11 @@ class DistributedDslash {
 
   /// out = D psi (halo exchange + stencil).
   void apply(SpinorField& out);
-  /// out = D psi as a continuation graph: each received +mu face's U*psi
-  /// products are computed by the face's completion continuation (on the
-  /// proxy's progress context) into per-face scratch, overlapped with the
-  /// interior stencil; the application thread only waits the graph's tail
-  /// event and folds the accumulated faces in. Bit-identical to apply():
-  /// the fold adds exactly the values boundary() would, in the same order.
-  void apply_chained(SpinorField& out);
-  /// Apply to an arbitrary input field (copies into psi storage).
-  void apply_to(const SpinorField& in, SpinorField& out);
 
  private:
   void pack_faces();
   void interior(SpinorField& out);
   void boundary(SpinorField& out);
-  /// Continuation body: scratch_plus_[mu] = U(x,mu) * recv_plus_[mu] over
-  /// the top face (what boundary()'s +mu term would add into out).
-  void compute_face_plus(int mu);
-  /// boundary() for the chained path: fold scratch_plus_ / recv_minus_.
-  void fold_boundary(SpinorField& out);
 
   const Decomposition dec_;
   core::Proxy& proxy_;
@@ -120,7 +99,6 @@ class DistributedDslash {
   // the -mu neighbor; premultiplied U^dag psi products go to the +mu one).
   std::vector<cf> send_minus_[4], send_plus_[4];
   std::vector<cf> recv_plus_[4], recv_minus_[4];
-  std::vector<cf> scratch_plus_[4];  ///< apply_chained face accumulators
 };
 
 }  // namespace qcd

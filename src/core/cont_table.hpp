@@ -45,7 +45,7 @@
 // built, all kIdle, on the first arm/fire/reset of one of its slots, and
 // state_of() reads an unbuilt slot as kIdle without building it.
 //
-// memorder-audit: relaxed=3 acquire=4 release=0 acq_rel=3 seq_cst=0
+// memorder-audit: relaxed=2 acquire=4 release=0 acq_rel=3 seq_cst=0
 // (tools/check_memorder.py fails CI when this line disagrees with the
 // std::memory_order_* tokens actually used below — update both together.)
 #pragma once
@@ -164,10 +164,6 @@ class AnyClaimT {
   [[nodiscard]] std::uint32_t winner() const {
     return winner_.load(std::memory_order_acquire);
   }
-
-  /// Recycle for the next group. Single-owner at this point (all members
-  /// settled), so no ordering is needed.
-  void reset() { winner_.store(kOpen, std::memory_order_relaxed); }
 
  private:
   typename Atomics::template atomic<std::uint32_t> winner_{kOpen};

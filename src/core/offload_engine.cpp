@@ -84,9 +84,10 @@ std::size_t OffloadChannel::engine_of(const Command& cmd) {
         // Wildcard: pin this communicator to hash(comm) routing, stickily.
         // Every later receive on it follows, so a wildcard can neither
         // overtake nor be overtaken by a same-communicator receive posted
-        // after it. (Specific receives already in a sibling's queue when
-        // the first wildcard arrives are the one documented relaxation —
-        // see DESIGN.md §15.)
+        // after it. (A specific receive already in a sibling's queue when
+        // the first wildcard arrives can still be issued after it, and the
+        // wildcard can then take its message: an ordering defect that no
+        // test covers yet — DESIGN.md §15, ROADMAP item 4(a).)
         if (std::find(wildcard_comms_.begin(), wildcard_comms_.end(), ci) ==
             wildcard_comms_.end()) {
           wildcard_comms_.push_back(ci);
@@ -270,7 +271,18 @@ void OffloadChannel::submit_batch(std::span<Command> cmds) {
   }
   trace::Scope tsc("cmd:enqueue-batch", "offload");
   const auto& p = rc_.profile();
-  for (Command& c : cmds) c.proxy = alloc_slot(nullptr);
+  std::size_t taken = 0;
+  try {
+    for (; taken < cmds.size(); ++taken) {
+      cmds[taken].proxy = alloc_slot(nullptr);
+    }
+  } catch (...) {
+    // Nothing is published yet: hand back the slots already taken, or a
+    // rejected batch leaks them for the rest of the run.
+    for (std::size_t k = 0; k < taken; ++k) free_slot(cmds[k].proxy);
+    completions_.signal();
+    throw;
+  }
   // The first command pays the full serialize+publish cost; the rest only
   // the marginal marshalling into already-hot cells.
   sim::advance(p.cmd_enqueue);
@@ -386,18 +398,6 @@ void OffloadChannel::wait_done(std::uint32_t proxy, smpi::Status* st,
     if (pool_.done(proxy)) break;
     completions_.wait_beyond(seen);
   }
-  consume_done(proxy, st, keep);
-}
-
-bool OffloadChannel::test_done(std::uint32_t proxy, smpi::Status* st) {
-  sim::advance(rc_.profile().done_flag_check);
-  if (!pool_.done(proxy)) return false;
-  consume_done(proxy, st, false);
-  return true;
-}
-
-void OffloadChannel::consume_done(std::uint32_t proxy, smpi::Status* st,
-                                  bool keep) {
   san::acquire(&pool_, proxy);  // done-flag acquire: Status/payload visible
   if (st != nullptr) *st = pool_.status(proxy);
   if (keep) return;

@@ -206,7 +206,9 @@ class OffloadChannel {
   /// FIFO order within the batch is preserved per engine (and engine_of
   /// keeps everything order-sensitive on one engine). Falls back to the
   /// shared rings (still one tail-line transfer per engine run) when the
-  /// caller has no lane.
+  /// caller has no lane. When the pool runs out part-way, the slots already
+  /// taken go back before alloc_slot's error propagates; nothing is
+  /// published.
   void submit_batch(std::span<Command> cmds);
 
   /// Spin on the done flag of `proxy` (the paper's optimized MPI_Wait: no
@@ -214,8 +216,6 @@ class OffloadChannel {
   /// slot of a persistent request).
   void wait_done(std::uint32_t proxy, smpi::Status* st = nullptr,
                  bool keep = false);
-  /// Nonblocking wait_done; frees the slot once it is done.
-  bool test_done(std::uint32_t proxy, smpi::Status* st = nullptr);
   /// Return a completed, already-acquired slot to the pool. The caller
   /// signals completions() (once per batch of frees).
   void free_slot(std::uint32_t proxy);
@@ -342,9 +342,11 @@ class OffloadChannel {
   /// per-envelope order survives sharding (see DESIGN.md §15): sends and
   /// specific receives go by (peer, comm); wildcard receives pin their
   /// communicator to hash(comm) — and stick: later receives on that
-  /// communicator follow, so a wildcard can never overtake (or be overtaken
-  /// by) a same-communicator receive posted around it; collectives go by
-  /// comm.
+  /// communicator follow, so none of them can overtake the wildcard;
+  /// collectives go by comm. A specific receive already queued on a sibling
+  /// engine when the first wildcard arrives can still be issued after it,
+  /// so the wildcard can take that receive's message: an ordering defect no
+  /// test covers yet (ROADMAP item 4(a)).
   std::size_t engine_of(const Command& cmd);
 
   /// The caller's lane for `engine_idx`, binding a lane row on first use.
@@ -372,8 +374,6 @@ class OffloadChannel {
   /// Post persistent action `op` (start or free) for `ps`: issued directly
   /// from engine context, else published to its home engine.
   void persist_post(Persistent& ps, CmdOp op);
-  /// The done-flag tail of wait_done/test_done once `proxy` is done.
-  void consume_done(std::uint32_t proxy, smpi::Status* st, bool keep);
 
   /// The Engine owned by the calling fiber, or nullptr.
   [[nodiscard]] Engine* engine_for_current_fiber() const;

@@ -150,12 +150,6 @@ void DirectProxy::wait(PReq& r, smpi::Status* st) {
   rc_.wait(rq, st);
   r = wrap(rq);
 }
-bool DirectProxy::test(PReq& r, smpi::Status* st) {
-  smpi::Request rq = unwrap(r);
-  const bool done = rc_.test(rq, st);
-  r = wrap(rq);
-  return done;
-}
 void DirectProxy::waitall(std::span<PReq> rs) {
   if (rs.empty()) return;  // MPI_Waitall(0, ...) is a no-op
   std::vector<smpi::Request> reqs;
@@ -348,12 +342,6 @@ void OffloadProxy::wait(PReq& r, smpi::Status* st) {
   if (r.is_null()) return;
   channel_.wait_done(slot_of(r), st);
   r = PReq{};
-}
-bool OffloadProxy::test(PReq& r, smpi::Status* st) {
-  if (r.is_null()) return true;
-  if (!channel_.test_done(slot_of(r), st)) return false;
-  r = PReq{};
-  return true;
 }
 bool OffloadProxy::release(std::span<PReq> rs) {
   bool freed = false;

@@ -126,7 +126,6 @@ class Proxy {
 
   // ---- completion ----
   virtual void wait(PReq& r, smpi::Status* st = nullptr) = 0;
-  virtual bool test(PReq& r, smpi::Status* st = nullptr) = 0;
   virtual void waitall(std::span<PReq> rs) = 0;
   /// MPI_Waitany: block until some active request completes, release it,
   /// null its entry, and return its index; -1 when every entry is null.
@@ -140,7 +139,7 @@ class Proxy {
   /// Bind `fn` to run exactly once when `r` completes, consuming the handle
   /// (it is nulled; do not wait on it afterwards). Who runs the callback is
   /// approach-specific: the offload engine fiber for kOffload, the progress
-  /// path (test/progress_hint/cont_wait pumps) for the direct approaches. A
+  /// path (progress_hint/cont_wait pumps) for the direct approaches. A
   /// null handle is the released-request case and runs `fn` inline with an
   /// empty Status — attaching twice is as safe as waiting twice. Callbacks
   /// may post follow-ups and attach further continuations but must never
@@ -274,7 +273,6 @@ class DirectProxy : public Proxy {
   [[nodiscard]] Approach approach() const override { return Approach::kBaseline; }
 
   void wait(PReq& r, smpi::Status* st = nullptr) override;
-  bool test(PReq& r, smpi::Status* st = nullptr) override;
   void waitall(std::span<PReq> rs) override;
   int waitany(std::span<PReq> rs, smpi::Status* st = nullptr) override;
   bool testall(std::span<PReq> rs) override;
@@ -360,7 +358,6 @@ class OffloadProxy : public Proxy {
   static constexpr std::size_t kBatchFlush = 8;
   void post_batch(std::span<const Command> ops, std::span<PReq> out) override;
   void wait(PReq& r, smpi::Status* st = nullptr) override;
-  bool test(PReq& r, smpi::Status* st = nullptr) override;
   /// Tuned completion surface: one pass over the pool's done flags per wake,
   /// no per-request channel calls.
   void waitall(std::span<PReq> rs) override;

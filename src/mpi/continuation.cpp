@@ -5,16 +5,15 @@
 
 namespace cont {
 
-Join::Join(core::Proxy& p, std::span<core::PReq> rs, EachFn each)
-    : proxy_(&p), each_(std::move(each)) {
+Join::Join(core::Proxy& p, std::span<core::PReq> rs) : proxy_(&p) {
   reqs_.reserve(rs.size());
   for (core::PReq& r : rs) {
     reqs_.push_back(std::exchange(r, core::PReq{}));
   }
 }
 
-Join when_all(core::Proxy& p, std::span<core::PReq> rs, EachFn each) {
-  return Join(p, rs, std::move(each));
+Join when_all(core::Proxy& p, std::span<core::PReq> rs) {
+  return Join(p, rs);
 }
 
 void Join::then(ContFn fin) && {
@@ -35,14 +34,11 @@ void Join::then(ContFn fin) && {
     ContFn fin;
   };
   auto st = std::make_shared<State>(State{active, std::move(fin)});
-  const EachFn each = std::move(each_);
-  for (std::size_t i = 0; i < reqs_.size(); ++i) {
-    if (reqs_[i].is_null()) continue;
-    proxy_->attach_continuation(
-        reqs_[i], [st, each, i](const smpi::Status& s) {
-          if (each) each(i, s);
-          if (--st->remaining == 0) st->fin(s);
-        });
+  for (core::PReq& r : reqs_) {
+    if (r.is_null()) continue;
+    proxy_->attach_continuation(r, [st](const smpi::Status& s) {
+      if (--st->remaining == 0) st->fin(s);
+    });
   }
 }
 

@@ -46,12 +46,7 @@ namespace cont {
 
 using core::ContFn;
 
-/// Per-request hook of when_all: runs before the group countdown, with the
-/// completing request's index in the span and its Status.
-using EachFn = std::function<void(std::size_t, const smpi::Status&)>;
-
-/// A posted operation awaiting its `.then()`. Move-only, rvalue-consumed:
-/// either chain a continuation or take the raw handle back with release().
+/// A posted operation awaiting its `.then()`. Move-only, rvalue-consumed.
 /// Destroying an unconsumed Pending waits for the operation (RAII: the
 /// request must not outlive its buffers silently).
 class Pending {
@@ -71,12 +66,6 @@ class Pending {
   void then(ContFn fn) && {
     proxy_->attach_continuation(r_, std::move(fn));
     proxy_ = nullptr;
-  }
-
-  /// Opt out of chaining: take the plain handle (wait/test it yourself).
-  [[nodiscard]] core::PReq release() && {
-    proxy_ = nullptr;
-    return std::exchange(r_, core::PReq{});
   }
 
  private:
@@ -105,7 +94,6 @@ inline Pending wrap(core::Proxy& p, core::PReq r) { return Pending(p, r); }
 class Event {
  public:
   void set() { fired_ = true; }
-  [[nodiscard]] bool ready() const { return fired_; }
   /// Block the calling fiber until set(), driving the proxy's continuation
   /// machinery meanwhile. Must not be called from a continuation.
   void wait(core::Proxy& p) {
@@ -122,22 +110,19 @@ class Event {
 class Join {
  public:
   /// Arm: `fin` runs exactly once, after every member completed (with the
-  /// Status of the last one); the optional per-request hook passed to
-  /// when_all runs first for each member as it completes.
+  /// Status of the last one).
   void then(ContFn fin) &&;
 
  private:
-  friend Join when_all(core::Proxy& p, std::span<core::PReq> rs, EachFn each);
-  Join(core::Proxy& p, std::span<core::PReq> rs, EachFn each);
+  friend Join when_all(core::Proxy& p, std::span<core::PReq> rs);
+  Join(core::Proxy& p, std::span<core::PReq> rs);
   core::Proxy* proxy_;
   std::vector<core::PReq> reqs_;
-  EachFn each_;
 };
 
 /// Group combinator: when_all(proxy, reqs).then(cb). Consumes (nulls) every
-/// handle in `rs`; `each(i, st)` — if provided — runs per member completion
-/// before the countdown, with `i` indexing the original span.
-Join when_all(core::Proxy& p, std::span<core::PReq> rs, EachFn each = {});
+/// handle in `rs`.
+Join when_all(core::Proxy& p, std::span<core::PReq> rs);
 
 /// Winner hook of when_any: runs exactly once, for the FIRST member of the
 /// group to complete, with that member's index and Status.

@@ -2,6 +2,7 @@
 // blocking->nonblocking conversion, asynchronous progress, stats.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -141,27 +142,6 @@ TEST(OffloadEngine, ManyOutstandingRequests) {
   });
 }
 
-TEST(OffloadEngine, TestDoneNonBlocking) {
-  Cluster c(cfg(2));
-  c.run([&](RankCtx& rc) {
-    OffloadProxy p(rc);
-    p.start_engine();
-    if (rc.rank() == 0) {
-      int got = -1;
-      PReq r = p.irecv(&got, 1, Datatype::kInt, 1, 0);
-      EXPECT_FALSE(p.test(r));  // peer sends at 50us
-      while (!p.test(r)) compute(sim::Time::from_us(5));
-      EXPECT_EQ(got, 99);
-    } else {
-      compute(sim::Time::from_us(50));
-      const int v = 99;
-      p.send(&v, 1, Datatype::kInt, 0, 0);
-    }
-    p.barrier();
-    p.stop();
-  });
-}
-
 TEST(OffloadEngine, StatusPropagatesThroughProxy) {
   Cluster c(cfg(2));
   c.run([&](RankCtx& rc) {
@@ -259,6 +239,56 @@ TEST(OffloadEngine, PoolExhaustionCountsPoolFullStalls) {
       EXPECT_GE(p.channel().stats().pool_full_stalls, 1u);
       EXPECT_EQ(p.channel().stats().ring_full_stalls, 0u);
     }
+  });
+}
+
+TEST(OffloadEngine, RejectedBatchReturnsItsPoolSlots) {
+  // A batch that runs out of pool slots part-way must give back the ones it
+  // took. Seven held receives leave one of 8 slots free; the two-send batch
+  // takes it, throws on the second send, and the blocking send after it
+  // needs that slot again.
+  Cluster c(cfg(2));
+  c.run([&](RankCtx& rc) {
+    OffloadProxy p(rc, core::ProxyOptions{.pool_capacity = 8});
+    p.start_engine();
+    constexpr int kHeld = 7;
+    if (rc.rank() == 0) {
+      std::vector<int> got(kHeld, -1);
+      std::vector<PReq> held;
+      for (int i = 0; i < kHeld; ++i) {
+        held.push_back(p.irecv(&got[static_cast<std::size_t>(i)], 1,
+                               Datatype::kInt, 1, i));
+      }
+      const int vals[2] = {1, 2};
+      const Command ops[2] = {
+          Command::isend(&vals[0], 1, Datatype::kInt, 1, 100),
+          Command::isend(&vals[1], 1, Datatype::kInt, 1, 101)};
+      PReq out[2];
+      EXPECT_THROW(p.post_batch(ops, out), std::runtime_error);
+      EXPECT_TRUE(out[0].is_null());
+      EXPECT_TRUE(out[1].is_null());
+      // Releases the peer's seven sends.
+      const int go = 1;
+      p.send(&go, 1, Datatype::kInt, 1, kHeld);
+      p.waitall(held);
+      for (int i = 0; i < kHeld; ++i) {
+        EXPECT_EQ(got[static_cast<std::size_t>(i)], 10 + i);
+      }
+    } else {
+      int go = 0;
+      p.recv(&go, 1, Datatype::kInt, 0, kHeld);
+      std::vector<int> vals(kHeld);
+      std::vector<PReq> sends;
+      for (int i = 0; i < kHeld; ++i) {
+        vals[static_cast<std::size_t>(i)] = 10 + i;
+        sends.push_back(p.isend(&vals[static_cast<std::size_t>(i)], 1,
+                                Datatype::kInt, 0, i));
+      }
+      p.waitall(sends);
+    }
+    EXPECT_EQ(p.inflight(), 0u);
+    p.barrier();
+    p.stop();
   });
 }
 
