@@ -57,7 +57,7 @@ void a1_eager_threshold() {
     const OverlapResult r = overlap_p2p(Approach::kBaseline, prof, 192 << 10);
     t.row({fmt_bytes(thr), fmt_us(r.comm_us), fmt_pct(r.overlap_frac)});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 void a2_pipeline_depth() {
@@ -69,7 +69,7 @@ void a2_pipeline_depth() {
     const OverlapResult r = overlap_p2p(Approach::kBaseline, prof, 2 << 20);
     t.row({fmt_int(depth), fmt_pct(r.overlap_frac), fmt_pct(r.wait_frac)});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 void a3_detect_latency() {
@@ -82,7 +82,7 @@ void a3_detect_latency() {
     const OsuResult r = osu_latency(Approach::kOffload, prof, 8);
     t.row({fmt_int(ns), fmt_us(r.latency_us)});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 void a4_dedicated_core() {
@@ -103,7 +103,7 @@ void a4_dedicated_core() {
     t.row({fmt_int(cores), fmt_us(base, 0), fmt_us(off, 0),
            fmt_pct((off - base) / base)});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 void a5_ring_capacity() {
@@ -138,7 +138,7 @@ void a5_ring_capacity() {
     t.row({fmt_int(static_cast<long long>(cap)),
            fmt_int(static_cast<long long>(stalls)), fmt_us(us, 1)});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 std::uint64_t fnv1a(const char* data, std::size_t n, std::uint64_t h) {
@@ -257,7 +257,7 @@ void a6_fault_sweep() {
              fmt_int(static_cast<long long>(c.dup_drops)), digbuf});
     }
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 struct A7Cell {
@@ -362,7 +362,7 @@ void a7_submission_lanes() {
     t.row({fmt_int(T), fmt_us(s.window_us, 2), fmt_us(l.window_us, 2),
            fmt_us(b.window_us, 2), spd});
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 struct A8Cell {
@@ -372,12 +372,12 @@ struct A8Cell {
 
 /// One (forced algorithm, doorbell batching) cell: 8 offload ranks time a
 /// pure (phantom-buffer) float-sum allreduce of `bytes`.
-A8Cell a8_run(const std::string& spec, bool batch, std::size_t bytes) {
+A8Cell a8_run(smpi::CollAlgo algo, bool batch, std::size_t bytes) {
   smpi::ClusterConfig cc;
   cc.nranks = 8;
   cc.profile = machine::xeon_fdr();
   cc.profile.coll_batch_doorbells = batch;
-  cc.coll_spec = spec;
+  cc.allreduce_algo = algo;
   cc.thread_level = core::required_thread_level(Approach::kOffload);
   cc.deadline = sim::Time::from_sec(600);
   smpi::Cluster cluster(cc);
@@ -414,9 +414,9 @@ void a8_coll_algorithms() {
   Table t({"size", "rdbl(us)", "ring(us)", "ring+batch(us)", "eff.bw speedup",
            "amortized"});
   for (std::size_t bytes : sizes) {
-    const A8Cell rd = a8_run("allreduce:rdbl@0", false, bytes);
-    const A8Cell rg = a8_run("allreduce:ring@0", false, bytes);
-    const A8Cell rb = a8_run("allreduce:ring@0", true, bytes);
+    const A8Cell rd = a8_run(smpi::CollAlgo::kRecursiveDoubling, false, bytes);
+    const A8Cell rg = a8_run(smpi::CollAlgo::kRing, false, bytes);
+    const A8Cell rb = a8_run(smpi::CollAlgo::kRing, true, bytes);
     // Effective bandwidth ~ bytes / time, so the bandwidth ratio is the
     // inverse time ratio; report ring+batch vs recursive doubling.
     const double speedup = rd.us / std::max(rb.us, 1e-9);
@@ -432,7 +432,7 @@ void a8_coll_algorithms() {
           static_cast<unsigned long long>(rb.amortized));
     }
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 struct A9Cell {
@@ -493,7 +493,7 @@ void a9_continuations() {
           cont.wait_us, drop);
     }
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 struct A10Cell {
@@ -600,7 +600,7 @@ void a10_proxy_scaling() {
           static_cast<unsigned long long>(s.stolen));
     }
   }
-  benchlib::finish_table(t);
+  t.print();
 }
 
 /// One A11 cell: rank 0 runs 8 submitter fibers against peer 1 over a
@@ -702,7 +702,7 @@ void a11_persistent() {
   std::snprintf(spd, sizeof spd, "%.2fx", speedup);
   t.row({"one-shot isend", r0, "1.00x"});
   t.row({"persistent start", r1, spd});
-  benchlib::finish_table(t);
+  t.print();
   if (Runner::stats_enabled()) {
     std::printf("[stats] a11 persistent: oneshot_rate=%.3f persist_rate=%.3f "
                 "speedup=%.2f\n",
@@ -712,8 +712,8 @@ void a11_persistent() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   // Smoke mode (MPIOFF_BENCH_SMOKE=1, CI) runs only the A7 front-end
   // ablation (reduced thread sweep), the A8 collective-algorithm ablation,
   // the A9 continuation ablation, the A10 proxy-count scaling sweep and the

@@ -13,8 +13,8 @@
 using namespace benchlib;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   const int nranks = 16;
   const CollKind kinds[] = {CollKind::kIbcast,    CollKind::kIreduce,
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                fmt_pct(r.overlap_frac)});
       }
     }
-    benchlib::finish_table(t);
+    t.print();
     std::printf("\n");
   }
   return 0;

@@ -16,8 +16,8 @@
 using namespace benchlib;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   const std::vector<std::size_t> sizes = {8,      64,     512,     4096,
                                           16384,  65536,  131072,  262144,
@@ -36,6 +36,6 @@ int main(int argc, char** argv) {
     }
     t.row(row);
   }
-  benchlib::finish_table(t);
+  t.print();
   return 0;
 }

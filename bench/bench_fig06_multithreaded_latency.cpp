@@ -15,8 +15,8 @@
 using namespace benchlib;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   // Smoke mode (MPIOFF_BENCH_SMOKE=1, CI) keeps one thread count and two
   // sizes so the job finishes in minutes but still emits real trailers.
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       }
       t.row(row);
     }
-    benchlib::finish_table(t);
+    t.print();
     std::printf("\n");
   }
   return 0;

@@ -14,8 +14,8 @@
 using namespace benchlib;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   const std::vector<std::size_t> sizes = {8,      64,     512,    4096,
                                           16384,  65536,  262144, 1u << 20,
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     }
     lat.row(row);
   }
-  benchlib::finish_table(lat);
+  lat.print();
 
   std::printf("\nFigure 7(b): OSU uni-directional bandwidth (2 ranks, %s)\n",
               prof.name.c_str());
@@ -44,6 +44,6 @@ int main(int argc, char** argv) {
     }
     bw.row(row);
   }
-  benchlib::finish_table(bw);
+  bw.print();
   return 0;
 }

@@ -15,8 +15,8 @@
 using namespace benchlib;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto prof = machine::xeon_phi();
   const std::vector<std::size_t> sizes = {8,      64,     512,    4096,
                                           16384,  65536,  262144, 1u << 20,
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     }
     lat.row(row);
   }
-  benchlib::finish_table(lat);
+  lat.print();
 
   std::printf("\nFigure 8(b): OSU uni-directional bandwidth (2 ranks, %s)\n",
               prof.name.c_str());
@@ -45,6 +45,6 @@ int main(int argc, char** argv) {
     }
     bw.row(row);
   }
-  benchlib::finish_table(bw);
+  bw.print();
   return 0;
 }

@@ -52,14 +52,14 @@ void run_platform(const char* title, const machine::Profile& prof,
     }
     t.row(row);
   }
-  benchlib::finish_table(t);
+  t.print();
   std::printf("\n");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   const auto xeon = machine::xeon_fdr();
   const auto edison = machine::aries();
   const auto corespec = machine::aries_corespec();

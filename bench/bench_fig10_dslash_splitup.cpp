@@ -14,8 +14,8 @@ using core::Approach;
 using qcd::QcdPerfConfig;
 using qcd::QcdPerfResult;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   for (const auto& prof : {machine::xeon_fdr(), machine::xeon_phi()}) {
     std::printf("Figure 10: Dslash timing split, 32^3x256, %s\n",
                 prof.name.c_str());
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                fmt_pct((r.misc_us + r.post_us) / tot)});
       }
     }
-    benchlib::finish_table(t);
+    t.print();
     std::printf("\n");
   }
   return 0;

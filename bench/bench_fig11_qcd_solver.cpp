@@ -14,8 +14,8 @@ using namespace benchlib;
 using core::Approach;
 using qcd::QcdPerfConfig;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Figure 11: QCD solver (Dslash + BLAS1 + Allreduce), "
               "48^3x512, Endeavor Xeon (TFLOPS)\n");
   Table t({"nodes", "baseline", "iprobe", "comm-self", "offload"});
@@ -33,6 +33,6 @@ int main(int argc, char** argv) {
     }
     t.row(row);
   }
-  benchlib::finish_table(t);
+  t.print();
   return 0;
 }

@@ -15,8 +15,8 @@ using namespace benchlib;
 using core::Approach;
 using qcd::QcdPerfConfig;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Figure 12: Dslash with thread-groups (4 groups) vs funneled, "
               "32^3x256, Endeavor Xeon (relative speedup)\n");
   Table t({"nodes", "baseline", "iprobe", "comm-self", "offload"});
@@ -36,6 +36,6 @@ int main(int argc, char** argv) {
     }
     t.row(row);
   }
-  benchlib::finish_table(t);
+  t.print();
   return 0;
 }

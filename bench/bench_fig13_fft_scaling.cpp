@@ -17,8 +17,8 @@ using namespace benchlib;
 using core::Approach;
 using fft::FftPerfConfig;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   // Node counts capped at 64 (paper: 256): the 2^29-point all-to-alls at
   // 128+ simulated ranks generate O(10^8) wire events — beyond what a
   // single-host run of the simulator can turn around. The paper's trend
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     }
     a.row(row);
   }
-  benchlib::finish_table(a);
+  a.print();
 
   std::printf("\nFigure 13(b): FFT weak scaling, 2^25 points/node, Endeavor "
               "Xeon Phi (GFLOPS); comm-self unsupported on this platform\n");
@@ -62,6 +62,6 @@ int main(int argc, char** argv) {
     }
     b.row(row);
   }
-  benchlib::finish_table(b);
+  b.print();
   return 0;
 }

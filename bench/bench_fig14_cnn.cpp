@@ -6,7 +6,6 @@
 // allreduces overlap with backprop + next forward), offload slightly ahead
 // of comm-self.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,8 +17,8 @@ using namespace benchlib;
 using cnn::CnnPerfConfig;
 using core::Approach;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Figure 14: CNN hybrid-parallel training, batch 256, Endeavor "
               "Xeon (images/s)\n");
   Table t({"nodes", "baseline", "iprobe", "comm-self", "offload"});
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
     }
     t.row(row);
   }
-  benchlib::finish_table(t);
+  t.print();
 
   // Companion: the conv-gradient allreduces at 64 nodes are ~40-130 MB, so
   // the tuner's segmented ring is what carries them; pin each algorithm to
@@ -43,17 +42,17 @@ int main(int argc, char** argv) {
   std::printf("\nFigure 14 (cont.): conv-gradient allreduce algorithm at 64 "
               "nodes, offload (images/s)\n");
   Table t2({"allreduce algorithm", "images/s"});
-  for (const char* spec : {"allreduce:ring@0", "allreduce:rdbl@0",
-                           "allreduce:reduce-bcast@0"}) {
+  for (smpi::CollAlgo algo : {smpi::CollAlgo::kRing,
+                              smpi::CollAlgo::kRecursiveDoubling,
+                              smpi::CollAlgo::kReduceBcast}) {
     CnnPerfConfig cfg;
     cfg.nodes = 64;
     cfg.iters = 3;
     cfg.approach = Approach::kOffload;
-    cfg.coll_spec = spec;
-    const char* name = std::strchr(spec, ':') + 1;
-    std::string label(name, std::strcspn(name, "@"));
-    t2.row({label, fmt_double(run_cnn_perf(cfg).imgs_per_sec, 0)});
+    cfg.allreduce_algo = algo;
+    t2.row({smpi::coll_algo_name(algo),
+            fmt_double(run_cnn_perf(cfg).imgs_per_sec, 0)});
   }
-  benchlib::finish_table(t2);
+  t2.print();
   return 0;
 }

@@ -32,8 +32,7 @@ serve::ServeConfig bench_config(Approach a, int workers) {
   cfg.requests = Runner::smoke_enabled() ? 600 : 6000;  // per edge
   cfg.traffic.mean_interarrival = sim::Time::from_us(1);
   cfg.slo = sim::Time::from_us(150);
-  // MPIOFF_SERVE can reshape the workload (alpha, bursts, hedge rate, ...).
-  return serve::serve_config_from_env(cfg);
+  return cfg;
 }
 
 struct Cell {
@@ -69,7 +68,7 @@ void a12_serve(int workers) {
                   static_cast<unsigned long long>(r.responses));
     t.row({core::approach_name(a), p50, p99, p999, okp, gp, hw, resp});
   }
-  benchlib::finish_table(t);
+  t.print();
 
   // The acceptance bar: offload beats the BEST direct proxy by >= 1.3x on
   // p99 latency or goodput-under-SLO.
@@ -103,8 +102,8 @@ void a12_serve(int workers) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Fig 15 (new): latency-SLO serving tier, offload vs direct "
               "proxies\n");
   if (!Runner::smoke_enabled()) a12_serve(2);

@@ -167,7 +167,7 @@ void BM_AllreduceRing(benchmark::State& state) {
   smpi::ClusterConfig cfg;
   cfg.nranks = 8;
   cfg.thread_level = core::required_thread_level(core::Approach::kBaseline);
-  cfg.coll_spec = "allreduce:ring@0";
+  cfg.allreduce_algo = smpi::CollAlgo::kRing;
   smpi::Cluster cluster(cfg);
   const benchmark::IterationCount iters = state.max_iterations;
   cluster.run([&](smpi::RankCtx& rc) {

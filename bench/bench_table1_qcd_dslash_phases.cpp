@@ -17,8 +17,8 @@ using core::Approach;
 using qcd::QcdPerfConfig;
 using qcd::QcdPerfResult;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Table 1: QCD Dslash time per iteration, 32^3x256 lattice, "
               "Endeavor Xeon (us)\n");
   Table t({"nodes", "approach", "internal", "post", "wait", "misc", "total",
@@ -45,6 +45,6 @@ int main(int argc, char** argv) {
                    (base.internal_us > 0 ? base.internal_us : 1)),
            red(base.post_us, off.post_us), red(base.wait_us, off.wait_us)});
   }
-  benchlib::finish_table(t);
+  t.print();
   return 0;
 }

@@ -15,8 +15,8 @@ using core::Approach;
 using fft::FftPerfConfig;
 using fft::FftPerfResult;
 
-int main(int argc, char** argv) {
-  benchlib::Runner runner(argc, argv);
+int main() {
+  benchlib::Runner runner;
   std::printf("Table 2: 1-D FFT (SOI) per transform, 2^25 points/node, "
               "Endeavor Xeon Phi cluster (ms)\n");
   Table t({"nodes", "approach", "internal", "post", "wait", "misc", "total",
@@ -45,6 +45,6 @@ int main(int argc, char** argv) {
                    (base.internal_ms > 0 ? base.internal_ms : 1)),
            red(base.post_ms, off.post_ms), red(base.wait_ms, off.wait_ms)});
   }
-  benchlib::finish_table(t);
+  t.print();
   return 0;
 }

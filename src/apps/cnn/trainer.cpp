@@ -226,7 +226,7 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
   smpi::ClusterConfig cc;
   cc.nranks = nranks;
   cc.profile = cfg.profile;
-  cc.coll_spec = cfg.coll_spec;
+  cc.allreduce_algo = cfg.allreduce_algo;
   cc.thread_level = core::required_thread_level(cfg.approach);
   cc.deadline = sim::Time::from_sec(36000);
   smpi::Cluster cluster(cc);

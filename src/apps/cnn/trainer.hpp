@@ -13,7 +13,7 @@
 //  * run_cnn_perf — AlexNet-scale cost-model harness behind Figure 14.
 #pragma once
 
-#include <string>
+#include <optional>
 
 #include "apps/cnn/layers.hpp"
 #include "core/proxy.hpp"
@@ -77,9 +77,9 @@ struct CnnPerfConfig {
   int iters = 4;
   int warmup = 1;
   double flops_per_ns_thread = 10.0;  ///< effective conv/FC compute rate
-  /// MPIOFF_COLL-grammar override for the gradient allreduces (empty =
-  /// profile defaults; the tuner picks the segmented ring at CNN sizes).
-  std::string coll_spec;
+  /// Forced schedule for the gradient allreduces (unset = the tuner's
+  /// default, which picks the segmented ring at CNN sizes).
+  std::optional<smpi::CollAlgo> allreduce_algo;
 };
 
 struct CnnPerfResult {

@@ -1,7 +1,6 @@
 #include "apps/serve/serve.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -13,8 +12,6 @@
 #include "mpi/cluster.hpp"
 #include "mpi/continuation.hpp"
 #include "sim/sync.hpp"
-#include "util/env.hpp"
-#include "util/spec_parser.hpp"
 
 namespace serve {
 
@@ -430,6 +427,17 @@ ServeResult run_serve(const ServeConfig& cfg) {
     throw std::invalid_argument("run_serve: edges/shards/workers/window/"
                                 "requests must all be >= 1");
   }
+  const TrafficConfig& tc = cfg.traffic;
+  if (tc.smin > tc.smax) {
+    throw std::invalid_argument("run_serve: traffic.smin must be <= smax");
+  }
+  if (!(tc.hedge >= 0.0 && tc.hedge <= 1.0)) {
+    throw std::invalid_argument("run_serve: traffic.hedge must be in [0, 1]");
+  }
+  if (!(tc.alpha > 0.0) || tc.alpha == 1.0) {
+    throw std::invalid_argument(
+        "run_serve: traffic.alpha must be positive and != 1");
+  }
   smpi::ClusterConfig cc;
   cc.nranks = cfg.edges + cfg.shards;
   cc.thread_level = (cfg.workers > 1 && cfg.approach != Approach::kOffload)
@@ -511,96 +519,6 @@ ServeResult run_serve(const ServeConfig& cfg) {
                             static_cast<double>(last_arrival.ns())
                       : 0.0;
   return r;
-}
-
-// ---- MPIOFF_SERVE spec ---------------------------------------------------
-
-namespace {
-
-double parse_shape(const util::SpecParser& p, const std::string& v,
-                   const std::string& where) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !(d > 0.0) || d == 1.0) {
-    p.fail(where + ": expected a positive shape (alpha != 1), got '" + v +
-           "'");
-  }
-  return d;
-}
-
-}  // namespace
-
-ServeConfig apply_serve_spec(ServeConfig base, const std::string& spec) {
-  static const char* kEnv = "MPIOFF_SERVE";
-  util::SpecParser p(kEnv, "=:",
-                     "requests, edges, shards, workers, window, clients, "
-                     "rounds, update, seed, hedge, alpha, smin, smax, ia, "
-                     "phases, phase_len, slo, service, service_kb");
-  for (const char* k :
-       {"requests", "edges", "shards", "workers", "window", "clients",
-        "rounds", "update", "seed", "hedge", "alpha", "smin", "smax", "ia",
-        "phases", "phase_len", "slo", "service", "service_kb"}) {
-    p.key(k);
-  }
-  auto count_of = [&](const util::SpecItem& it) {
-    return util::SpecParser::parse_count(kEnv, it.value, it.key);
-  };
-  for (const util::SpecItem& it : p.parse(spec)) {
-    if (it.key == "requests") {
-      base.requests = count_of(it);
-    } else if (it.key == "edges") {
-      base.edges = static_cast<int>(count_of(it));
-    } else if (it.key == "shards") {
-      base.shards = static_cast<int>(count_of(it));
-    } else if (it.key == "workers") {
-      base.workers = static_cast<int>(count_of(it));
-    } else if (it.key == "window") {
-      base.window = count_of(it);
-    } else if (it.key == "clients") {
-      base.traffic.clients = count_of(it);
-    } else if (it.key == "rounds") {
-      base.rounds = static_cast<int>(count_of(it));
-    } else if (it.key == "update") {
-      base.update = count_of(it);
-    } else if (it.key == "seed") {
-      base.traffic.seed = count_of(it);
-    } else if (it.key == "hedge") {
-      base.traffic.hedge =
-          util::SpecParser::parse_prob(kEnv, it.value, it.key);
-    } else if (it.key == "alpha") {
-      base.traffic.alpha = parse_shape(p, it.value, it.key);
-    } else if (it.key == "smin") {
-      base.traffic.smin = util::SpecParser::parse_bytes(kEnv, it.value, it.key);
-    } else if (it.key == "smax") {
-      base.traffic.smax = util::SpecParser::parse_bytes(kEnv, it.value, it.key);
-    } else if (it.key == "ia") {
-      base.traffic.mean_interarrival =
-          util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    } else if (it.key == "phases") {
-      base.traffic.phases = static_cast<int>(count_of(it));
-    } else if (it.key == "phase_len") {
-      base.traffic.phase_len =
-          util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    } else if (it.key == "slo") {
-      base.slo = util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    } else if (it.key == "service") {
-      base.service_base =
-          util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    } else if (it.key == "service_kb") {
-      base.service_per_kb =
-          util::SpecParser::parse_duration(kEnv, it.value, it.key);
-    }
-  }
-  if (base.traffic.smin > base.traffic.smax) {
-    p.fail("smin must be <= smax");
-  }
-  return base;
-}
-
-ServeConfig serve_config_from_env(ServeConfig base) {
-  const char* s = env_util::get("MPIOFF_SERVE");
-  if (s == nullptr || *s == '\0') return base;
-  return apply_serve_spec(base, s);
 }
 
 }  // namespace serve

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "apps/serve/traffic.hpp"
 #include "core/proxy.hpp"
@@ -87,16 +86,5 @@ struct ServeResult {
 
 /// Run the serving tier to completion. Deterministic per config.
 ServeResult run_serve(const ServeConfig& cfg);
-
-/// Apply an MPIOFF_SERVE-grammar spec on top of `base`. Grammar (comma
-/// separated, '=' or ':' separators; SpecParser error contract):
-///   requests=N edges=N shards=N workers=N window=N clients=N rounds=N
-///   update=N seed=N hedge=P alpha=F smin=BYTES smax=BYTES ia=DUR
-///   phases=N phase_len=DUR slo=DUR service=DUR service_kb=DUR
-/// Malformed specs throw std::invalid_argument naming the vocabulary.
-ServeConfig apply_serve_spec(ServeConfig base, const std::string& spec);
-
-/// apply_serve_spec over the MPIOFF_SERVE environment variable (if set).
-ServeConfig serve_config_from_env(ServeConfig base);
 
 }  // namespace serve

@@ -1,10 +1,6 @@
 #include "benchlib/runner.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 
 #include "core/proxy.hpp"
 #include "mpi/cluster.hpp"
@@ -18,45 +14,16 @@ namespace benchlib {
 namespace {
 
 bool g_stats_enabled = false;
-Runner* g_active_runner = nullptr;
-
-[[noreturn]] void usage_and_exit(const char* argv0, const char* bad) {
-  std::fprintf(stderr, "unknown/incomplete option: %s\n", bad);
-  std::fprintf(stderr,
-               "usage: %s [--trace <file>] [--csv <file>] [--stats]\n"
-               "  env: MPIOFF_TRACE=<file>  MPIOFF_STATS=1\n",
-               argv0);
-  std::exit(2);
-}
 
 }  // namespace
 
-Runner::Runner(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--trace") == 0) {
-      if (i + 1 >= argc) usage_and_exit(argv[0], a);
-      trace_path_ = argv[++i];
-    } else if (std::strcmp(a, "--csv") == 0) {
-      if (i + 1 >= argc) usage_and_exit(argv[0], a);
-      csv_path_ = argv[++i];
-    } else if (std::strcmp(a, "--stats") == 0) {
-      g_stats_enabled = true;
-    } else {
-      usage_and_exit(argv[0], a);
-    }
-  }
-  if (trace_path_.empty()) trace_path_ = env_util::get_or("MPIOFF_TRACE");
-  if (!g_stats_enabled) {
-    const std::string e = env_util::get_or("MPIOFF_STATS");
-    if (!e.empty() && e != "0") g_stats_enabled = true;
-  }
+Runner::Runner() : trace_path_(env_util::get_or("MPIOFF_TRACE")) {
+  const std::string e = env_util::get_or("MPIOFF_STATS");
+  g_stats_enabled = !e.empty() && e != "0";
   if (!trace_path_.empty()) trace::Tracer::set_enabled(true);
-  g_active_runner = this;
 }
 
 Runner::~Runner() {
-  if (g_active_runner == this) g_active_runner = nullptr;
   if (trace_path_.empty()) return;
   trace::Tracer& tr = trace::Tracer::instance();
   trace::Tracer::set_enabled(false);
@@ -68,22 +35,7 @@ Runner::~Runner() {
   }
 }
 
-void Runner::finish(const Table& t) {
-  t.print();
-  if (csv_path_.empty()) return;
-  std::ofstream f(csv_path_, csv_started_ ? (std::ios::out | std::ios::app)
-                                          : (std::ios::out | std::ios::trunc));
-  if (!f) {
-    std::fprintf(stderr, "[csv] cannot open %s\n", csv_path_.c_str());
-    return;
-  }
-  if (csv_started_) f << '\n';  // blank line between successive tables
-  t.print_csv(f);
-  csv_started_ = true;
-}
-
 bool Runner::stats_enabled() { return g_stats_enabled; }
-void Runner::set_stats_enabled(bool on) { g_stats_enabled = on; }
 
 bool Runner::smoke_enabled() {
   static const bool on = [] {
@@ -91,16 +43,6 @@ bool Runner::smoke_enabled() {
     return !e.empty() && e != "0";
   }();
   return on;
-}
-
-Runner* Runner::active() { return g_active_runner; }
-
-void finish_table(const Table& t) {
-  if (g_active_runner != nullptr) {
-    g_active_runner->finish(t);
-  } else {
-    t.print();
-  }
 }
 
 void report_proxy_stats(core::Proxy& p) {

@@ -39,18 +39,6 @@ void Table::print(std::ostream& os) const {
   line();
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i != 0) os << ',';
-      os << cells[i];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-}
-
 std::string fmt_us(double us, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, us);

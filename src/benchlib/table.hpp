@@ -13,8 +13,6 @@ class Table {
 
   Table& row(std::vector<std::string> cells);
   void print(std::ostream& os = std::cout) const;
-  /// Comma-separated dump (for plotting scripts).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -19,20 +19,11 @@ ClusterConfig with_env_faults(ClusterConfig cfg) {
   }
   return cfg;
 }
-
-/// Algorithm selection: an explicit ClusterConfig::coll_spec wins; otherwise
-/// the MPIOFF_COLL environment spec applies on top of the profile defaults.
-CollTuner make_tuner(const ClusterConfig& cfg) {
-  if (!cfg.coll_spec.empty()) {
-    return CollTuner::parse(cfg.coll_spec, CollTuner::defaults_for(cfg.profile));
-  }
-  return CollTuner::from_env(cfg.profile);
-}
 }  // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(with_env_faults(std::move(cfg))),
-      tuner_(make_tuner(cfg_)),
+      tuner_(cfg_.profile, cfg_.allreduce_algo),
       engine_(),
       net_(engine_, cfg_.profile, cfg_.nranks) {
   if (cfg_.nranks < 1) throw std::invalid_argument("nranks must be >= 1");

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,10 +28,9 @@ struct ClusterConfig {
   ThreadLevel thread_level = ThreadLevel::kFunneled;
   /// Abort the run if the virtual clock passes this (deadlock guard).
   sim::Time deadline = sim::Time::from_sec(3600);
-  /// Collective algorithm overrides in MPIOFF_COLL grammar (see
-  /// mpi/coll_tuner.hpp). Empty -> the MPIOFF_COLL environment variable,
-  /// which in turn falls back to the profile's thresholds.
-  std::string coll_spec;
+  /// Force this schedule on every allreduce it is legal for (see
+  /// mpi/coll_tuner.hpp); unset -> the tuner's size-based default.
+  std::optional<CollAlgo> allreduce_algo;
   /// Sanitizer spec in MPIOFF_SAN grammar (see san/san.hpp). Empty -> the
   /// MPIOFF_SAN environment variable; both empty -> sanitizer off.
   std::string san_spec;

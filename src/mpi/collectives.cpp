@@ -1,18 +1,17 @@
 // Collective algorithms, compiled to CollOp schedules per rank.
 //
 // Which schedule a collective compiles to is decided per instance by the
-// CollTuner (size x ranks x operand properties; see mpi/coll_tuner.hpp for
-// the override grammar). The inventory:
+// CollTuner (size x ranks; see mpi/coll_tuner.hpp for the one override).
+// The inventory:
 //   * barrier      — dissemination (ceil(log2 p) rounds)
-//   * bcast        — binomial tree; pipelined (segmented) binomial for large
-//                    vectors, one chain per segment
+//   * bcast        — binomial tree
 //   * reduce       — binomial tree
 //   * allreduce    — segmented ring (reduce-scatter + allgather) for large
-//                    vectors, Rabenseifner / recursive doubling for medium
-//                    power-of-two cases, reduce-to-0 + bcast otherwise
+//                    vectors, recursive doubling for small power-of-two
+//                    cases, reduce-to-0 + bcast otherwise
 //   * alltoall     — post-all for eager-sized blocks, pairwise sequential
 //                    exchange for rendezvous-sized blocks
-//   * allgather    — segmented ring for large results, post-all otherwise
+//   * allgather    — post-all
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -210,30 +209,6 @@ void build_ring_allreduce(CollOp& op, const CommInfo& ci, std::byte* accum,
   }
 }
 
-/// Segmented ring allgather: stage s forwards the block received at stage
-/// s-1. Chain c carries the byte range [c*blk/C, (c+1)*blk/C) of every block.
-void build_ring_allgather(CollOp& op, const CommInfo& ci, std::byte* rb,
-                          std::size_t blk, int nchains) {
-  const int p = ci.size();
-  const int me = ci.my_rank;
-  const int right = (me + 1) % p;
-  const int left = (me - 1 + p) % p;
-  for (int c = 0; c < nchains; ++c) {
-    const auto uc = static_cast<std::size_t>(c);
-    const std::size_t blo = blk * uc / static_cast<std::size_t>(nchains);
-    const std::size_t bn = blk * (uc + 1) / static_cast<std::size_t>(nchains) - blo;
-    CollChain& ch = op.chain(uc);
-    for (int s = 0; s < p - 1; ++s) {
-      const auto sblk = static_cast<std::size_t>(((me - s) % p + p) % p);
-      const auto rblk = static_cast<std::size_t>(((me - s - 1) % p + p) % p);
-      CollStage st;
-      st.sends.push_back({right, at(rb, sblk * blk + blo), bn});
-      st.recvs.push_back({left, at(rb, rblk * blk + blo), bn});
-      ch.stages.push_back(std::move(st));
-    }
-  }
-}
-
 }  // namespace
 
 // --------------------------------------------------------------- barrier ----
@@ -243,7 +218,7 @@ Request RankCtx::ibarrier(Comm comm) {
   CommInfo& ci = comms_.get(comm);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBarrier,
-                   coll_tuner().choose(CollectiveId::kBarrier, 0, 0, p));
+                   coll_tuner().choose(CollectiveId::kBarrier, 0, p));
   CollChain& ch = op->chain(0);
   const int me = ci.my_rank;
   for (int k = 1; k < p; k <<= 1) {
@@ -272,22 +247,9 @@ Request RankCtx::ibcast(void* buf, std::size_t count, Datatype dt, int root,
   const std::size_t bytes = count * datatype_size(dt);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBcast,
-                   coll_tuner().choose(CollectiveId::kBcast, bytes, count, p));
+                   coll_tuner().choose(CollectiveId::kBcast, bytes, p));
   op->root = root;
-  if (op->algo == CollAlgo::kPipeline) {
-    // One chain per segment, each an independent binomial tree: the root
-    // pushes segment c+1 into the wire while segment c propagates down.
-    const int nchains = coll_tuner().chains_for(bytes);
-    auto* b = static_cast<std::byte*>(buf);
-    for (int c = 0; c < nchains; ++c) {
-      const auto uc = static_cast<std::size_t>(c);
-      const std::size_t lo = bytes * uc / static_cast<std::size_t>(nchains);
-      const std::size_t n = bytes * (uc + 1) / static_cast<std::size_t>(nchains) - lo;
-      build_bcast_stages(op->chain(uc), ci, at(b, lo), n, root);
-    }
-  } else {
-    build_bcast_stages(op->chain(0), ci, buf, bytes, root);
-  }
+  build_bcast_stages(op->chain(0), ci, buf, bytes, root);
   return start_collective(std::move(op));
 }
 
@@ -312,7 +274,7 @@ Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
   const std::size_t store = sbuf == nullptr ? 0 : bytes;
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kReduce,
-                   coll_tuner().choose(CollectiveId::kReduce, bytes, count, p));
+                   coll_tuner().choose(CollectiveId::kReduce, bytes, p));
   op->root = root;
   std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
                                            ci.my_rank == root);
@@ -339,74 +301,14 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
   const std::size_t store = phantom ? 0 : bytes;
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kAllreduce,
-                   coll_tuner().choose(CollectiveId::kAllreduce, bytes, count,
-                                       p));
+                   coll_tuner().choose(CollectiveId::kAllreduce, bytes, p));
   std::byte* accum = reduction_accumulator(*this, *op, sbuf, rbuf, bytes,
                                            /*result_here=*/true);
 
   const std::size_t elem = datatype_size(dt);
   if (op->algo == CollAlgo::kRing) {
     build_ring_allreduce(*op, ci, accum, count, elem, dt, rop, phantom,
-                         coll_tuner().chains_for(bytes));
-  } else if (op->algo == CollAlgo::kRabenseifner) {
-    // Rabenseifner: recursive-halving reduce-scatter followed by a
-    // recursive-doubling allgather — ~2x the vector on the wire instead of
-    // log2(p)x. The tuner guarantees pow2 ranks and count % p == 0 here.
-    CollChain& ch = op->chain(0);
-    CollOp* opp = op.get();
-    const int logp = [&] {
-      int l = 0;
-      for (int k = 1; k < p; k <<= 1) ++l;
-      return l;
-    }();
-    // Segment [lo,hi) owned after k halving rounds (element indices).
-    auto rs_range = [&](int rank, int k) {
-      std::size_t lo = 0, hi = count;
-      int step = p / 2;
-      for (int j = 0; j < k; ++j, step /= 2) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if ((rank & step) == 0) {
-          hi = mid;  // lower half kept by the lower partner
-        } else {
-          lo = mid;
-        }
-      }
-      return std::pair<std::size_t, std::size_t>(lo, hi);
-    };
-    // ---- reduce-scatter (recursive halving) ----
-    int step = p / 2;
-    for (int j = 0; j < logp; ++j, step /= 2) {
-      const int partner = ci.my_rank ^ step;
-      const auto [lo, hi] = rs_range(ci.my_rank, j);
-      const std::size_t mid = lo + (hi - lo) / 2;
-      const bool keep_lower = (ci.my_rank & step) == 0;
-      const std::size_t keep_lo = keep_lower ? lo : mid;
-      const std::size_t keep_n = (hi - lo) / 2;
-      const std::size_t send_lo = keep_lower ? mid : lo;
-      const std::size_t t = add_temp(*op, phantom ? 0 : keep_n * elem);
-      CollStage st;
-      st.sends.push_back({partner, at(accum, send_lo * elem), keep_n * elem});
-      st.recvs.push_back({partner, op->temps[t].get(), keep_n * elem});
-      st.on_complete = [opp, t, accum, dt, rop, keep_lo, keep_n, elem,
-                        phantom](RankCtx& rc) {
-        sim::advance(rc.profile().reduce_cost(keep_n * elem));
-        if (!phantom) {
-          apply_op(rop, dt, opp->temps[t].get(), accum + keep_lo * elem, keep_n);
-        }
-      };
-      ch.stages.push_back(std::move(st));
-    }
-    // ---- allgather (recursive doubling, undoing the halvings) ----
-    for (int j = logp - 1; j >= 0; --j) {
-      const int s2 = p >> (j + 1);
-      const int partner = ci.my_rank ^ s2;
-      const auto [mlo, mhi] = rs_range(ci.my_rank, j + 1);
-      const auto [plo, phi] = rs_range(partner, j + 1);
-      CollStage st;
-      st.sends.push_back({partner, at(accum, mlo * elem), (mhi - mlo) * elem});
-      st.recvs.push_back({partner, at(accum, plo * elem), (phi - plo) * elem});
-      ch.stages.push_back(std::move(st));
-    }
+                         CollTuner::chains_for(bytes));
   } else if (op->algo == CollAlgo::kRecursiveDoubling) {
     // Recursive doubling: log2(p) exchange-and-combine rounds. Each round
     // sends a snapshot of the accumulator prepared by the previous round so
@@ -478,8 +380,7 @@ Request RankCtx::ialltoall(const void* sbuf, void* rbuf,
     return base == nullptr ? nullptr : base + static_cast<std::size_t>(i) * blk;
   };
   auto op = new_op(ci, comm, CollectiveId::kAlltoall,
-                   coll_tuner().choose(CollectiveId::kAlltoall, blk,
-                                       count_per_rank, p));
+                   coll_tuner().choose(CollectiveId::kAlltoall, blk, p));
 
   // Self block: local copy at post time (phantom runs model their data
   // movement separately, so only real buffers are charged).
@@ -534,43 +435,25 @@ Request RankCtx::iallgather(const void* sbuf, void* rbuf,
   const int p = ci.size();
   const int me = ci.my_rank;
   auto* rb = static_cast<std::byte*>(rbuf);
-  // Tuning size is the total gathered result (that is what the wire carries).
   auto op = new_op(ci, comm, CollectiveId::kAllgather,
                    coll_tuner().choose(CollectiveId::kAllgather,
-                                       blk * static_cast<std::size_t>(p),
-                                       count_per_rank * static_cast<std::size_t>(p),
-                                       p));
+                                       blk * static_cast<std::size_t>(p), p));
 
   if (sbuf != nullptr && rb != nullptr) {
     sim::advance(profile().copy_cost(blk));
     std::memcpy(rb + static_cast<std::size_t>(me) * blk, sbuf, blk);
   }
 
-  if (op->algo == CollAlgo::kRing) {
-    build_ring_allgather(*op, ci, rb, blk, coll_tuner().chains_for(blk));
-  } else if (op->algo == CollAlgo::kPairwise) {
-    // Sequential exchange rounds (rendezvous-friendly, rarely forced).
-    CollChain& ch = op->chain(0);
-    for (int k = 1; k < p; ++k) {
-      const int dst = (me + k) % p;
-      const int src = (me - k + p) % p;
-      CollStage st;
-      st.sends.push_back({dst, at(rb, static_cast<std::size_t>(me) * blk), blk});
-      st.recvs.push_back({src, at(rb, static_cast<std::size_t>(src) * blk), blk});
-      ch.stages.push_back(std::move(st));
-    }
-  } else {
-    assert(op->algo == CollAlgo::kPostAll);
-    CollStage st;
-    for (int k = 1; k < p; ++k) {
-      const int dst = (me + k) % p;
-      const int src = (me - k + p) % p;
-      st.sends.push_back({dst, at(rb, static_cast<std::size_t>(me) * blk), blk});
-      st.recvs.push_back({src, at(rb, static_cast<std::size_t>(src) * blk), blk});
-    }
-    if (!st.sends.empty() || !st.recvs.empty()) {
-      op->chain(0).stages.push_back(std::move(st));
-    }
+  assert(op->algo == CollAlgo::kPostAll);
+  CollStage st;
+  for (int k = 1; k < p; ++k) {
+    const int dst = (me + k) % p;
+    const int src = (me - k + p) % p;
+    st.sends.push_back({dst, at(rb, static_cast<std::size_t>(me) * blk), blk});
+    st.recvs.push_back({src, at(rb, static_cast<std::size_t>(src) * blk), blk});
+  }
+  if (!st.sends.empty() || !st.recvs.empty()) {
+    op->chain(0).stages.push_back(std::move(st));
   }
   return start_collective(std::move(op));
 }

@@ -53,10 +53,6 @@ AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs) {
   return AnyJoin(p, rs);
 }
 
-void AnyJoin::then(AnyFn win) && {
-  std::move(*this).then(std::move(win), ContFn{});
-}
-
 void AnyJoin::then(AnyFn win, ContFn settled) && {
   if (reqs_.empty()) {
     throw std::invalid_argument("cont::when_any: empty group has no winner");

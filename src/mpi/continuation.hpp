@@ -140,7 +140,7 @@ using AnyFn = std::function<void(std::size_t, const smpi::Status&)>;
 ///     MPI_Cancel): they complete normally through the usual continuation
 ///     path, which is also what frees their request slots — so every
 ///     member's buffer must stay valid until `settled` runs;
-///   * `settled`, if provided, runs exactly once after EVERY member
+///   * `settled`, if non-empty, runs exactly once after EVERY member
 ///     completed (winner and losers alike) — the buffer-reclamation /
 ///     slot-reuse hook;
 ///   * members are one-shot requests, consumed (nulled) at arm time and
@@ -151,9 +151,8 @@ using AnyFn = std::function<void(std::size_t, const smpi::Status&)>;
 ///     winner).
 class AnyJoin {
  public:
-  /// Arm the race: `win(index, status)` for the first completion.
-  void then(AnyFn win) &&;
-  /// Arm with a group-drained hook: `settled` runs after all members.
+  /// Arm the race: `win(index, status)` for the first completion, then
+  /// `settled` (if non-empty) after all members.
   void then(AnyFn win, ContFn settled) &&;
 
  private:
@@ -163,7 +162,7 @@ class AnyJoin {
   std::vector<core::PReq> reqs_;
 };
 
-/// Racing combinator: when_any(proxy, reqs).then(win[, settled]). Consumes
+/// Racing combinator: when_any(proxy, reqs).then(win, settled). Consumes
 /// (nulls) every handle in `rs`.
 AnyJoin when_any(core::Proxy& p, std::span<core::PReq> rs);
 

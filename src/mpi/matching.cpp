@@ -1,7 +1,5 @@
 #include "mpi/matching.hpp"
 
-#include <algorithm>
-
 #include "mpi/request.hpp"
 
 namespace smpi {
@@ -26,15 +24,7 @@ RequestImpl* MatchingEngine::match_posted(const Envelope& e) {
   return nullptr;
 }
 
-bool MatchingEngine::remove_posted(RequestImpl* r) {
-  auto it = std::find(posted_.begin(), posted_.end(), r);
-  if (it == posted_.end()) return false;
-  posted_.erase(it);
-  return true;
-}
-
 void MatchingEngine::add_unexpected(UnexpectedMsg&& m) {
-  unexpected_bytes_ += m.payload.size();
   unexpected_.push_back(std::move(m));
 }
 
@@ -45,7 +35,6 @@ std::optional<UnexpectedMsg> MatchingEngine::match_unexpected(std::uint32_t ctx,
     if (matches(ctx, src_global, tag, it->env)) {
       UnexpectedMsg m = std::move(*it);
       unexpected_.erase(it);
-      unexpected_bytes_ -= m.payload.size();
       return m;
     }
   }

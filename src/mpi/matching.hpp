@@ -48,8 +48,6 @@ class MatchingEngine {
   void post_recv(RequestImpl* r);
   /// Remove a posted receive matching `e` (FIFO), or nullptr.
   RequestImpl* match_posted(const Envelope& e);
-  /// Remove a specific posted receive (for cancel); true if found.
-  bool remove_posted(RequestImpl* r);
 
   // -- unexpected side --
   void add_unexpected(UnexpectedMsg&& m);
@@ -62,12 +60,10 @@ class MatchingEngine {
 
   [[nodiscard]] std::size_t posted_count() const { return posted_.size(); }
   [[nodiscard]] std::size_t unexpected_count() const { return unexpected_.size(); }
-  [[nodiscard]] std::size_t unexpected_bytes() const { return unexpected_bytes_; }
 
  private:
   std::deque<RequestImpl*> posted_;
   std::deque<UnexpectedMsg> unexpected_;
-  std::size_t unexpected_bytes_ = 0;
 };
 
 }  // namespace smpi

@@ -13,14 +13,8 @@ SpecParser::SpecParser(std::string env_name, std::string separators,
       separators_(std::move(separators)),
       vocabulary_(std::move(vocabulary)) {}
 
-SpecParser& SpecParser::key(const std::string& name, bool repeatable) {
-  keys_.push_back(KeyInfo{name, repeatable});
-  return *this;
-}
-
-SpecParser& SpecParser::open_keys(
-    std::function<bool(const std::string&)> accept) {
-  open_accept_ = std::move(accept);
+SpecParser& SpecParser::key(const std::string& name) {
+  keys_.push_back(name);
   return *this;
 }
 
@@ -28,16 +22,8 @@ void SpecParser::fail(const std::string& what) const {
   throw std::invalid_argument(env_ + ": " + what);
 }
 
-const SpecParser::KeyInfo* SpecParser::find_key(const std::string& name) const {
-  for (const KeyInfo& k : keys_) {
-    if (k.name == name) return &k;
-  }
-  return nullptr;
-}
-
 std::vector<SpecItem> SpecParser::parse(const std::string& spec) const {
   std::vector<SpecItem> items;
-  std::vector<std::string> seen_once;  // non-repeatable keys already used
   std::size_t pos = 0;
   const std::string kv_shape =
       "key" + std::string(1, separators_.front()) + "value";
@@ -56,17 +42,12 @@ std::vector<SpecItem> SpecParser::parse(const std::string& spec) const {
     if (key.empty()) {
       fail("malformed token '" + item + "' (expected " + kv_shape + ")");
     }
-    const KeyInfo* info = find_key(key);
-    if (info == nullptr) {
-      if (!open_accept_ || !open_accept_(key)) {
-        fail("unknown key '" + key + "' (valid: " + vocabulary_ + ")");
-      }
-    } else if (!info->repeatable) {
-      if (std::find(seen_once.begin(), seen_once.end(), key) !=
-          seen_once.end()) {
-        fail("duplicate key '" + key + "' (valid: " + vocabulary_ + ")");
-      }
-      seen_once.push_back(key);
+    if (std::find(keys_.begin(), keys_.end(), key) == keys_.end()) {
+      fail("unknown key '" + key + "' (valid: " + vocabulary_ + ")");
+    }
+    if (std::any_of(items.begin(), items.end(),
+                    [&](const SpecItem& it) { return it.key == key; })) {
+      fail("duplicate key '" + key + "' (valid: " + vocabulary_ + ")");
     }
     items.push_back(SpecItem{key, val, item});
   }
@@ -84,28 +65,6 @@ std::size_t SpecParser::parse_count(const std::string& env,
     throw std::invalid_argument(env + ": bad count for '" + where + "': " + v);
   }
   return static_cast<std::size_t>(n);
-}
-
-std::size_t SpecParser::parse_bytes(const std::string& env,
-                                    const std::string& v,
-                                    const std::string& where) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str()) {
-    throw std::invalid_argument(env + ": bad size in '" + where + "'");
-  }
-  std::size_t mult = 1;
-  if (*end == 'k' || *end == 'K') {
-    mult = 1024;
-    ++end;
-  } else if (*end == 'm' || *end == 'M') {
-    mult = 1024 * 1024;
-    ++end;
-  }
-  if (*end != '\0') {
-    throw std::invalid_argument(env + ": bad size in '" + where + "'");
-  }
-  return static_cast<std::size_t>(n) * mult;
 }
 
 sim::Time SpecParser::parse_duration(const std::string& env,

@@ -1,24 +1,20 @@
 // SpecParser — the one grammar engine behind every MPIOFF_* environment
-// spec (MPIOFF_PROXY, MPIOFF_COLL, MPIOFF_SAN, MPIOFF_FAULTS).
+// spec (MPIOFF_PROXY, MPIOFF_SAN, MPIOFF_FAULTS).
 //
-// All four knobs speak the same surface language — comma-separated
+// All three knobs speak the same surface language — comma-separated
 // key/value items — but each grew its own hand-rolled tokenizer with its
 // own duplicate-key bookkeeping and its own slightly-different error
 // strings. This class centralizes the parts that were copy-pasted:
 //
 //   * tokenization (split on ',', skip empty items),
 //   * key/value splitting on a per-grammar separator set ("=", ":" or both),
-//   * duplicate-key rejection with an opt-out for repeatable keys
-//     (MPIOFF_COLL's per-collective rules stack; everything else is
-//     single-valued),
+//   * duplicate-key rejection (every key is single-valued),
 //   * unknown-key diagnostics that name the valid vocabulary,
-//   * the shared value scanners (counts, byte sizes with k/m suffixes,
-//     durations with ns/us/ms/s suffixes, probabilities, booleans).
+//   * the shared value scanners (counts, durations with ns/us/ms/s
+//     suffixes, probabilities, booleans).
 //
 // What stays with the caller is only the *meaning* of each key: callers get
-// back an ordered item list and assign fields. A grammar with an open key
-// class (MPIOFF_COLL accepts any collective name as a key) registers a
-// fallback predicate via open_keys().
+// back an ordered item list and assign fields.
 //
 // Error contract: every failure throws std::invalid_argument whose message
 // starts with the env-var name and, for key errors, names the valid
@@ -27,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -51,12 +46,8 @@ class SpecParser {
   SpecParser(std::string env_name, std::string separators,
              std::string vocabulary);
 
-  /// Register a key. Non-repeatable keys may appear at most once.
-  SpecParser& key(const std::string& name, bool repeatable = false);
-
-  /// Accept keys outside the registered set when `accept(key)` is true;
-  /// such keys are always repeatable (MPIOFF_COLL's threshold rules stack).
-  SpecParser& open_keys(std::function<bool(const std::string&)> accept);
+  /// Register a key; it may appear at most once in a spec.
+  SpecParser& key(const std::string& name);
 
   /// Tokenize + validate `spec`; items come back in spec order.
   [[nodiscard]] std::vector<SpecItem> parse(const std::string& spec) const;
@@ -67,9 +58,6 @@ class SpecParser {
   // ---- shared value scanners (static: also usable before construction) ----
   /// Non-negative integer, no suffix.
   static std::size_t parse_count(const std::string& env, const std::string& v,
-                                 const std::string& where);
-  /// Byte size with optional k/K (KiB) or m/M (MiB) suffix.
-  static std::size_t parse_bytes(const std::string& env, const std::string& v,
                                  const std::string& where);
   /// Duration with optional ns/us/ms/s suffix (bare number = ns).
   static sim::Time parse_duration(const std::string& env, const std::string& v,
@@ -82,17 +70,10 @@ class SpecParser {
                          const std::string& where);
 
  private:
-  struct KeyInfo {
-    std::string name;
-    bool repeatable = false;
-  };
-  [[nodiscard]] const KeyInfo* find_key(const std::string& name) const;
-
   std::string env_;
   std::string separators_;
   std::string vocabulary_;
-  std::vector<KeyInfo> keys_;
-  std::function<bool(const std::string&)> open_accept_;
+  std::vector<std::string> keys_;
 };
 
 }  // namespace util

@@ -1,14 +1,15 @@
 // Conformance suite for the segmented collective algorithm layer:
-//   * CollTuner parsing (MPIOFF_COLL grammar) and selection/fallback rules;
+//   * CollTuner selection, the forced-allreduce fallback and segmentation;
 //   * a property sweep asserting every algorithm x op x rank count x payload
-//     size (eager through rendezvous, chunk-aligned and not) produces results
-//     bitwise-equal to a serial reference fold;
+//     size (eager through rendezvous, segment-aligned and not) produces
+//     results bitwise-equal to a serial reference fold;
 //   * stats invariants — the recorded algorithm is the one that ran, illegal
 //     forced choices never appear in the counters, segmentation really chunks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,15 +22,13 @@ using namespace smpi;
 
 namespace {
 
-ClusterConfig cfg(int n, std::string coll_spec = {}) {
+ClusterConfig cfg(int n, std::optional<CollAlgo> allreduce = std::nullopt) {
   ClusterConfig c;
   c.nranks = n;
   c.deadline = sim::Time::from_sec(120);
-  c.coll_spec = std::move(coll_spec);
+  c.allreduce_algo = allreduce;
   return c;
 }
-
-CollTuner base_tuner() { return CollTuner::defaults_for(machine::xeon_fdr()); }
 
 /// Deterministic per-rank payload byte.
 std::uint8_t pat(int rank, std::size_t i) {
@@ -39,150 +38,64 @@ std::uint8_t pat(int rank, std::size_t i) {
 }  // namespace
 
 // ========================================================================
-// CollTuner unit tests: grammar, thresholds, legality fallback.
+// CollTuner unit tests: defaults, legality fallback, segmentation.
 // ========================================================================
 
-TEST(CollTuner, ParseRejectsMalformedSpecs) {
-  const CollTuner base = base_tuner();
-  EXPECT_THROW(CollTuner::parse("nonsense", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("allreduce:warp-shuffle", base),
-               std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("gossip:ring", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("allreduce:ring@12q", base),
-               std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("seg:", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("chains:0", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("chains:65", base), std::invalid_argument);
-  // Errors must name the valid vocabulary so a typo'd env var is fixable.
-  try {
-    CollTuner::parse("allreduce:warp-shuffle", base);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("ring"), std::string::npos);
-  }
-  // No collective is named "fence": MPIOFF_COLL tunes only what the
-  // library schedules.
-  try {
-    CollTuner::parse("fence:dissemination", base);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fence"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("barrier|bcast|reduce|allreduce"), std::string::npos)
-        << msg;
-  }
-  // Nor gather, scatter or scan, and reduce has no linear schedule.
-  for (const char* spec :
-       {"scan:hillis-steele", "gather:linear", "scatter:linear"}) {
-    try {
-      CollTuner::parse(spec, base);
-      ADD_FAILURE() << spec << ": expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      const std::string msg = e.what();
-      const std::string key(spec, std::string(spec).find(':'));
-      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
-      EXPECT_NE(
-          msg.find("barrier|bcast|reduce|allreduce|alltoall|allgather "),
-          std::string::npos)
-          << msg;
-    }
-  }
-  try {
-    CollTuner::parse("reduce:linear", base);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown algorithm"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("binomial, dissemination, rdbl"), std::string::npos)
-        << msg;
-  }
-}
-
-TEST(CollTuner, ParseScalarKnobsAndSuffixes) {
-  CollTuner t = CollTuner::parse("seg:4k,chains:8", base_tuner());
-  EXPECT_EQ(t.seg_bytes(), 4096u);
-  EXPECT_EQ(t.max_chains(), 8);
-  t = CollTuner::parse("seg:1m", base_tuner());
-  EXPECT_EQ(t.seg_bytes(), 1024u * 1024u);
-  // Empty items are tolerated (trailing comma), zero seg clamps to one byte.
-  t = CollTuner::parse("seg:0,", base_tuner());
-  EXPECT_EQ(t.seg_bytes(), 1u);
-}
-
-TEST(CollTuner, ParseRejectsDuplicateScalarKnobs) {
-  // Algo rules stack by threshold (ThresholdStackingLargestWins), but the
-  // scalar knobs are single-valued — a repeat is a typo, and the message
-  // must say which key and teach the grammar.
-  const CollTuner base = base_tuner();
-  try {
-    CollTuner::parse("seg:4k,chains:8,seg:8k", base);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("duplicate"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'seg'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("chains"), std::string::npos) << msg;
-  }
-  EXPECT_THROW(CollTuner::parse("chains:4,chains:4", base),
-               std::invalid_argument);
-  // Stacked algo rules for the same collective stay legal alongside the
-  // duplicate-knob check.
-  EXPECT_NO_THROW(
-      CollTuner::parse("seg:4k,allreduce:rdbl@0,allreduce:ring@64k", base));
-}
-
-TEST(CollTuner, ParseRejectsTruncatedItems) {
-  const CollTuner base = base_tuner();
-  // A key with no value, a rule with no algorithm, a threshold cut mid-way:
-  // each names the offending item so the env var is fixable.
-  EXPECT_THROW(CollTuner::parse("chains:", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("allreduce:", base), std::invalid_argument);
-  EXPECT_THROW(CollTuner::parse("allreduce:ring@", base),
-               std::invalid_argument);
-  try {
-    CollTuner::parse("allreduce:ring@", base);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("allreduce:ring@"),
-              std::string::npos);
-  }
-}
-
-TEST(CollTuner, ThresholdStackingLargestWins) {
-  const CollTuner t = CollTuner::parse("allreduce:rdbl@0,allreduce:ring@64k",
-                                       base_tuner());
-  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 1024, 256, 8),
+TEST(CollTuner, DefaultsPickBySizeAndRanks) {
+  const CollTuner t(machine::xeon_fdr());
+  EXPECT_EQ(t.choose(CollectiveId::kBarrier, 0, 8), CollAlgo::kDissemination);
+  EXPECT_EQ(t.choose(CollectiveId::kBcast, 1 << 20, 8), CollAlgo::kBinomial);
+  EXPECT_EQ(t.choose(CollectiveId::kReduce, 1 << 20, 8), CollAlgo::kBinomial);
+  EXPECT_EQ(t.choose(CollectiveId::kAllgather, 1 << 20, 8), CollAlgo::kPostAll);
+  // Allreduce: the ring from 128 KiB, recursive doubling below it on a
+  // power-of-two communicator, reduce-bcast otherwise and on one rank.
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 128 * 1024, 8), CollAlgo::kRing);
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 128 * 1024, 6), CollAlgo::kRing);
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 96 * 1024, 8),
             CollAlgo::kRecursiveDoubling);
-  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 128 * 1024, 32 * 1024, 8),
-            CollAlgo::kRing);
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 96 * 1024, 6),
+            CollAlgo::kReduceBcast);
+  EXPECT_EQ(t.choose(CollectiveId::kAllreduce, 1 << 20, 1),
+            CollAlgo::kReduceBcast);
+  // Alltoall splits at the profile's eager threshold (one block's bytes).
+  const std::size_t eager = machine::xeon_fdr().eager_threshold;
+  EXPECT_EQ(t.choose(CollectiveId::kAlltoall, eager, 8), CollAlgo::kPostAll);
+  EXPECT_EQ(t.choose(CollectiveId::kAlltoall, eager + 1, 8),
+            CollAlgo::kPairwise);
 }
 
 TEST(CollTuner, IllegalForcedChoiceFallsBackLegally) {
+  const CollTuner defaults(machine::xeon_fdr());
   // Recursive doubling needs a power-of-two communicator.
-  const CollTuner rd = CollTuner::parse("allreduce:rdbl@0", base_tuner());
-  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
+  const CollTuner rd(machine::xeon_fdr(), CollAlgo::kRecursiveDoubling);
+  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 4096, 8),
             CollAlgo::kRecursiveDoubling);
-  EXPECT_NE(rd.choose(CollectiveId::kAllreduce, 4096, 1024, 6),
+  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 1 << 20, 8),
             CollAlgo::kRecursiveDoubling);
-  // Rabenseifner additionally needs count % ranks == 0.
-  const CollTuner rab = CollTuner::parse("allreduce:rabenseifner@0", base_tuner());
-  EXPECT_EQ(rab.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
-            CollAlgo::kRabenseifner);
-  EXPECT_NE(rab.choose(CollectiveId::kAllreduce, 4092, 1023, 8),
-            CollAlgo::kRabenseifner);
-  // A pipeline rule on allreduce is never legal; defaults apply untouched.
-  const CollTuner pipe = CollTuner::parse("allreduce:pipeline@0", base_tuner());
-  EXPECT_NE(pipe.choose(CollectiveId::kAllreduce, 4096, 1024, 8),
-            CollAlgo::kPipeline);
+  EXPECT_EQ(rd.choose(CollectiveId::kAllreduce, 4096, 6),
+            defaults.choose(CollectiveId::kAllreduce, 4096, 6));
+  // A schedule that is not an allreduce is never legal; defaults apply
+  // untouched.
+  const CollTuner postall(machine::xeon_fdr(), CollAlgo::kPostAll);
+  EXPECT_EQ(postall.choose(CollectiveId::kAllreduce, 4096, 8),
+            defaults.choose(CollectiveId::kAllreduce, 4096, 8));
+  // The override touches allreduce only.
+  const CollTuner ring(machine::xeon_fdr(), CollAlgo::kRing);
+  EXPECT_EQ(ring.choose(CollectiveId::kAllreduce, 8, 3), CollAlgo::kRing);
+  EXPECT_EQ(ring.choose(CollectiveId::kAlltoall, 8, 3), CollAlgo::kPostAll);
+  EXPECT_EQ(ring.choose(CollectiveId::kAllgather, 1 << 20, 3),
+            CollAlgo::kPostAll);
 }
 
 TEST(CollTuner, ChainsForClampsToMax) {
-  const CollTuner t = CollTuner::parse("seg:1k,chains:4", base_tuner());
-  EXPECT_EQ(t.chains_for(512), 1);
-  EXPECT_EQ(t.chains_for(1024), 1);
-  EXPECT_EQ(t.chains_for(1025), 2);
-  EXPECT_EQ(t.chains_for(3 * 1024), 3);
-  EXPECT_EQ(t.chains_for(1 << 20), 4);  // clamped; segment grows instead
+  constexpr std::size_t kSeg = CollTuner::kSegBytes;
+  static_assert(kSeg == 64 * 1024 && CollTuner::kMaxChains == 8);
+  EXPECT_EQ(CollTuner::chains_for(512), 1);
+  EXPECT_EQ(CollTuner::chains_for(kSeg), 1);
+  EXPECT_EQ(CollTuner::chains_for(kSeg + 1), 2);
+  EXPECT_EQ(CollTuner::chains_for(3 * kSeg), 3);
+  // Clamped: the segment grows instead of the chain count.
+  EXPECT_EQ(CollTuner::chains_for(std::size_t{1} << 20), CollTuner::kMaxChains);
 }
 
 // ========================================================================
@@ -193,11 +106,12 @@ class CollAlgoRanks : public ::testing::TestWithParam<int> {};
 
 namespace {
 
-/// Byte payload sizes: eager through rendezvous, chunk-aligned and not
-/// (seg is forced to 4 KiB in the sweep specs below).
-constexpr std::size_t kSizes[] = {1,     3,      64,        1000,
-                                  4096,  4097,   65536,     65537,
-                                  262144, 1048576};
+/// Byte payload sizes: eager through rendezvous, segment-aligned and not.
+/// Over 64 KiB segments the ring splits 65537 B into 2 chains, 256 KiB into
+/// 4 even ones, 300001 B into 5 uneven ones, and clamps 1 MiB to 8.
+constexpr std::size_t kSizes[] = {1,      3,      64,     1000,
+                                  4096,   4097,   65536,  65537,
+                                  262144, 300001, 1048576};
 
 /// Serial reference: byte i folded over the contributions of ranks [0, upto).
 std::vector<std::uint8_t> fold_bytes(Op op, std::size_t bytes, int upto) {
@@ -256,19 +170,18 @@ void check_reduce_bytes(Op op, std::size_t bytes, int root, bool in_place) {
 }  // namespace
 
 TEST_P(CollAlgoRanks, AllreduceEveryAlgorithmBitwise) {
-  // Each spec pins one algorithm from byte 0 with a small segment so even
-  // mid-sized payloads split into multiple chains; illegal combinations
-  // (rdbl/rabenseifner off power-of-two) must fall back and still be exact.
-  static const char* kSpecs[] = {
-      "",  // profile defaults, size-dependent selection
-      "allreduce:ring@0,seg:4k,chains:8",
-      "allreduce:ring@0,seg:4097,chains:3",  // non-chunk-aligned segment
-      "allreduce:rdbl@0",
-      "allreduce:rabenseifner@0,seg:4k",
-      "allreduce:reduce-bcast@0,seg:4k",
+  // The default picks by size; each override forces one schedule at every
+  // size, so even mid-sized payloads run the ring's multi-chain split.
+  // Recursive doubling off a power-of-two communicator must fall back and
+  // still be exact.
+  const std::optional<CollAlgo> kOverrides[] = {
+      std::nullopt,  // size-dependent selection
+      CollAlgo::kRing,
+      CollAlgo::kRecursiveDoubling,
+      CollAlgo::kReduceBcast,
   };
-  for (const char* spec : kSpecs) {
-    Cluster c(cfg(GetParam(), spec));
+  for (const std::optional<CollAlgo> algo : kOverrides) {
+    Cluster c(cfg(GetParam(), algo));
     c.run([&](RankCtx&) {
       for (const std::size_t bytes : kSizes) {
         for (const bool in_place : {false, true}) {
@@ -284,85 +197,74 @@ TEST_P(CollAlgoRanks, ReduceAndScanInPlaceAndOutOfPlaceBitwise) {
   // Reduce only, at roots 0 and p-1, in place and out of place: the
   // schedule accumulates in the root's result buffer, so sbuf == rbuf must
   // still give the reference.
-  static const char* kSpecs[] = {"", "reduce:binomial@0"};
-  for (const char* spec : kSpecs) {
-    Cluster c(cfg(GetParam(), spec));
-    c.run([&](RankCtx&) {
-      for (const std::size_t bytes : {std::size_t{1}, std::size_t{1000},
-                                      std::size_t{4097}, std::size_t{65537},
-                                      std::size_t{262144}}) {
-        for (const int root : {0, size() - 1}) {
-          for (const bool in_place : {false, true}) {
-            check_reduce_bytes(Op::kSum, bytes, root, in_place);
-            check_reduce_bytes(Op::kMax, bytes, root, in_place);
-          }
+  Cluster c(cfg(GetParam()));
+  c.run([&](RankCtx&) {
+    for (const std::size_t bytes : {std::size_t{1}, std::size_t{1000},
+                                    std::size_t{4097}, std::size_t{65537},
+                                    std::size_t{262144}}) {
+      for (const int root : {0, size() - 1}) {
+        for (const bool in_place : {false, true}) {
+          check_reduce_bytes(Op::kSum, bytes, root, in_place);
+          check_reduce_bytes(Op::kMax, bytes, root, in_place);
         }
       }
-    });
-  }
+    }
+  });
 }
 
-TEST_P(CollAlgoRanks, BcastPipelinedAndBinomialBitwise) {
-  static const char* kSpecs[] = {
-      "bcast:binomial@0",
-      "bcast:pipeline@0,seg:4k,chains:8",
-      "bcast:pipeline@0,seg:4097,chains:3",
-  };
-  for (const char* spec : kSpecs) {
-    Cluster c(cfg(GetParam(), spec));
-    c.run([&](RankCtx&) {
-      const int p = size();
-      for (const std::size_t bytes : kSizes) {
-        for (int root = 0; root < p; root += (p > 2 ? p - 1 : 1)) {
-          std::vector<std::uint8_t> buf(bytes);
-          for (std::size_t i = 0; i < bytes; ++i) {
-            buf[i] = rank() == root ? pat(root, i) : 0xCD;
-          }
-          bcast(buf.data(), bytes, Datatype::kByte, root);
-          for (std::size_t i = 0; i < bytes; ++i) {
-            ASSERT_EQ(buf[i], pat(root, i))
-                << "bcast mismatch: bytes=" << bytes << " root=" << root
-                << " i=" << i;
-          }
+TEST_P(CollAlgoRanks, BcastBinomialBitwise) {
+  Cluster c(cfg(GetParam()));
+  c.run([&](RankCtx&) {
+    const int p = size();
+    for (const std::size_t bytes : kSizes) {
+      for (int root = 0; root < p; root += (p > 2 ? p - 1 : 1)) {
+        std::vector<std::uint8_t> buf(bytes);
+        for (std::size_t i = 0; i < bytes; ++i) {
+          buf[i] = rank() == root ? pat(root, i) : 0xCD;
+        }
+        bcast(buf.data(), bytes, Datatype::kByte, root);
+        for (std::size_t i = 0; i < bytes; ++i) {
+          ASSERT_EQ(buf[i], pat(root, i))
+              << "bcast mismatch: bytes=" << bytes << " root=" << root
+              << " i=" << i;
         }
       }
-    });
-  }
+    }
+  });
 }
 
-TEST_P(CollAlgoRanks, AllgatherRingAndPostAllBitwise) {
-  static const char* kSpecs[] = {
-      "allgather:postall@0",
-      "allgather:ring@0,seg:4k,chains:8",
-  };
-  for (const char* spec : kSpecs) {
-    Cluster c(cfg(GetParam(), spec));
-    c.run([&](RankCtx&) {
-      const int p = size();
-      for (const std::size_t per : {std::size_t{1}, std::size_t{1000},
-                                    std::size_t{4097}, std::size_t{65536}}) {
-        std::vector<std::uint8_t> in(per), out(per * static_cast<std::size_t>(p));
-        for (std::size_t i = 0; i < per; ++i) in[i] = pat(rank(), i);
-        allgather(in.data(), out.data(), per, Datatype::kByte);
-        for (int r = 0; r < p; ++r) {
-          for (std::size_t i = 0; i < per; ++i) {
-            ASSERT_EQ(out[static_cast<std::size_t>(r) * per + i], pat(r, i))
-                << "allgather mismatch: per=" << per << " src=" << r;
-          }
+TEST_P(CollAlgoRanks, AllgatherPostAllBitwise) {
+  Cluster c(cfg(GetParam()));
+  c.run([&](RankCtx&) {
+    const int p = size();
+    for (const std::size_t per : {std::size_t{1}, std::size_t{1000},
+                                  std::size_t{4097}, std::size_t{65536}}) {
+      std::vector<std::uint8_t> in(per), out(per * static_cast<std::size_t>(p));
+      for (std::size_t i = 0; i < per; ++i) in[i] = pat(rank(), i);
+      allgather(in.data(), out.data(), per, Datatype::kByte);
+      for (int r = 0; r < p; ++r) {
+        for (std::size_t i = 0; i < per; ++i) {
+          ASSERT_EQ(out[static_cast<std::size_t>(r) * per + i], pat(r, i))
+              << "allgather mismatch: per=" << per << " src=" << r;
         }
       }
-    });
-  }
+    }
+  });
 }
 
 TEST_P(CollAlgoRanks, AlltoallPostAllAndPairwiseBitwise) {
-  static const char* kSpecs[] = {"alltoall:postall@0", "alltoall:pairwise@0"};
-  for (const char* spec : kSpecs) {
-    Cluster c(cfg(GetParam(), spec));
+  // The default profile runs every block size post-all; lowering the eager
+  // threshold below the two larger blocks makes them pairwise (and
+  // rendezvous) while the 1-byte block stays post-all.
+  constexpr std::size_t kBlocks[] = {1, 4097, 65536};
+  for (const std::size_t eager : {machine::xeon_fdr().eager_threshold,
+                                  std::size_t{1024}}) {
+    ClusterConfig cc = cfg(GetParam());
+    cc.profile.eager_threshold = eager;
+    Cluster c(cc);
     c.run([&](RankCtx&) {
       const int p = size();
-      for (const std::size_t blk : {std::size_t{1}, std::size_t{4097},
-                                    std::size_t{65536}}) {
+      for (const std::size_t blk : kBlocks) {
         const auto cell = [&](int src, int dst, std::size_t i) {
           return static_cast<std::uint8_t>(src * 89 + dst * 57 + i * 3 + 5);
         };
@@ -378,34 +280,63 @@ TEST_P(CollAlgoRanks, AlltoallPostAllAndPairwiseBitwise) {
           for (std::size_t i = 0; i < blk; ++i) {
             ASSERT_EQ(rb[static_cast<std::size_t>(s) * blk + i],
                       cell(s, rank(), i))
-                << "alltoall mismatch: blk=" << blk << " src=" << s;
+                << "alltoall mismatch: blk=" << blk << " src=" << s
+                << " eager=" << eager;
           }
         }
       }
     });
+    std::uint64_t pairwise = 0;
+    for (const std::size_t blk : kBlocks) pairwise += blk > eager ? 1 : 0;
+    const CollStats& cs = c.rank(0).coll_stats();
+    EXPECT_EQ(cs.count(CollectiveId::kAlltoall, CollAlgo::kPairwise), pairwise)
+        << "eager=" << eager;
+    EXPECT_EQ(cs.count(CollectiveId::kAlltoall, CollAlgo::kPostAll),
+              std::size(kBlocks) - pairwise)
+        << "eager=" << eager;
   }
 }
 
 TEST_P(CollAlgoRanks, ForcedAlgorithmIsRecordedInStats) {
-  Cluster c(cfg(GetParam(), "allreduce:ring@0,seg:4k,chains:4"));
   constexpr int kReps = 3;
-  constexpr std::size_t kBytes = 256 * 1024;
+  {
+    Cluster c(cfg(GetParam(), CollAlgo::kRing));
+    constexpr std::size_t kBytes = 256 * 1024;
+    c.run([&](RankCtx&) {
+      std::vector<std::uint8_t> in(kBytes, 1), out(kBytes);
+      for (int i = 0; i < kReps; ++i) {
+        allreduce(in.data(), out.data(), kBytes, Datatype::kByte, Op::kSum);
+      }
+    });
+    // Segmented schedules must actually chunk: 256 KiB over 64 KiB segments
+    // is 4 chains of 2(p-1) ring stages each.
+    const auto stages =
+        static_cast<std::uint64_t>(kReps * 4 * 2 * (c.nranks() - 1));
+    for (int r = 0; r < c.nranks(); ++r) {
+      const CollStats& cs = c.rank(r).coll_stats();
+      EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kRing),
+                static_cast<std::uint64_t>(kReps))
+          << "rank " << r;
+      EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kUnknown), 0u);
+      EXPECT_EQ(cs.chunks, stages) << "rank " << r;
+    }
+  }
+  // A forced recursive doubling off a power-of-two communicator records the
+  // fallback that ran, never the forced choice.
+  Cluster c(cfg(GetParam(), CollAlgo::kRecursiveDoubling));
   c.run([&](RankCtx&) {
-    std::vector<std::uint8_t> in(kBytes, 1), out(kBytes);
+    std::vector<std::uint8_t> in(4096, 1), out(4096);
     for (int i = 0; i < kReps; ++i) {
-      allreduce(in.data(), out.data(), kBytes, Datatype::kByte, Op::kSum);
+      allreduce(in.data(), out.data(), in.size(), Datatype::kByte, Op::kSum);
     }
   });
-  for (int r = 0; r < c.nranks(); ++r) {
-    const CollStats& cs = c.rank(r).coll_stats();
-    EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kRing),
-              static_cast<std::uint64_t>(kReps))
-        << "rank " << r;
-    EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kUnknown), 0u);
-    // Segmented schedules must actually chunk: 256 KiB over a 4 KiB segment
-    // clamps to 4 chains and many stages per chain.
-    EXPECT_GT(cs.chunks, 0u) << "rank " << r;
-  }
+  const int p = c.nranks();
+  const bool pow2 = (p & (p - 1)) == 0;
+  const CollStats& cs = c.rank(0).coll_stats();
+  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kRecursiveDoubling),
+            pow2 ? static_cast<std::uint64_t>(kReps) : 0u);
+  EXPECT_EQ(cs.count(CollectiveId::kAllreduce, CollAlgo::kReduceBcast),
+            pow2 ? 0u : static_cast<std::uint64_t>(kReps));
 }
 
 // ========================================================================

@@ -2,6 +2,7 @@
 // offload submission, fabric taper, nested communicators.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -20,12 +21,15 @@ ClusterConfig cfg(int n) {
 }
 }  // namespace
 
-TEST(AllreduceAlgorithms, RabenseifnerAndRecursiveDoublingAgree) {
-  // count % p == 0 and bytes >= 64K selects Rabenseifner; count % p != 0
-  // falls back to recursive doubling. Same answer required.
-  auto run = [](std::size_t count) {
+TEST(AllreduceAlgorithms, RingAndRecursiveDoublingAgree) {
+  // 128 KiB of doubles on 4 ranks selects the segmented ring; the same
+  // vector forced onto recursive doubling must give the same answer, also
+  // for a count the ring splits unevenly.
+  auto run = [](std::size_t count, std::optional<CollAlgo> algo) {
     std::vector<double> result;
-    Cluster c(cfg(4));
+    ClusterConfig cc = cfg(4);
+    cc.allreduce_algo = algo;
+    Cluster c(cc);
     c.run([&](RankCtx& rc) {
       std::vector<double> in(count), out(count);
       for (std::size_t i = 0; i < count; ++i) {
@@ -34,13 +38,21 @@ TEST(AllreduceAlgorithms, RabenseifnerAndRecursiveDoublingAgree) {
       allreduce(in.data(), out.data(), count, Datatype::kDouble, Op::kSum);
       if (rc.rank() == 2) result = out;
     });
+    EXPECT_EQ(c.rank(2).coll_stats().count(
+                  CollectiveId::kAllreduce,
+                  algo.value_or(CollAlgo::kRing)),
+              1u);
     return result;
   };
-  const std::size_t big = 16384;       // divisible by 4, 128KB -> Rabenseifner
-  const std::vector<double> a = run(big);
-  const std::vector<double> b = run(big + 1);  // not divisible -> rec. doubling
-  for (std::size_t i = 0; i < big; ++i) {
-    ASSERT_DOUBLE_EQ(a[i], b[i]) << "algorithms disagree at " << i;
+  for (const std::size_t count : {std::size_t{16384}, std::size_t{16385}}) {
+    const std::vector<double> ring = run(count, std::nullopt);
+    const std::vector<double> rdbl = run(count, CollAlgo::kRecursiveDoubling);
+    ASSERT_EQ(ring.size(), count);
+    ASSERT_EQ(rdbl.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_DOUBLE_EQ(ring[i], rdbl[i])
+          << "algorithms disagree at " << i << " of " << count;
+    }
   }
 }
 

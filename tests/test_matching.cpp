@@ -72,29 +72,22 @@ TEST(Matching, PostedSkipsNonMatching) {
   EXPECT_EQ(m.match_posted({1, 3, 7}), &specific);
 }
 
-TEST(Matching, RemovePosted) {
-  MatchingEngine m;
-  RequestImpl r = recv_req(1, 0, 0);
-  m.post_recv(&r);
-  EXPECT_TRUE(m.remove_posted(&r));
-  EXPECT_FALSE(m.remove_posted(&r));
-  EXPECT_EQ(m.match_posted({1, 0, 0}), nullptr);
-}
-
-TEST(Matching, UnexpectedFifoAndByteAccounting) {
+TEST(Matching, UnexpectedQueueIsFifo) {
   MatchingEngine m;
   m.add_unexpected(um(1, 0, 5, 16));
   m.add_unexpected(um(1, 0, 5, 32));
   EXPECT_EQ(m.unexpected_count(), 2u);
-  EXPECT_EQ(m.unexpected_bytes(), 48u);
   auto first = m.match_unexpected(1, 0, 5);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->bytes, 16u);
-  EXPECT_EQ(m.unexpected_bytes(), 32u);
+  EXPECT_EQ(first->payload.size(), 16u);
+  EXPECT_EQ(m.unexpected_count(), 1u);
   auto second = m.match_unexpected(1, kAnySource, kAnyTag);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->bytes, 32u);
+  EXPECT_EQ(second->payload.size(), 32u);
   EXPECT_FALSE(m.match_unexpected(1, 0, 5).has_value());
+  EXPECT_EQ(m.unexpected_count(), 0u);
 }
 
 TEST(Matching, PeekDoesNotRemove) {

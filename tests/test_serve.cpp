@@ -1,6 +1,6 @@
 // The serving-tier regression harness (apps/serve): statistical latency
-// accounting units, traffic-generator properties against closed forms, the
-// MPIOFF_SERVE spec grammar, and the end-to-end determinism matrix — same
+// accounting units, traffic-generator properties against closed forms,
+// config validation at the call, and the end-to-end determinism matrix — same
 // seed => bit-identical response-payload digests and latency histograms
 // across repeated runs, payload digests additionally invariant across all
 // four proxies, offload engine counts {1,4}, and clean vs faulted wires
@@ -204,56 +204,7 @@ TEST(ServeTraffic, PhaseMultiplierIsBoundedAndPeriodic) {
 }
 
 // ---------------------------------------------------------------------------
-// MPIOFF_SERVE spec grammar.
-
-TEST(ServeSpec, AppliesEveryKey) {
-  serve::ServeConfig base;
-  const serve::ServeConfig c = serve::apply_serve_spec(
-      base,
-      "requests=10,edges=3,shards=4,workers=5,window=6,clients=1000,"
-      "rounds=2,update=16,seed=99,hedge=0.5,alpha=1.5,smin=128,smax=256,"
-      "ia=3us,phases=2,phase_len=50us,slo=200us,service=4us,service_kb=1us");
-  EXPECT_EQ(c.requests, 10u);
-  EXPECT_EQ(c.edges, 3);
-  EXPECT_EQ(c.shards, 4);
-  EXPECT_EQ(c.workers, 5);
-  EXPECT_EQ(c.window, 6u);
-  EXPECT_EQ(c.traffic.clients, 1000u);
-  EXPECT_EQ(c.rounds, 2);
-  EXPECT_EQ(c.update, 16u);
-  EXPECT_EQ(c.traffic.seed, 99u);
-  EXPECT_DOUBLE_EQ(c.traffic.hedge, 0.5);
-  EXPECT_DOUBLE_EQ(c.traffic.alpha, 1.5);
-  EXPECT_EQ(c.traffic.smin, 128u);
-  EXPECT_EQ(c.traffic.smax, 256u);
-  EXPECT_EQ(c.traffic.mean_interarrival.ns(), 3000);
-  EXPECT_EQ(c.traffic.phases, 2);
-  EXPECT_EQ(c.traffic.phase_len.ns(), 50000);
-  EXPECT_EQ(c.slo.ns(), 200000);
-  EXPECT_EQ(c.service_base.ns(), 4000);
-  EXPECT_EQ(c.service_per_kb.ns(), 1000);
-}
-
-TEST(ServeSpec, EmptySpecIsIdentity) {
-  serve::ServeConfig base;
-  base.requests = 77;
-  const serve::ServeConfig c = serve::apply_serve_spec(base, "");
-  EXPECT_EQ(c.requests, 77u);
-}
-
-TEST(ServeSpec, RejectsMalformedSpecs) {
-  serve::ServeConfig base;
-  EXPECT_THROW(serve::apply_serve_spec(base, "bogus_key=1"),
-               std::invalid_argument);
-  EXPECT_THROW(serve::apply_serve_spec(base, "requests=not_a_number"),
-               std::invalid_argument);
-  EXPECT_THROW(serve::apply_serve_spec(base, "hedge=1.5"),
-               std::invalid_argument);
-  EXPECT_THROW(serve::apply_serve_spec(base, "smin=512,smax=64"),
-               std::invalid_argument);
-  EXPECT_THROW(serve::apply_serve_spec(base, "slo=12parsecs"),
-               std::invalid_argument);
-}
+// Config validation at the call.
 
 TEST(ServeSpec, RunRejectsInvalidTopology) {
   serve::ServeConfig cfg = small_cfg(Approach::kBaseline);
@@ -265,6 +216,23 @@ TEST(ServeSpec, RunRejectsInvalidTopology) {
   cfg = small_cfg(Approach::kBaseline);
   cfg.window = 0;
   EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
+  // The traffic shape is checked at the call too: sizes in order, a hedge
+  // probability, and a Pareto shape the closed forms accept.
+  cfg = small_cfg(Approach::kBaseline);
+  cfg.traffic.smin = 512;
+  cfg.traffic.smax = 64;
+  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
+  cfg = small_cfg(Approach::kBaseline);
+  cfg.traffic.hedge = 1.5;
+  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
+  cfg = small_cfg(Approach::kBaseline);
+  cfg.traffic.hedge = -0.1;
+  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
+  for (const double alpha : {0.0, -1.3, 1.0}) {
+    cfg = small_cfg(Approach::kBaseline);
+    cfg.traffic.alpha = alpha;
+    EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument) << alpha;
+  }
 }
 
 // ---------------------------------------------------------------------------

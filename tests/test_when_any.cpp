@@ -150,8 +150,9 @@ TEST(WhenAny, EmptyGroupThrows) {
   c.run([&](RankCtx& rc) {
     auto p = core::make_proxy(Approach::kBaseline, rc);
     p->start_engine();
-    EXPECT_THROW(cont::when_any(*p, {}).then([](std::size_t, const Status&) {}),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        cont::when_any(*p, {}).then([](std::size_t, const Status&) {}, {}),
+        std::invalid_argument);
     p->stop();
   });
 }

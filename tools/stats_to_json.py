@@ -31,8 +31,8 @@ where `totals` sums the continuation counters (armed/executed/deferred/
 inline/posts) across every `... cont` trailer and `app_mpi_drop_by_approach`
 collects the A9 ablation's per-approach app-thread MPI-time drop.
 
-Usage:  ./bench_foo --stats | python3 tools/stats_to_json.py > stats.json
-        ./bench_foo --stats | python3 tools/stats_to_json.py --cont-summary
+Usage:  MPIOFF_STATS=1 ./bench_foo | python3 tools/stats_to_json.py > stats.json
+        MPIOFF_STATS=1 ./bench_foo | python3 tools/stats_to_json.py --cont-summary
 """
 import json
 import sys
