@@ -449,7 +449,6 @@ A9Cell a9_run(Approach a, bool continuations) {
   qcd::QcdPerfConfig cfg;
   cfg.global = {16, 16, 16, 64};
   cfg.nodes = 4;
-  cfg.ranks_per_node = 2;
   cfg.iters = 5;
   cfg.warmup = 1;
   cfg.approach = a;

@@ -219,13 +219,16 @@ constexpr LayerSpec kFc[] = {
     {"fc8", 4.1e6, 8.2e6, 1000},
 };
 
+constexpr int kGlobalBatch = 256;       ///< images per iteration, all ranks
+constexpr int kWarmup = 1;              ///< iterations before the measured ones
+constexpr double kFlopsPerNsThread = 10.0;  ///< effective conv/FC compute rate
+
 }  // namespace
 
 CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
-  const int nranks = cfg.nodes * cfg.ranks_per_node;
-  smpi::ClusterConfig cc;
+  const int nranks = cfg.nodes;  // one rank per node
+  smpi::ClusterConfig cc;  // the default profile: xeon_fdr()
   cc.nranks = nranks;
-  cc.profile = cfg.profile;
   cc.allreduce_algo = cfg.allreduce_algo;
   cc.thread_level = core::required_thread_level(cfg.approach);
   cc.deadline = sim::Time::from_sec(36000);
@@ -237,10 +240,10 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
   cluster.run([&](smpi::RankCtx& rc) {
     auto proxy = core::make_proxy(cfg.approach, rc);
     proxy->start_engine();
-    const int threads = proxy->compute_threads(cfg.profile.cores_per_rank);
-    const double rate = cfg.flops_per_ns_thread * threads;  // flops/ns
+    const int threads = proxy->compute_threads(rc.profile().cores_per_rank);
+    const double rate = kFlopsPerNsThread * threads;  // flops/ns
     const double local_imgs =
-        static_cast<double>(cfg.global_batch) / nranks;
+        static_cast<double>(kGlobalBatch) / nranks;
 
     auto compute_t = [&](double flops) {
       return sim::Time(static_cast<std::int64_t>(flops / rate));
@@ -261,7 +264,7 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
           grad_pending[static_cast<std::size_t>(i)] = false;
           // SGD update of this layer's weights before using them.
           smpi::compute(sim::Time(static_cast<std::int64_t>(
-              kConv[i].params * 12.0 / (cfg.profile.copy_bytes_per_ns * threads))));
+              kConv[i].params * 12.0 / (rc.profile().copy_bytes_per_ns * threads))));
         }
         smpi::compute(compute_t(kConv[i].fwd_flops_img * local_imgs));
       }
@@ -276,7 +279,7 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
                           Datatype::kByte);
           // Whole batch through my slice of the layer (x2 flops backward).
           const double flops = 2.0 * l.params / nranks *
-                               static_cast<double>(cfg.global_batch) *
+                               static_cast<double>(kGlobalBatch) *
                                (pass == 0 ? 1.0 : 2.0);
           smpi::compute(compute_t(flops));
         }
@@ -302,7 +305,7 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
       proxy->barrier();
     };
 
-    for (int i = 0; i < cfg.warmup; ++i) one_iteration();
+    for (int i = 0; i < kWarmup; ++i) one_iteration();
     run_start = sim::now();
     for (int i = 0; i < cfg.iters; ++i) one_iteration();
     drain();
@@ -312,7 +315,7 @@ CnnPerfResult run_cnn_perf(const CnnPerfConfig& cfg) {
     if (rc.rank() == 0) {
       result.iter_ms = (run_end - run_start).ms() / cfg.iters;
       result.imgs_per_sec =
-          cfg.global_batch / ((run_end - run_start).sec() / cfg.iters);
+          kGlobalBatch / ((run_end - run_start).sec() / cfg.iters);
     }
   });
   return result;

@@ -17,7 +17,6 @@
 
 #include "apps/cnn/layers.hpp"
 #include "core/proxy.hpp"
-#include "machine/profile.hpp"
 #include "mpi/rank_ctx.hpp"
 
 namespace cnn {
@@ -68,15 +67,12 @@ class SerialTrainer {
 
 // ------------------------------------------------------------------ perf ----
 
+/// One rank per node of the Xeon/FDR profile, a global batch of 256 images,
+/// one warm-up iteration before the `iters` measured ones.
 struct CnnPerfConfig {
   int nodes = 2;
-  int ranks_per_node = 1;
-  int global_batch = 256;
-  machine::Profile profile = machine::xeon_fdr();
   core::Approach approach = core::Approach::kBaseline;
   int iters = 4;
-  int warmup = 1;
-  double flops_per_ns_thread = 10.0;  ///< effective conv/FC compute rate
   /// Forced schedule for the gradient allreduces (unset = the tuner's
   /// default, which picks the segmented ring at CNN sizes).
   std::optional<smpi::CollAlgo> allreduce_algo;

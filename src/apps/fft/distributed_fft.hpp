@@ -51,23 +51,16 @@ class DistributedFft {
 
 // ---------------------------------------------------------------- perf ----
 
+/// One rank per node (or coprocessor), as the paper runs FFT; a warm-up
+/// iteration precedes the `iters` measured ones.
 struct FftPerfConfig {
   int nodes = 2;
-  int ranks_per_node = 1;  ///< paper runs FFT one rank per node/coprocessor
   std::size_t points_per_node = 1ull << 29;  ///< complex doubles
   machine::Profile profile = machine::xeon_fdr();
   core::Approach approach = core::Approach::kBaseline;
-  int segments = 8;  ///< SOI pipeline depth
   int iters = 3;
-  int warmup = 1;
   /// Effective per-thread FFT compute rate, flops/ns (bandwidth-bound).
   double flops_per_ns_thread = 1.0;
-  /// SOI computes ~25% more than Cooley-Tukey to save two all-to-alls.
-  double soi_compute_factor = 1.25;
-  /// Fabric taper: aggregate bandwidth = NIC bw * nranks^exponent. The
-  /// sub-linear exponent reproduces the paper's "all-to-all bandwidth does
-  /// not scale with node count". 0 disables (full bisection).
-  double bisection_exponent = 0.6;
 };
 
 struct FftPerfResult {

@@ -3,10 +3,12 @@
 // Communication is real (phantom-payload messages of the exact face sizes go
 // through the full SimMPI protocol stack); computation phases advance the
 // virtual clock through a calibrated rate model:
-//     rate = flops_per_ns_thread * compute_threads * cache_boost
+//     rate = flops_per_ns_thread * compute_threads * boost
 // where compute_threads loses one core to approaches with a dedicated
-// communication thread, and cache_boost models the superlinear speedup the
-// paper sees once the local working set fits in LLC.
+// communication thread, and boost (1.35 below 12 MiB of local sites at 408
+// bytes each, else 1) models the superlinear speedup the paper sees once the
+// local working set fits in LLC. Runs place two ranks per node (one per
+// socket, as the paper does).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@ namespace qcd {
 struct QcdPerfConfig {
   Dims global{32, 32, 32, 256};
   int nodes = 8;
-  int ranks_per_node = 2;  ///< paper: one MPI rank per socket
   machine::Profile profile = machine::xeon_fdr();
   core::Approach approach = core::Approach::kBaseline;
   int iters = 20;
@@ -29,15 +30,6 @@ struct QcdPerfConfig {
   /// Effective per-hardware-thread Dslash rate (flops/ns); 28 HT x 6.5 =
   /// 182 flops/ns per rank, calibrated to Table 1's internal-compute times.
   double flops_per_ns_thread = 6.5;
-  /// LLC working-set effect (paper: superlinear scaling at high node counts).
-  double cache_boost = 1.35;
-  double cache_threshold_bytes = 12.0 * 1024 * 1024;
-  /// Resident bytes per site (spinors + gauge).
-  double bytes_per_site = 408.0;
-
-  /// Chunks the interior loop is split into; the iprobe approach calls
-  /// progress_hint() between chunks (Listing 1's PROGRESS macro).
-  int progress_chunks = 8;
 
   /// Fig. 12: number of thread groups concurrently issuing MPI calls
   /// (1 = funneled master-thread issue as in Listing 1).

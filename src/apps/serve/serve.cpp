@@ -33,6 +33,14 @@ constexpr std::size_t kReqSlotsPerEdge = 4;
 constexpr int kReqTag = 1;        ///< edge -> shard requests (and poisons)
 constexpr int kRespTagBase = 16;  ///< + slot*2 + copy, per edge window slot
 
+/// Service time of one request: a fixed part plus a per-KiB part over the
+/// request and response payloads.
+constexpr sim::Time kServiceBase = sim::Time::from_us(2);
+constexpr sim::Time kServicePerKb = sim::Time::from_ns(200);
+
+/// Virtual-clock deadlock guard of the serving cluster.
+constexpr sim::Time kDeadline = sim::Time::from_sec(600);
+
 constexpr std::uint32_t kFlagPoison = 1u;
 constexpr std::uint32_t kFlagHedgeCopy = 2u;
 
@@ -127,10 +135,10 @@ void run_edge(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
   };
   std::vector<Slot> slots(cfg.window);
   for (auto& s : slots) {
-    s.req[0].resize(hdr + cfg.traffic.smax);
-    s.req[1].resize(hdr + cfg.traffic.smax);
-    s.resp[0].resize(rhdr + cfg.traffic.smax);
-    s.resp[1].resize(rhdr + cfg.traffic.smax);
+    s.req[0].resize(hdr + kSmax);
+    s.req[1].resize(hdr + kSmax);
+    s.resp[0].resize(rhdr + kSmax);
+    s.resp[1].resize(rhdr + kSmax);
   }
   std::vector<std::size_t> free_slots;
   for (std::size_t i = 0; i < slots.size(); ++i) free_slots.push_back(i);
@@ -290,7 +298,7 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
   // buffers are in flight; send-completion continuations recycle them.
   const std::size_t nbufs = 2 * static_cast<std::size_t>(cfg.workers) + 2;
   std::vector<std::vector<unsigned char>> bufs(nbufs);
-  for (auto& b : bufs) b.resize(rhdr + cfg.traffic.smax);
+  for (auto& b : bufs) b.resize(rhdr + kSmax);
   std::vector<std::size_t> free_bufs;
   for (std::size_t i = 0; i < nbufs; ++i) free_bufs.push_back(i);
   sim::Notifier buf_n(sim::Time::from_ns(100));
@@ -305,7 +313,7 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
   for (int e = 0; e < cfg.edges; ++e) {
     for (std::size_t k = 0; k < kReqSlotsPerEdge; ++k) {
       auto rs = std::make_unique<RecvSlot>();
-      rs->buf.resize(hdr + cfg.traffic.smax);
+      rs->buf.resize(hdr + kSmax);
       rs->edge = e;
       RecvSlot* raw = rs.get();
       rs->again = [&, raw](const Status&) {
@@ -367,7 +375,7 @@ void run_shard(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
         queue.pop_front();
         const auto kb = static_cast<std::int64_t>(
             (it.hdr.req_bytes + it.hdr.resp_bytes) / 1024);
-        smpi::compute(cfg.service_base + cfg.service_per_kb * kb);
+        smpi::compute(kServiceBase + kServicePerKb * kb);
         while (free_bufs.empty()) buf_seen = buf_n.wait_beyond(buf_seen);
         const std::size_t bi = free_bufs.back();
         free_bufs.pop_back();
@@ -427,30 +435,13 @@ ServeResult run_serve(const ServeConfig& cfg) {
     throw std::invalid_argument("run_serve: edges/shards/workers/window/"
                                 "requests must all be >= 1");
   }
-  const TrafficConfig& tc = cfg.traffic;
-  if (tc.smin > tc.smax) {
-    throw std::invalid_argument("run_serve: traffic.smin must be <= smax");
-  }
-  if (!(tc.hedge >= 0.0 && tc.hedge <= 1.0)) {
-    throw std::invalid_argument("run_serve: traffic.hedge must be in [0, 1]");
-  }
-  if (!(tc.alpha > 0.0) || tc.alpha == 1.0) {
-    throw std::invalid_argument(
-        "run_serve: traffic.alpha must be positive and != 1");
-  }
   smpi::ClusterConfig cc;
   cc.nranks = cfg.edges + cfg.shards;
   cc.thread_level = (cfg.workers > 1 && cfg.approach != Approach::kOffload)
                         ? smpi::ThreadLevel::kMultiple
                         : core::required_thread_level(cfg.approach);
-  cc.deadline = cfg.deadline;
-  if (cfg.faults) {
-    cc.profile.faults.on = true;
-    cc.profile.faults.drop = cfg.fault_drop;
-    cc.profile.faults.dup = cfg.fault_dup;
-    cc.profile.faults.reorder = cfg.fault_reorder;
-    cc.profile.faults.seed = cfg.fault_seed;
-  }
+  cc.deadline = kDeadline;
+  cc.profile.faults = cfg.faults;
   smpi::Cluster cluster(cc);
 
   std::vector<EdgeOut> edge_out(static_cast<std::size_t>(cfg.edges));
@@ -459,7 +450,7 @@ ServeResult run_serve(const ServeConfig& cfg) {
   cluster.run([&](smpi::RankCtx& rc) {
     std::unique_ptr<core::Proxy> proxy;
     if (cfg.proxy_count > 0 && cfg.approach == Approach::kOffload) {
-      core::ProxyOptions opts = core::ProxyOptions::from_env(cc.profile);
+      core::ProxyOptions opts = core::ProxyOptions::defaults_for(cc.profile);
       opts.proxy_count = cfg.proxy_count;
       proxy = core::make_proxy(cfg.approach, rc, opts);
     } else {

@@ -37,10 +37,13 @@
 
 #include "apps/serve/traffic.hpp"
 #include "core/proxy.hpp"
+#include "machine/fault.hpp"
 #include "sim/time.hpp"
 
 namespace serve {
 
+/// A worker serves a request in 2 us + 200 ns per KiB of request and
+/// response payload; the run aborts if its virtual clock passes 600 s.
 struct ServeConfig {
   core::Approach approach = core::Approach::kOffload;
   int edges = 1;
@@ -48,18 +51,13 @@ struct ServeConfig {
   int workers = 4;           ///< worker fibers per shard ("app threads")
   std::size_t requests = 800;  ///< per edge
   std::size_t window = 16;     ///< inflight slots per edge
-  TrafficConfig traffic;       ///< seed/clients/sizes/bursts/hedge
+  TrafficConfig traffic;       ///< seed, base rate, burst length
   sim::Time slo = sim::Time::from_us(150);
-  sim::Time service_base = sim::Time::from_us(2);   ///< per request
-  sim::Time service_per_kb = sim::Time::from_ns(200);
   int rounds = 8;            ///< model-update allreduce rounds
   std::size_t update = 64;   ///< doubles per update vector
   std::size_t proxy_count = 0;  ///< offload engines per rank; 0 = env default
-  /// Fault mix for the run (fields of machine::FaultSpec); empty = clean.
-  bool faults = false;
-  double fault_drop = 0.02, fault_dup = 0.01, fault_reorder = 0.05;
-  std::uint64_t fault_seed = 7;
-  sim::Time deadline = sim::Time::from_sec(600);
+  /// Wire fault plan for the run; the default (on = false) is a clean wire.
+  machine::FaultSpec faults;
 };
 
 /// Aggregated run outcome (all edges merged; shard 0's update digest).

@@ -84,15 +84,17 @@ inline double phase_multiplier(int phase, int phases) {
   return 0.4 + 1.2 * 0.5 * (1.0 - std::cos(x));
 }
 
+/// The traffic shape every stream shares.
+constexpr std::uint64_t kClients = 4u << 20;  ///< distinct client-id space
+constexpr int kPhases = 4;                    ///< diurnal phases per cycle
+constexpr double kAlpha = 1.3;                ///< Pareto shape of the sizes
+constexpr std::size_t kSmin = 64, kSmax = 16384;  ///< payload bytes
+constexpr double kHedge = 0.1;  ///< P(request is hedged to a replica)
+
 struct TrafficConfig {
   std::uint64_t seed = 1;
-  std::uint64_t clients = 4u << 20;     ///< distinct client-id space
   sim::Time mean_interarrival = sim::Time::from_us(2);  ///< base, per edge
-  int phases = 4;                       ///< diurnal phases per cycle
-  sim::Time phase_len = sim::Time::from_us(150);
-  double alpha = 1.3;                   ///< Pareto shape
-  std::size_t smin = 64, smax = 16384;  ///< request payload bytes
-  double hedge = 0.1;                   ///< P(request is hedged to a replica)
+  sim::Time phase_len = sim::Time::from_us(150);  ///< one diurnal phase
 };
 
 /// One generated client request. `at` is the INTENDED arrival instant —
@@ -101,7 +103,7 @@ struct TrafficConfig {
 struct Arrival {
   sim::Time at;
   std::uint64_t seq = 0;     ///< unique per edge stream
-  std::uint64_t client = 0;  ///< in [0, clients)
+  std::uint64_t client = 0;  ///< in [0, kClients)
   std::uint64_t key = 0;     ///< shard-routing key
   std::uint32_t req_bytes = 0;
   std::uint32_t resp_bytes = 0;
@@ -116,8 +118,8 @@ class TrafficGen {
       : cfg_(cfg),
         rng_(mix64(cfg.seed ^ (0x5e41ull + static_cast<std::uint64_t>(
                                                edge_index) * 0x9e37ull))),
-        size_(BoundedPareto{cfg.alpha, static_cast<double>(cfg.smin),
-                            static_cast<double>(cfg.smax)}) {}
+        size_(BoundedPareto{kAlpha, static_cast<double>(kSmin),
+                            static_cast<double>(kSmax)}) {}
 
   Arrival next() {
     Arrival a;
@@ -126,11 +128,10 @@ class TrafficGen {
     // the limit of small interarrival; exact phase integration is not worth
     // the complexity for a workload model).
     const int phase =
-        cfg_.phases <= 1 || cfg_.phase_len.ns() == 0
+        cfg_.phase_len.ns() == 0
             ? 0
-            : static_cast<int>((clock_.ns() / cfg_.phase_len.ns()) %
-                               cfg_.phases);
-    const double rate_mult = phase_multiplier(phase, cfg_.phases);
+            : static_cast<int>((clock_.ns() / cfg_.phase_len.ns()) % kPhases);
+    const double rate_mult = phase_multiplier(phase, kPhases);
     const double u = rng_.next_double();
     const double gap_ns = -std::log(1.0 - u) *
                           static_cast<double>(cfg_.mean_interarrival.ns()) /
@@ -138,11 +139,11 @@ class TrafficGen {
     clock_ += sim::Time::from_ns(static_cast<std::int64_t>(gap_ns) + 1);
     a.at = clock_;
     a.seq = seq_++;
-    a.client = rng_.next_below(cfg_.clients);
+    a.client = rng_.next_below(kClients);
     a.key = rng_.next_u64();
     a.req_bytes = static_cast<std::uint32_t>(size_.sample(rng_.next_double()));
     a.resp_bytes = static_cast<std::uint32_t>(size_.sample(rng_.next_double()));
-    a.hedged = rng_.next_double() < cfg_.hedge;
+    a.hedged = rng_.next_double() < kHedge;
     return a;
   }
 

@@ -41,7 +41,9 @@ OffloadChannel::OffloadChannel(smpi::RankCtx& rc, const ProxyOptions& opts)
   }
   // Row-major lane grid: one row per potential submitter, one column per
   // engine, so every (producer, consumer) pair has a private SPSC ring. A
-  // row's lanes are built when a submitter binds it (lane_for_caller).
+  // row's lanes are built when a submitter binds it (lane_for_caller), so
+  // their capacity is checked here, not at first bind.
+  if (opts_.lane_count > 0) SpscLane<Command>::checked(opts_.lane_capacity);
   lanes_.resize(opts_.lane_count * n);
 }
 

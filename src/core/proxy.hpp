@@ -160,11 +160,13 @@ class Proxy {
     return post({.op = CmdOp::kIbcast, .rbuf = b, .count = n, .dtype = dt,
                  .peer = root, .comm = c});
   }
-  /// The reductions reject a partial overlap of `s` and `r` (rbuf counts at
-  /// the root only) before anything is posted: the schedule accumulates in
+  /// The reductions reject, before anything is posted, an (op, datatype)
+  /// pair that cannot be combined (on every rank) and a partial overlap of
+  /// `s` and `r` (rbuf counts at the root only): the schedule accumulates in
   /// `r`, so only s == r (in place) or disjoint buffers are defined.
   PReq ireduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                smpi::Op op, int root, smpi::Comm c = smpi::kCommWorld) {
+    smpi::check_reduce_op("ireduce", op, dt);
     if (rc_.comms().get(c).my_rank == root) {
       smpi::check_reduce_buffers("ireduce", s, r, n * smpi::datatype_size(dt));
     }
@@ -173,6 +175,7 @@ class Proxy {
   }
   PReq iallreduce(const void* s, void* r, std::size_t n, smpi::Datatype dt,
                   smpi::Op op, smpi::Comm c = smpi::kCommWorld) {
+    smpi::check_reduce_op("iallreduce", op, dt);
     smpi::check_reduce_buffers("iallreduce", s, r, n * smpi::datatype_size(dt));
     return post({.op = CmdOp::kIallreduce, .sbuf = s, .rbuf = r, .count = n,
                  .dtype = dt, .rop = op, .comm = c});

@@ -3,27 +3,25 @@
 // the code they bound (OffloadChannel::kLaneDrainBound, kStealBound,
 // kContRunBound; OffloadProxy::kBatchFlush).
 //
-// Defaults come from the machine profile (defaults_for), and a run can be
-// retuned without recompiling through the MPIOFF_PROXY environment spec
-// (from_env), mirroring MPIOFF_FAULTS:
+// Defaults come from the machine profile (defaults_for). Code that needs
+// other capacities or another watchdog budget sets the fields and passes the
+// struct to the OffloadProxy constructor, which rejects (std::invalid_argument)
+// a capacity the structures cannot hold: a ring or lane capacity that is not
+// a power of two >= 2, a pool capacity outside [1, 2^32 - 1).
 //
-//   MPIOFF_PROXY="lanes=8,lane_cap=128,watchdog=200ms" ./bench_...
+// The engine count alone can also be set without recompiling, through the
+// MPIOFF_PROXY environment spec (from_env), mirroring MPIOFF_FAULTS:
 //
-// Keys (all optional, comma-separated key=value or key:value):
-//   ring     shared MPSC command-ring capacity (power of two >= 2), per
-//            engine; a bound: cells are built 64 at a time as reached
-//   pool     request-pool capacity (done-flag slots, 1 <= pool < 2^32-1);
-//            a bound: slots are built 64 at a time as requests take them
-//   lanes    per-thread SPSC submission lane count; 0 = single shared ring
-//   lane_cap capacity of each lane (power of two >= 2)
-//   watchdog in-flight age budget (duration: ns/us/ms/s suffix), 0 disables
-//   proxies  offload engine fibers per rank (>= 1); traffic is partitioned
-//            by peer/communicator hash so per-peer matching order holds;
-//            with two or more, idle engines steal from busy siblings
+//   MPIOFF_PROXY=proxies:4 ./bench_...
 //
-// Unknown and repeated keys are rejected: a retuning wrapper script that
-// appends to an inherited spec should fail loudly, not silently
-// last-write-win.
+//   proxies  offload engine fibers per rank (>= 1), as proxies:<n> or
+//            proxies=<n>; traffic is partitioned by peer/communicator hash
+//            so per-peer matching order holds; with two or more, idle
+//            engines steal from busy siblings
+//
+// Any other key, and a repeated one, is rejected naming 'proxies': a
+// retuning wrapper script that appends to an inherited spec should fail
+// loudly, not silently last-write-win.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +50,8 @@ struct ProxyOptions {
   /// one engine fiber per NUMA domain.
   static ProxyOptions defaults_for(const machine::Profile& p);
 
-  /// Parse a "key=value,key=value" spec on top of `base`. Throws
-  /// std::invalid_argument naming the bad key/value and the valid keys.
+  /// Parse a "proxies:<n>" (or "proxies=<n>") spec on top of `base`. Throws
+  /// std::invalid_argument naming the bad key/value and 'proxies'.
   static ProxyOptions parse(const std::string& spec, ProxyOptions base);
   static ProxyOptions parse(const std::string& spec) {
     return parse(spec, ProxyOptions{});

@@ -56,12 +56,17 @@ namespace core {
 template <typename T, typename Atomics = StdAtomics>
 class SpscLane {
  public:
-  /// `capacity` must be a power of two.
-  explicit SpscLane(std::size_t capacity)
-      : mask_(capacity - 1), cells_(capacity) {
+  /// `capacity` must be a power of two >= 2; throws std::invalid_argument
+  /// otherwise, and returns it.
+  static std::size_t checked(std::size_t capacity) {
     if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
       throw std::invalid_argument("SpscLane capacity must be a power of two");
     }
+    return capacity;
+  }
+
+  explicit SpscLane(std::size_t capacity)
+      : mask_(checked(capacity) - 1), cells_(capacity) {
     for (std::size_t i = 0; i < capacity; ++i) {
       Atomics::set_name(cells_[i].val, "lane.val", i);
     }

@@ -48,7 +48,7 @@ struct FaultSpec {
   /// Parse a spec string (the MPIOFF_FAULTS format), e.g.
   ///   "drop=0.02,dup=0.01,corrupt=0.005,delay=0.1:20us,reorder=0.05,
   ///    stall=0.001:50us,rto=100us,seed=42"
-  /// Durations accept ns/us/ms suffixes (bare numbers are ns). Throws
+  /// Durations accept ns/us/ms/s suffixes (bare numbers are ns). Throws
   /// std::invalid_argument on malformed input. The result has on = true.
   static FaultSpec parse(const std::string& spec);
 };

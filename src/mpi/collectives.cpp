@@ -264,6 +264,7 @@ void RankCtx::bcast(void* buf, std::size_t count, Datatype dt, int root,
 Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
                          Datatype dt, Op rop, int root, Comm comm) {
   const std::size_t bytes = count * datatype_size(dt);
+  check_reduce_op("Ireduce", rop, dt);
   if (comms_.get(comm).my_rank == root) {
     check_reduce_buffers("Ireduce", sbuf, rbuf, bytes);
   }
@@ -294,6 +295,7 @@ void RankCtx::reduce(const void* sbuf, void* rbuf, std::size_t count,
 Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
                             Datatype dt, Op rop, Comm comm) {
   const std::size_t bytes = count * datatype_size(dt);
+  check_reduce_op("Iallreduce", rop, dt);
   check_reduce_buffers("Iallreduce", sbuf, rbuf, bytes);
   MpiEntry entry(*this, false, "Iallreduce");
   CommInfo& ci = comms_.get(comm);

@@ -95,6 +95,16 @@ void apply_op(Op op, Datatype dt, const void* in, void* inout, std::size_t count
   throw std::logic_error("unknown datatype");
 }
 
+void check_reduce_op(const char* call, Op op, Datatype dt) {
+  const bool complex =
+      dt == Datatype::kComplexFloat || dt == Datatype::kComplexDouble;
+  if (complex && (op == Op::kMax || op == Op::kMin)) {
+    throw std::invalid_argument(std::string(call) +
+                                ": kMax and kMin are not defined for a "
+                                "complex datatype (only kSum and kProd are)");
+  }
+}
+
 void check_reduce_buffers(const char* call, const void* sbuf, const void* rbuf,
                           std::size_t bytes) {
   if (sbuf == nullptr || rbuf == nullptr || sbuf == rbuf) return;

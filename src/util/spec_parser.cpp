@@ -1,6 +1,7 @@
 #include "util/spec_parser.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -59,9 +60,12 @@ std::vector<SpecItem> SpecParser::parse(const std::string& spec) const {
 std::size_t SpecParser::parse_count(const std::string& env,
                                     const std::string& v,
                                     const std::string& where) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
+  // Digits only: strtoull alone would take a sign ("-1" wraps to 2^64-1),
+  // leading blanks, and saturate on overflow.
+  errno = 0;
+  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE) {
     throw std::invalid_argument(env + ": bad count for '" + where + "': " + v);
   }
   return static_cast<std::size_t>(n);

@@ -169,7 +169,6 @@ TEST(CnnPerf, HarnessRunsAndOffloadWinsAtScale) {
   CnnPerfConfig c;
   c.nodes = 16;
   c.iters = 2;
-  c.warmup = 1;
   c.approach = Approach::kBaseline;
   const CnnPerfResult base = run_cnn_perf(c);
   c.approach = Approach::kOffload;

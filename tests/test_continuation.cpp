@@ -119,7 +119,7 @@ TEST_P(ContMatrix, ChainedCallbacksPostFollowUpsWithoutAppThreadMpi) {
   }
 }
 
-TEST_P(ContMatrix, WhenAllRunsEachHookThenFinalExactlyOnce) {
+TEST_P(ContMatrix, WhenAllRunsFinalExactlyOnce) {
   const Approach a = GetParam();
   Cluster c(cfg_for(a, 2));
   c.run([&](RankCtx& rc) {
@@ -225,7 +225,7 @@ TEST_P(ContMatrix, EmptySpanWaitApisAreNoOps) {
   });
 }
 
-TEST_P(ContMatrix, PendingDestructorWaitsAndReleaseOptsOut) {
+TEST_P(ContMatrix, PendingDestructorWaits) {
   const Approach a = GetParam();
   Cluster c(cfg_for(a, 2));
   c.run([&](RankCtx& rc) {

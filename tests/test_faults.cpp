@@ -169,6 +169,7 @@ TEST(FaultSpec, DurationSuffixes) {
   EXPECT_EQ(FaultSpec::parse("rto=250ns").rto_base.ns(), 250);
   EXPECT_EQ(FaultSpec::parse("rto=5us").rto_base.ns(), 5'000);
   EXPECT_EQ(FaultSpec::parse("rto=2ms").rto_base.ns(), 2'000'000);
+  EXPECT_EQ(FaultSpec::parse("rto=1s").rto_base.ns(), 1'000'000'000);
 }
 
 TEST(FaultSpec, RejectsMalformedInput) {

@@ -125,7 +125,6 @@ TEST(FftPerf, OffloadCutsPostTimeAndWins) {
   c.nodes = 4;
   c.points_per_node = 1u << 22;
   c.iters = 2;
-  c.warmup = 1;
   c.approach = Approach::kBaseline;
   const FftPerfResult base = run_fft_perf(c);
   c.approach = Approach::kOffload;

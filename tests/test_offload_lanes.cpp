@@ -1,12 +1,13 @@
 // Sharded submission front-end: per-thread SPSC lanes, command batching,
-// shutdown draining, ProxyOptions parsing, and the waitany/testall additions
-// to the Proxy API.
+// shutdown draining, ProxyOptions parsing and capacity checks, and the
+// waitany/testall additions to the Proxy API.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -451,38 +452,42 @@ TEST(OffloadLanes, DirectProxyWaitanyAndTestall) {
 }
 
 TEST(ProxyOptions, ParseOverridesEveryKey) {
-  const ProxyOptions o = ProxyOptions::parse(
-      "ring=2048,pool=128,lanes=4,lane_cap=32,watchdog=250us,proxies=2");
-  EXPECT_EQ(o.ring_capacity, 2048u);
-  EXPECT_EQ(o.pool_capacity, 128u);
-  EXPECT_EQ(o.lane_count, 4u);
-  EXPECT_EQ(o.lane_capacity, 32u);
-  EXPECT_EQ(o.watchdog_budget.ns(), 250'000);
+  // The spec sets the engine count only; every other field keeps its base.
+  const ProxyOptions o = ProxyOptions::parse("proxies=2");
   EXPECT_EQ(o.proxy_count, 2u);
+  EXPECT_EQ(o.ring_capacity, ProxyOptions{}.ring_capacity);
+  EXPECT_EQ(o.pool_capacity, ProxyOptions{}.pool_capacity);
+  EXPECT_EQ(o.lane_count, ProxyOptions{}.lane_count);
+  EXPECT_EQ(o.lane_capacity, ProxyOptions{}.lane_capacity);
+  EXPECT_EQ(o.watchdog_budget.ns(), ProxyOptions{}.watchdog_budget.ns());
 }
 
 TEST(ProxyOptions, ParseAcceptsColonSeparator) {
   // proxies:4 reads naturally next to the MPIOFF_SAN-style specs; both
-  // separators must work, mixed freely within one spec.
-  const ProxyOptions o = ProxyOptions::parse("proxies:4,lane_cap:16,lanes=2");
-  EXPECT_EQ(o.proxy_count, 4u);
-  EXPECT_EQ(o.lane_capacity, 16u);
-  EXPECT_EQ(o.lane_count, 2u);
+  // separators must work.
+  EXPECT_EQ(ProxyOptions::parse("proxies:4").proxy_count, 4u);
+  EXPECT_EQ(ProxyOptions::parse("proxies=3").proxy_count, 3u);
+  // Empty items between commas are skipped.
+  EXPECT_EQ(ProxyOptions::parse(",proxies:5,").proxy_count, 5u);
 }
 
 TEST(ProxyOptions, ParseRejectsRetiredKeys) {
-  // The per-pass bounds and the batch flush are constants now; a spec that
-  // still sets one fails at parse time and teaches the six valid keys.
-  for (const char* spec : {"drain=16", "batch=8", "cont_run=16", "steal:8"}) {
+  // The per-pass bounds, the batch flush, the capacities and the watchdog
+  // budget are not env keys: a spec that still sets one fails at parse time,
+  // names the key and teaches the one valid key.
+  for (const char* spec :
+       {"drain=16", "batch=8", "cont_run=16", "steal:8", "ring=2048",
+        "pool=128", "lanes=4", "lane_cap:32", "watchdog=250us"}) {
+    const std::string s = spec;
+    const std::string key = s.substr(0, s.find_first_of("=:"));
     try {
       ProxyOptions::parse(spec);
       ADD_FAILURE() << spec << ": expected invalid_argument";
     } catch (const std::invalid_argument& e) {
       const std::string msg = e.what();
-      for (const char* key :
-           {"ring", "pool", "lanes", "lane_cap", "watchdog", "proxies"}) {
-        EXPECT_NE(msg.find(key), std::string::npos) << spec << ": " << msg;
-      }
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos)
+          << spec << ": " << msg;
+      EXPECT_NE(msg.find("proxies"), std::string::npos) << spec << ": " << msg;
     }
   }
 }
@@ -492,65 +497,37 @@ TEST(ProxyOptions, ParseRejectsZeroProxies) {
   EXPECT_THROW(ProxyOptions::parse("proxies:0"), std::invalid_argument);
 }
 
-TEST(ProxyOptions, ParseAcceptsDurationSuffixes) {
-  EXPECT_EQ(ProxyOptions::parse("watchdog=500").watchdog_budget.ns(), 500);
-  EXPECT_EQ(ProxyOptions::parse("watchdog=500ns").watchdog_budget.ns(), 500);
-  EXPECT_EQ(ProxyOptions::parse("watchdog=2ms").watchdog_budget.ns(),
-            2'000'000);
-  EXPECT_EQ(ProxyOptions::parse("watchdog=1s").watchdog_budget.ns(),
-            1'000'000'000);
-}
-
 TEST(ProxyOptions, ParseRejectsUnknownKeyNamingValidOnes) {
   try {
-    ProxyOptions::parse("rings=64");
+    ProxyOptions::parse("proxy=4");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("rings"), std::string::npos);
-    EXPECT_NE(msg.find("lane_cap"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'proxy'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("proxies"), std::string::npos) << msg;
   }
 }
 
 TEST(ProxyOptions, ParseRejectsBadValues) {
-  EXPECT_THROW(ProxyOptions::parse("ring=abc"), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("watchdog=2fortnights"),
-               std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("ring"), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("ring="), std::invalid_argument);
-  EXPECT_THROW(ProxyOptions::parse("proxies=two"), std::invalid_argument);
-  // Capacities the structures cannot hold, named by key at parse time
-  // rather than failing in a constructor (or, for a lane, at first bind).
+  // Counts are scanned whole: digits only (no letters, sign, blank or
+  // trailing garbage), no overflow, no missing or empty value.
   for (const char* bad :
-       {"pool=0", "pool=4294967295", "pool=4294967296", "ring=0", "ring=1",
-        "ring=1000", "lane_cap=0", "lane_cap=1", "lane_cap=100"}) {
-    const std::string spec = bad;
-    const std::string key = spec.substr(0, spec.find('='));
-    try {
-      ProxyOptions::parse(spec);
-      ADD_FAILURE() << spec << " parsed";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
-          << spec << ": " << e.what();
-    }
+       {"proxies=two", "proxies=abc", "proxies=4x", "proxies=-1",
+        "proxies=+3", "proxies= 2", "proxies=18446744073709551616", "proxies",
+        "proxies=", "proxies:"}) {
+    EXPECT_THROW(ProxyOptions::parse(bad), std::invalid_argument) << bad;
   }
-  EXPECT_EQ(ProxyOptions::parse("pool=1").pool_capacity, 1u);
-  EXPECT_EQ(ProxyOptions::parse("ring=2,lane_cap=2").lane_capacity, 2u);
 }
 
 TEST(ProxyOptions, ParseRejectsDuplicateKeysNamingTheOffender) {
   try {
-    ProxyOptions::parse("ring=64,lanes=2,ring=128");
+    ProxyOptions::parse("proxies=2,proxies:3");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("duplicate"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'ring'"), std::string::npos) << msg;
-    // The message must teach the full vocabulary, including the last key.
-    EXPECT_NE(msg.find("proxies"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'proxies'"), std::string::npos) << msg;
   }
-  EXPECT_THROW(ProxyOptions::parse("proxies=2,proxies=3"),
-               std::invalid_argument);
 }
 
 TEST(ProxyOptions, DefaultsDeriveFromProfile) {
@@ -573,14 +550,54 @@ TEST(ProxyOptions, DefaultsDeriveFromProfile) {
 
 TEST(ProxyOptions, FromEnvAppliesSpecOnTopOfDefaults) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): single-threaded test
-  setenv("MPIOFF_PROXY", "lanes=2,watchdog=2ms", 1);
+  setenv("MPIOFF_PROXY", "proxies:3", 1);
   const ProxyOptions o = ProxyOptions::from_env(machine::xeon_fdr());
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   unsetenv("MPIOFF_PROXY");
-  EXPECT_EQ(o.lane_count, 2u);
-  EXPECT_EQ(o.watchdog_budget.ns(), 2'000'000);
-  // Untouched keys keep their profile-derived defaults.
-  EXPECT_EQ(o.ring_capacity, 1024u);
+  EXPECT_EQ(o.proxy_count, 3u);
+  // Every other field keeps its profile-derived default.
+  const ProxyOptions d = ProxyOptions::defaults_for(machine::xeon_fdr());
+  EXPECT_NE(d.proxy_count, 3u);
+  EXPECT_EQ(o.lane_count, d.lane_count);
+  EXPECT_EQ(o.ring_capacity, d.ring_capacity);
+  EXPECT_EQ(o.pool_capacity, d.pool_capacity);
+  EXPECT_EQ(o.lane_capacity, d.lane_capacity);
+  EXPECT_EQ(o.watchdog_budget.ns(), d.watchdog_budget.ns());
+  // Without the env var, from_env is defaults_for.
+  EXPECT_EQ(ProxyOptions::from_env(machine::xeon_fdr()).proxy_count,
+            d.proxy_count);
+}
+
+TEST(ProxyOptions, ConstructionRejectsCapacitiesTheStructuresCannotHold) {
+  // Capacities are set in code, not in the env spec; one the ring, pool or
+  // lanes cannot hold throws when the OffloadProxy is built (for a lane, not
+  // at its first bind), and the smallest legal ones build.
+  const std::vector<std::pair<const char*, ProxyOptions>> bad = {
+      {"ring 0", ProxyOptions{.ring_capacity = 0}},
+      {"ring 1", ProxyOptions{.ring_capacity = 1}},
+      {"ring 1000", ProxyOptions{.ring_capacity = 1000}},
+      {"pool 0", ProxyOptions{.pool_capacity = 0}},
+      {"pool 2^32-1", ProxyOptions{.pool_capacity = 0xffffffffu}},
+      {"lane_cap 0", ProxyOptions{.lane_capacity = 0}},
+      {"lane_cap 1", ProxyOptions{.lane_capacity = 1}},
+      {"lane_cap 100", ProxyOptions{.lane_capacity = 100}},
+  };
+  Cluster c(cfg(1));
+  c.run([&](RankCtx& rc) {
+    for (const auto& [name, opts] : bad) {
+      EXPECT_THROW(OffloadProxy(rc, opts), std::invalid_argument) << name;
+    }
+    // With lanes off, the lane capacity is never used.
+    EXPECT_NO_THROW(OffloadProxy(
+        rc, ProxyOptions{.lane_count = 0, .lane_capacity = 100}));
+    OffloadProxy p(rc, ProxyOptions{.ring_capacity = 2,
+                                    .pool_capacity = 1,
+                                    .lane_count = 1,
+                                    .lane_capacity = 2});
+    p.start_engine();
+    p.barrier();  // one command through a two-cell lane and a one-slot pool
+    p.stop();
+  });
 }
 
 TEST(OffloadLanes, MultiProxyShardsTrafficAcrossEngines) {

@@ -2,7 +2,9 @@
 // code must produce identical data under every proxy (only timing differs).
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/proxy.hpp"
@@ -141,6 +143,57 @@ TEST_P(ProxyMatrix, PostBatchRejectsTheWholeBatchBeforePosting) {
     p->stop();
     // Nothing was left in flight: no send a caller cannot wait on. (The
     // comm-self helper's standing loopback receive retires at stop().)
+    EXPECT_EQ(rc.requests().active_count(), 0u) << "rank " << rc.rank();
+  });
+}
+
+TEST_P(ProxyMatrix, ReductionOpUndefinedForTheDatatypeFailsAtTheCall) {
+  // kMax and kMin are not defined on complex numbers. Every rank rejects the
+  // pair at the call, with real and with phantom (null) buffers, before the
+  // library is entered or anything is posted: no rank is left in a schedule
+  // whose combine would throw later, or that would run silently on phantoms.
+  const Approach a = GetParam();
+  Cluster c(cfg_for(a, 2));
+  c.run([&](RankCtx& rc) {
+    std::vector<std::complex<double>> s(4, {1.0, -2.0}), r(4);
+    const auto rejects = [](const char* call, const auto& post) {
+      try {
+        post();
+        ADD_FAILURE() << call << " accepted the pair";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(call, 0), 0u) << e.what();
+      }
+    };
+    // The library's own entry points check too.
+    rejects("Iallreduce", [&] {
+      (void)rc.iallreduce(s.data(), r.data(), 4, Datatype::kComplexDouble,
+                          Op::kMax, kCommWorld);
+    });
+    rejects("Ireduce", [&] {
+      (void)rc.ireduce(nullptr, nullptr, 4, Datatype::kComplexDouble, Op::kMin,
+                       0, kCommWorld);
+    });
+    auto p = make_proxy(a, rc);
+    p->start_engine();
+    for (const Op op : {Op::kMax, Op::kMin}) {
+      for (const bool real : {true, false}) {
+        SCOPED_TRACE(real ? "real buffers" : "null buffers");
+        const void* sb = real ? s.data() : nullptr;
+        void* rb = real ? r.data() : nullptr;
+        rejects("ireduce", [&] {
+          (void)p->ireduce(sb, rb, 4, Datatype::kComplexDouble, op, 0);
+        });
+        rejects("iallreduce", [&] {
+          (void)p->iallreduce(sb, rb, 4, Datatype::kComplexDouble, op);
+        });
+      }
+    }
+    EXPECT_EQ(p->inflight(), 0u);
+    // The pairs complex numbers do support still reduce.
+    p->allreduce(s.data(), r.data(), 4, Datatype::kComplexDouble, Op::kSum);
+    EXPECT_EQ(r[0], std::complex<double>(2.0, -4.0));
+    p->barrier();
+    p->stop();
     EXPECT_EQ(rc.requests().active_count(), 0u) << "rank " << rc.rank();
   });
 }

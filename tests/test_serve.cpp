@@ -39,8 +39,8 @@ serve::ServeConfig small_cfg(Approach a) {
 }
 
 serve::ServeConfig faulted(serve::ServeConfig cfg) {
-  cfg.faults = true;
-  cfg.deadline = sim::Time::from_sec(600);
+  cfg.faults = machine::FaultSpec{
+      .on = true, .drop = 0.02, .dup = 0.01, .reorder = 0.05, .seed = 7};
   return cfg;
 }
 
@@ -135,7 +135,6 @@ TEST(ServeTraffic, BoundedParetoMatchesClosedFormMeanAndTail) {
 TEST(ServeTraffic, ArrivalStreamIsDeterministicBySeedAndEdge) {
   serve::TrafficConfig cfg;
   cfg.seed = 7;
-  cfg.phases = 4;
   serve::TrafficGen a(cfg, 0), b(cfg, 0);
   serve::TrafficGen other_edge(cfg, 1);
   serve::TrafficConfig cfg2 = cfg;
@@ -163,7 +162,6 @@ TEST(ServeTraffic, OpenLoopArrivalsAdvanceAndBurstsModulate) {
   // function of the seed, independent of any downstream backpressure.
   serve::TrafficConfig cfg;
   cfg.seed = 3;
-  cfg.phases = 4;
   cfg.phase_len = sim::Time::from_us(100);
   cfg.mean_interarrival = sim::Time::from_us(2);
   serve::TrafficGen g(cfg, 0);
@@ -174,12 +172,12 @@ TEST(ServeTraffic, OpenLoopArrivalsAdvanceAndBurstsModulate) {
     EXPECT_GE(a.at.ns(), prev.ns()) << "open-loop clock must not go back";
     prev = a.at;
     stamps.push_back(a.at.ns());
-    EXPECT_LT(a.client, cfg.clients);
+    EXPECT_LT(a.client, serve::kClients);
   }
   // The diurnal multiplier really modulates rate: count arrivals in the
   // busiest vs calmest phase bucket of the first schedule period.
-  const std::int64_t period = cfg.phase_len.ns() * cfg.phases;
-  std::vector<int> per_phase(static_cast<std::size_t>(cfg.phases), 0);
+  const std::int64_t period = cfg.phase_len.ns() * serve::kPhases;
+  std::vector<int> per_phase(static_cast<std::size_t>(serve::kPhases), 0);
   for (const std::int64_t t : stamps) {
     if (t >= period) break;
     per_phase[static_cast<std::size_t>(t / cfg.phase_len.ns())] += 1;
@@ -216,23 +214,6 @@ TEST(ServeSpec, RunRejectsInvalidTopology) {
   cfg = small_cfg(Approach::kBaseline);
   cfg.window = 0;
   EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
-  // The traffic shape is checked at the call too: sizes in order, a hedge
-  // probability, and a Pareto shape the closed forms accept.
-  cfg = small_cfg(Approach::kBaseline);
-  cfg.traffic.smin = 512;
-  cfg.traffic.smax = 64;
-  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
-  cfg = small_cfg(Approach::kBaseline);
-  cfg.traffic.hedge = 1.5;
-  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
-  cfg = small_cfg(Approach::kBaseline);
-  cfg.traffic.hedge = -0.1;
-  EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument);
-  for (const double alpha : {0.0, -1.3, 1.0}) {
-    cfg = small_cfg(Approach::kBaseline);
-    cfg.traffic.alpha = alpha;
-    EXPECT_THROW(serve::run_serve(cfg), std::invalid_argument) << alpha;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -304,12 +285,11 @@ TEST(ServeEndToEnd, DigestInvariantAcrossEnginesAndFaults) {
 TEST(ServeEndToEnd, FaultedSoakLosesAndDuplicatesNothing) {
   // Heavier fault mix and more traffic than the matrix test: the invariant
   // is exactly-once request/response accounting end to end.
-  serve::ServeConfig cfg = faulted(small_cfg(Approach::kOffload));
+  serve::ServeConfig cfg = small_cfg(Approach::kOffload);
   cfg.requests = 300;
   cfg.workers = 4;
-  cfg.fault_drop = 0.03;
-  cfg.fault_dup = 0.02;
-  cfg.fault_reorder = 0.1;
+  cfg.faults = machine::FaultSpec{
+      .on = true, .drop = 0.03, .dup = 0.02, .reorder = 0.1, .seed = 7};
   const serve::ServeResult r = serve::run_serve(cfg);
   EXPECT_EQ(r.requests, cfg.requests * static_cast<std::size_t>(cfg.edges));
   EXPECT_EQ(r.responses, r.requests) << "lost or duplicated responses";
