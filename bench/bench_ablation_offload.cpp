@@ -408,7 +408,7 @@ void a8_coll_algorithms() {
   std::printf("\nA8: allreduce algorithm — recursive doubling vs segmented "
               "ring vs ring+doorbell-batch, 8 ranks, offload, float sum\n");
   // Cheap even at 4M (phantom payloads), so smoke mode runs the full sweep
-  // and BENCH_pr5.json carries the whole speedup curve.
+  // and the smoke pin holds the whole speedup curve.
   const std::vector<std::size_t> sizes = {64u << 10, 256u << 10, 1u << 20,
                                           4u << 20};
   Table t({"size", "rdbl(us)", "ring(us)", "ring+batch(us)", "eff.bw speedup",

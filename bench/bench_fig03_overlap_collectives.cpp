@@ -17,9 +17,10 @@ int main() {
   benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   const int nranks = 16;
-  const CollKind kinds[] = {CollKind::kIbcast,    CollKind::kIreduce,
-                            CollKind::kIallreduce, CollKind::kIalltoall,
-                            CollKind::kIallgather, CollKind::kIbarrier};
+  using smpi::CollectiveId;
+  const CollectiveId kinds[] = {CollectiveId::kBcast,     CollectiveId::kReduce,
+                                CollectiveId::kAllreduce, CollectiveId::kAlltoall,
+                                CollectiveId::kAllgather, CollectiveId::kBarrier};
   const Approach approaches[] = {Approach::kBaseline, Approach::kCommSelf,
                                  Approach::kOffload};
 
@@ -28,10 +29,11 @@ int main() {
                 bytes == 8 ? "(a)" : "(b)", fmt_bytes(bytes).c_str(), nranks,
                 prof.name.c_str());
     Table t({"collective", "algorithm", "approach", "t_pure(us)", "overlap%"});
-    for (CollKind k : kinds) {
+    for (CollectiveId k : kinds) {
       for (Approach a : approaches) {
         OverlapResult r = overlap_collective(a, prof, k, nranks, bytes);
-        t.row({coll_name(k), r.algo, core::approach_name(a), fmt_us(r.comm_us),
+        t.row({"I" + std::string(smpi::coll_name(k)), r.algo,
+               core::approach_name(a), fmt_us(r.comm_us),
                fmt_pct(r.overlap_frac)});
       }
     }

@@ -17,9 +17,10 @@ int main() {
   benchlib::Runner runner;
   const auto prof = machine::xeon_fdr();
   const int nranks = 16;
-  const CollKind kinds[] = {CollKind::kIbcast,    CollKind::kIreduce,
-                            CollKind::kIallreduce, CollKind::kIalltoall,
-                            CollKind::kIallgather, CollKind::kIbarrier};
+  using smpi::CollectiveId;
+  const CollectiveId kinds[] = {CollectiveId::kBcast,     CollectiveId::kReduce,
+                                CollectiveId::kAllreduce, CollectiveId::kAlltoall,
+                                CollectiveId::kAllgather, CollectiveId::kBarrier};
   const Approach approaches[] = {Approach::kBaseline, Approach::kCommSelf,
                                  Approach::kOffload};
 
@@ -29,14 +30,14 @@ int main() {
                 prof.name.c_str());
     Table t({"collective", "algorithm", "baseline(us)", "comm-self(us)",
              "offload(us)"});
-    for (CollKind k : kinds) {
+    for (CollectiveId k : kinds) {
       std::string algo = "-";
       std::vector<std::string> cells;
       for (Approach a : approaches) {
         cells.push_back(
             fmt_us(icollective_post_us(a, prof, k, nranks, bytes, 10, 2, &algo), 3));
       }
-      std::vector<std::string> row{coll_name(k), algo};
+      std::vector<std::string> row{"I" + std::string(smpi::coll_name(k)), algo};
       row.insert(row.end(), cells.begin(), cells.end());
       t.row(row);
     }

@@ -118,7 +118,7 @@ void grab_offload_counters(core::Proxy& p, std::uint64_t& executed,
 // ---- edge rank -----------------------------------------------------------
 
 void run_edge(smpi::RankCtx& rc, core::Proxy& proxy, const ServeConfig& cfg,
-              smpi::Comm /*shard_comm*/, EdgeOut& out) {
+              EdgeOut& out) {
   const int edge_index = rc.rank();
   const int shards = cfg.shards;
   const std::size_t hdr = sizeof(ReqHeader);
@@ -464,8 +464,7 @@ ServeResult run_serve(const ServeConfig& cfg) {
       run_shard(rc, *proxy, cfg, shard_comm,
                 shard_out[static_cast<std::size_t>(rc.rank() - cfg.edges)]);
     } else {
-      run_edge(rc, *proxy, cfg, shard_comm,
-               edge_out[static_cast<std::size_t>(rc.rank())]);
+      run_edge(rc, *proxy, cfg, edge_out[static_cast<std::size_t>(rc.rank())]);
     }
     proxy->stop();
   });

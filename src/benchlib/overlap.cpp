@@ -99,49 +99,13 @@ OverlapResult overlap_p2p(Approach a, const machine::Profile& prof,
   return res;
 }
 
-const char* coll_name(CollKind k) {
-  switch (k) {
-    case CollKind::kIbcast:
-      return "Ibcast";
-    case CollKind::kIreduce:
-      return "Ireduce";
-    case CollKind::kIallreduce:
-      return "Iallreduce";
-    case CollKind::kIalltoall:
-      return "Ialltoall";
-    case CollKind::kIallgather:
-      return "Iallgather";
-    case CollKind::kIbarrier:
-      return "Ibarrier";
-  }
-  return "?";
-}
-
 namespace {
-
-smpi::CollectiveId coll_id_of(CollKind k) {
-  switch (k) {
-    case CollKind::kIbcast:
-      return smpi::CollectiveId::kBcast;
-    case CollKind::kIreduce:
-      return smpi::CollectiveId::kReduce;
-    case CollKind::kIallreduce:
-      return smpi::CollectiveId::kAllreduce;
-    case CollKind::kIalltoall:
-      return smpi::CollectiveId::kAlltoall;
-    case CollKind::kIallgather:
-      return smpi::CollectiveId::kAllgather;
-    case CollKind::kIbarrier:
-      return smpi::CollectiveId::kBarrier;
-  }
-  return smpi::CollectiveId::kBarrier;
-}
 
 /// Name of the algorithm rank 0 actually ran for `kind` (the schedule with
 /// the highest count, in case an inner barrier shares the CollectiveId).
-std::string ran_algo(Cluster& c, CollKind kind) {
+std::string ran_algo(Cluster& c, smpi::CollectiveId kind) {
   const smpi::CollStats& cs = c.rank(0).coll_stats();
-  const int ci = static_cast<int>(coll_id_of(kind));
+  const int ci = static_cast<int>(kind);
   int best = -1;
   std::uint64_t best_n = 0;
   for (int ai = 0; ai < smpi::kNumCollAlgos; ++ai) {
@@ -154,22 +118,22 @@ std::string ran_algo(Cluster& c, CollKind kind) {
 }
 
 /// Post the chosen nonblocking collective through the proxy.
-PReq post_coll(Proxy& p, CollKind k, std::size_t bytes, int nranks,
+PReq post_coll(Proxy& p, smpi::CollectiveId k, std::size_t bytes, int nranks,
                std::vector<char>& s, std::vector<char>& r) {
   switch (k) {
-    case CollKind::kIbcast:
+    case smpi::CollectiveId::kBcast:
       return p.ibcast(r.data(), bytes, Datatype::kByte, 0);
-    case CollKind::kIreduce:
+    case smpi::CollectiveId::kReduce:
       return p.ireduce(s.data(), r.data(), bytes, Datatype::kByte, Op::kMax, 0);
-    case CollKind::kIallreduce:
+    case smpi::CollectiveId::kAllreduce:
       return p.iallreduce(s.data(), r.data(), bytes, Datatype::kByte, Op::kMax);
-    case CollKind::kIalltoall:
+    case smpi::CollectiveId::kAlltoall:
       return p.ialltoall(s.data(), r.data(), bytes / static_cast<std::size_t>(nranks),
                          Datatype::kByte);
-    case CollKind::kIallgather:
+    case smpi::CollectiveId::kAllgather:
       return p.iallgather(s.data(), r.data(), bytes / static_cast<std::size_t>(nranks),
                           Datatype::kByte);
-    case CollKind::kIbarrier:
+    case smpi::CollectiveId::kBarrier:
       return p.ibarrier();
   }
   return {};
@@ -178,8 +142,8 @@ PReq post_coll(Proxy& p, CollKind k, std::size_t bytes, int nranks,
 }  // namespace
 
 OverlapResult overlap_collective(Approach a, const machine::Profile& prof,
-                                 CollKind kind, int nranks, std::size_t bytes,
-                                 int iters, int warmup) {
+                                 smpi::CollectiveId kind, int nranks,
+                                 std::size_t bytes, int iters, int warmup) {
   OverlapResult res;
   Cluster c(cluster_cfg(a, prof, nranks));
   c.run([&](RankCtx& rc) {
@@ -230,7 +194,7 @@ OverlapResult overlap_collective(Approach a, const machine::Profile& prof,
 }
 
 double icollective_post_us(Approach a, const machine::Profile& prof,
-                           CollKind kind, int nranks, std::size_t bytes,
+                           smpi::CollectiveId kind, int nranks, std::size_t bytes,
                            int iters, int warmup, std::string* algo_out) {
   double post_us = 0;
   Cluster c(cluster_cfg(a, prof, nranks));

@@ -15,6 +15,7 @@
 
 #include "core/proxy.hpp"
 #include "machine/profile.hpp"
+#include "mpi/coll_tuner.hpp"
 
 namespace benchlib {
 
@@ -30,21 +31,17 @@ struct OverlapResult {
 OverlapResult overlap_p2p(core::Approach a, const machine::Profile& prof,
                           std::size_t bytes, int iters = 20, int warmup = 4);
 
-/// Which collective to measure in overlap_collective.
-enum class CollKind { kIbcast, kIreduce, kIallreduce, kIalltoall, kIallgather, kIbarrier };
-
-const char* coll_name(CollKind k);
-
 /// IMB-NBC-style overlap for a nonblocking collective on `nranks` ranks with
 /// per-rank payload `bytes`: overlap% = 1 - wait_overlapped / t_pure.
 OverlapResult overlap_collective(core::Approach a, const machine::Profile& prof,
-                                 CollKind kind, int nranks, std::size_t bytes,
-                                 int iters = 10, int warmup = 2);
+                                 smpi::CollectiveId kind, int nranks,
+                                 std::size_t bytes, int iters = 10,
+                                 int warmup = 2);
 
 /// Issue time of a nonblocking collective (paper Fig. 5). When `algo_out`
 /// is non-null it receives the name of the algorithm that actually ran.
 double icollective_post_us(core::Approach a, const machine::Profile& prof,
-                           CollKind kind, int nranks, std::size_t bytes,
+                           smpi::CollectiveId kind, int nranks, std::size_t bytes,
                            int iters = 10, int warmup = 2,
                            std::string* algo_out = nullptr);
 

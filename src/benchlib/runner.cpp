@@ -5,7 +5,6 @@
 #include "core/proxy.hpp"
 #include "mpi/cluster.hpp"
 #include "san/san.hpp"
-#include "trace/scope.hpp"
 #include "trace/tracer.hpp"
 #include "util/env.hpp"
 
@@ -48,117 +47,62 @@ bool Runner::smoke_enabled() {
 void report_proxy_stats(core::Proxy& p) {
   if (!g_stats_enabled) return;
   auto* op = dynamic_cast<core::OffloadProxy*>(&p);
-  if (op == nullptr) return;
+  if (op == nullptr || p.rank_ctx().rank() != 0) return;
   const core::OffloadStats& s = op->channel().stats();
-  const int rank = p.rank_ctx().rank();
-  if (trace::Tracer::on()) {
-    const std::int64_t ts = trace::ambient_ts();
-    trace::Tracer& tr = trace::Tracer::instance();
-    tr.counter(ts, rank, "offload.commands", static_cast<double>(s.commands));
-    tr.counter(ts, rank, "offload.testany_calls",
-               static_cast<double>(s.testany_calls));
-    tr.counter(ts, rank, "offload.completions",
-               static_cast<double>(s.completions));
-    tr.counter(ts, rank, "offload.ring_full_stalls",
-               static_cast<double>(s.ring_full_stalls));
-    tr.counter(ts, rank, "offload.pool_full_stalls",
-               static_cast<double>(s.pool_full_stalls));
-    tr.counter(ts, rank, "offload.watchdog_flags",
-               static_cast<double>(s.watchdog_flags));
-    tr.counter(ts, rank, "offload.lane_submits",
-               static_cast<double>(s.lane_submits));
-    tr.counter(ts, rank, "offload.shared_submits",
-               static_cast<double>(s.shared_submits));
-    tr.counter(ts, rank, "offload.overflow_submits",
-               static_cast<double>(s.overflow_submits));
-    tr.counter(ts, rank, "offload.steal_commands",
-               static_cast<double>(s.steal_commands));
-    tr.counter(ts, rank, "offload.batches", static_cast<double>(s.batches));
-    tr.counter(ts, rank, "offload.lane_full_stalls",
-               static_cast<double>(s.lane_full_stalls));
-    tr.counter(ts, rank, "offload.cont_executed",
-               static_cast<double>(s.cont_executed));
-    tr.counter(ts, rank, "offload.cont_deferred",
-               static_cast<double>(s.cont_deferred));
+  std::printf(
+      "[stats] offload rank0: commands=%llu testany=%llu completions=%llu "
+      "max_inflight=%llu ring_full_stalls=%llu pool_full_stalls=%llu "
+      "watchdog_flags=%llu\n",
+      static_cast<unsigned long long>(s.commands),
+      static_cast<unsigned long long>(s.testany_calls),
+      static_cast<unsigned long long>(s.completions),
+      static_cast<unsigned long long>(s.max_inflight),
+      static_cast<unsigned long long>(s.ring_full_stalls),
+      static_cast<unsigned long long>(s.pool_full_stalls),
+      static_cast<unsigned long long>(s.watchdog_flags));
+  // overflow_submits is deliberately NOT folded into the per-lane numbers:
+  // lane-table overflow falling back to the shared ring used to inflate
+  // per-lane throughput in this trailer.
+  std::printf(
+      "[stats] offload rank0 frontend: engines=%zu lanes=%zu "
+      "lane_submits=%llu shared_submits=%llu overflow_submits=%llu "
+      "batches=%llu batched=%llu lane_full_stalls=%llu "
+      "spins=%llu yields=%llu sleeps=%llu\n",
+      op->channel().engine_count(), op->channel().lane_count(),
+      static_cast<unsigned long long>(s.lane_submits),
+      static_cast<unsigned long long>(s.shared_submits),
+      static_cast<unsigned long long>(s.overflow_submits),
+      static_cast<unsigned long long>(s.batches),
+      static_cast<unsigned long long>(s.batched_commands),
+      static_cast<unsigned long long>(s.lane_full_stalls),
+      static_cast<unsigned long long>(s.engine_spins),
+      static_cast<unsigned long long>(s.engine_yields),
+      static_cast<unsigned long long>(s.engine_sleeps));
+  if (s.steal_rounds + s.steal_commands != 0) {
+    std::printf(
+        "[stats] offload rank0 steal: steal_rounds=%llu "
+        "steal_commands=%llu\n",
+        static_cast<unsigned long long>(s.steal_rounds),
+        static_cast<unsigned long long>(s.steal_commands));
   }
-  if (rank == 0) {
+  for (std::size_t i = 0; i < op->channel().lane_count(); ++i) {
+    const core::LaneStats& ls = op->channel().lane_stats(i);
+    if (ls.submits == 0) continue;  // unbound lane: nothing to report
     std::printf(
-        "[stats] offload rank0: commands=%llu testany=%llu completions=%llu "
-        "max_inflight=%llu ring_full_stalls=%llu pool_full_stalls=%llu "
-        "watchdog_flags=%llu\n",
-        static_cast<unsigned long long>(s.commands),
-        static_cast<unsigned long long>(s.testany_calls),
-        static_cast<unsigned long long>(s.completions),
-        static_cast<unsigned long long>(s.max_inflight),
-        static_cast<unsigned long long>(s.ring_full_stalls),
-        static_cast<unsigned long long>(s.pool_full_stalls),
-        static_cast<unsigned long long>(s.watchdog_flags));
-    // overflow_submits is deliberately NOT folded into the per-lane numbers:
-    // lane-table overflow falling back to the shared ring used to inflate
-    // per-lane throughput in this trailer.
-    std::printf(
-        "[stats] offload rank0 frontend: engines=%zu lanes=%zu "
-        "lane_submits=%llu shared_submits=%llu overflow_submits=%llu "
-        "batches=%llu batched=%llu lane_full_stalls=%llu "
-        "spins=%llu yields=%llu sleeps=%llu\n",
-        op->channel().engine_count(), op->channel().lane_count(),
-        static_cast<unsigned long long>(s.lane_submits),
-        static_cast<unsigned long long>(s.shared_submits),
-        static_cast<unsigned long long>(s.overflow_submits),
-        static_cast<unsigned long long>(s.batches),
-        static_cast<unsigned long long>(s.batched_commands),
-        static_cast<unsigned long long>(s.lane_full_stalls),
-        static_cast<unsigned long long>(s.engine_spins),
-        static_cast<unsigned long long>(s.engine_yields),
-        static_cast<unsigned long long>(s.engine_sleeps));
-    if (s.steal_rounds + s.steal_commands != 0) {
-      std::printf(
-          "[stats] offload rank0 steal: steal_rounds=%llu "
-          "steal_commands=%llu\n",
-          static_cast<unsigned long long>(s.steal_rounds),
-          static_cast<unsigned long long>(s.steal_commands));
-    }
-    // Continuation summary (only when callbacks were armed, so benchmarks
-    // that never chain keep their legacy output).
-    if (s.cont_armed + s.cont_inline + s.cont_posts != 0) {
-      std::printf(
-          "[stats] offload rank0 cont: armed=%llu executed=%llu "
-          "deferred=%llu inline=%llu posts=%llu\n",
-          static_cast<unsigned long long>(s.cont_armed),
-          static_cast<unsigned long long>(s.cont_executed),
-          static_cast<unsigned long long>(s.cont_deferred),
-          static_cast<unsigned long long>(s.cont_inline),
-          static_cast<unsigned long long>(s.cont_posts));
-    }
-    for (std::size_t i = 0; i < op->channel().lane_count(); ++i) {
-      const core::LaneStats& ls = op->channel().lane_stats(i);
-      if (ls.submits == 0) continue;  // unbound lane: nothing to report
-      std::printf(
-          "[stats] offload rank0 lane%zu: submits=%llu drained=%llu "
-          "batches=%llu batched=%llu max_occ=%llu full_stalls=%llu\n",
-          i, static_cast<unsigned long long>(ls.submits),
-          static_cast<unsigned long long>(ls.drained),
-          static_cast<unsigned long long>(ls.batches),
-          static_cast<unsigned long long>(ls.batched_commands),
-          static_cast<unsigned long long>(ls.max_occupancy),
-          static_cast<unsigned long long>(ls.full_stalls));
-    }
+        "[stats] offload rank0 lane%zu: submits=%llu drained=%llu "
+        "batches=%llu batched=%llu max_occ=%llu full_stalls=%llu\n",
+        i, static_cast<unsigned long long>(ls.submits),
+        static_cast<unsigned long long>(ls.drained),
+        static_cast<unsigned long long>(ls.batches),
+        static_cast<unsigned long long>(ls.batched_commands),
+        static_cast<unsigned long long>(ls.max_occupancy),
+        static_cast<unsigned long long>(ls.full_stalls));
   }
 }
 
 void report_cluster_stats(smpi::Cluster& c) {
   if (!g_stats_enabled) return;
   const sim::EngineStats& s = c.engine().stats();
-  if (trace::Tracer::on()) {
-    const std::int64_t ts = c.engine().now().ns();
-    trace::Tracer& tr = trace::Tracer::instance();
-    tr.counter(ts, 0, "engine.events_fired",
-               static_cast<double>(s.events_fired));
-    tr.counter(ts, 0, "engine.fibers_spawned",
-               static_cast<double>(s.fibers_spawned));
-    tr.counter(ts, 0, "engine.context_switches",
-               static_cast<double>(s.context_switches));
-  }
   std::printf(
       "[stats] engine: events=%llu fibers=%llu ctx_switches=%llu "
       "end=%.3fus\n",
@@ -196,13 +140,6 @@ void report_cluster_stats(smpi::Cluster& c) {
           "doorbells_amortized=%llu\n",
           static_cast<unsigned long long>(cs.chunks), avg_us,
           static_cast<unsigned long long>(cs.doorbells_amortized));
-      if (trace::Tracer::on()) {
-        const std::int64_t ts = c.engine().now().ns();
-        trace::Tracer& tr = trace::Tracer::instance();
-        tr.counter(ts, 0, "coll.chunks", static_cast<double>(cs.chunks));
-        tr.counter(ts, 0, "coll.doorbells_amortized",
-                   static_cast<double>(cs.doorbells_amortized));
-      }
     }
   }
   // Fault-injection + wire-reliability summary (only when a plan is active,

@@ -5,8 +5,7 @@
 // Table::print. The environment selects:
 //
 //   MPIOFF_TRACE=<file>   write a Chrome trace-event JSON of the whole run
-//   MPIOFF_STATS=1        print EngineStats/OffloadStats trailers and emit
-//                         them as trace counters
+//   MPIOFF_STATS=1        print EngineStats/OffloadStats trailers
 //
 // The tracer is enabled in the constructor (before any Cluster exists) and
 // the trace file is written in the destructor, so a bench needs no other
@@ -48,11 +47,11 @@ class Runner {
 // unless stats are enabled (MPIOFF_STATS=1).
 
 /// Per-rank hook, called just before Proxy::stop(): prints the rank-0
-/// OffloadStats trailer and emits per-rank offload counters into the trace.
+/// OffloadStats trailer.
 void report_proxy_stats(core::Proxy& p);
 
 /// Whole-run hook, called after Cluster::run() returns: prints the
-/// EngineStats trailer and emits them as trace counters.
+/// EngineStats trailer.
 void report_cluster_stats(smpi::Cluster& c);
 
 }  // namespace benchlib

@@ -13,9 +13,9 @@ namespace {
 // A producer spinning this long on a full lane/ring means the engine is
 // stuck or dead, not merely behind — fail loudly instead of hanging.
 constexpr int kFullSpinBound = 1 << 16;
-// lane_of_slot_ sentinels: slot not yet bound / bound to the shared rings.
-constexpr std::uint32_t kNoLane = 0xffffffffu;
-constexpr std::uint32_t kSharedRing = 0xfffffffeu;
+// row_of_fiber_ sentinel: the fiber came after every lane row was bound, so
+// it publishes to the shared rings.
+constexpr std::uint32_t kSharedRing = 0xffffffffu;
 // drain budget of an engine emptying its own ring: everything, including
 // commands published while it issues.
 constexpr std::size_t kNoBound = std::numeric_limits<std::size_t>::max();
@@ -117,20 +117,23 @@ OffloadChannel::Lane* OffloadChannel::lane_for_caller(std::size_t engine_idx,
                                                       bool& overflow) {
   overflow = false;
   if (opts_.lane_count == 0) return nullptr;
-  const auto s = static_cast<std::size_t>(rc_.thread_slot());
-  if (s >= lane_of_slot_.size()) lane_of_slot_.resize(s + 1, kNoLane);
-  std::uint32_t& row = lane_of_slot_[s];
+  const sim::Fiber* f = sim::Engine::current()->current_fiber();
+  const std::uint64_t fiber = f != nullptr ? f->id() : 0;
+  auto bound = std::find_if(row_of_fiber_.begin(), row_of_fiber_.end(),
+                            [fiber](const auto& b) { return b.first == fiber; });
   const std::size_t n = engines_.size();
-  if (row == kNoLane && next_lane_ == opts_.lane_count) {
-    row = kSharedRing;  // more submitting fibers than lane rows
-  } else if (row == kNoLane) {
-    row = static_cast<std::uint32_t>(next_lane_++);
-    for (std::size_t i = row * n; i < (row + 1) * n; ++i) {
-      lanes_[i] = std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(), i);
+  if (bound == row_of_fiber_.end()) {
+    std::uint32_t row = kSharedRing;  // more submitting fibers than lane rows
+    if (next_lane_ < opts_.lane_count) {
+      row = static_cast<std::uint32_t>(next_lane_++);
+      for (std::size_t i = row * n; i < (row + 1) * n; ++i) {
+        lanes_[i] = std::make_unique<Lane>(opts_.lane_capacity, rc_.rank(), i);
+      }
     }
+    bound = row_of_fiber_.insert(row_of_fiber_.end(), {fiber, row});
   }
-  overflow = row == kSharedRing;
-  return overflow ? nullptr : lanes_[row * n + engine_idx].get();
+  overflow = bound->second == kSharedRing;
+  return overflow ? nullptr : lanes_[bound->second * n + engine_idx].get();
 }
 
 std::uint32_t OffloadChannel::alloc_slot(Engine* e) {

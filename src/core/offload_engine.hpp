@@ -54,6 +54,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chunked_slots.hpp"
@@ -439,8 +440,11 @@ class OffloadChannel {
   /// on first use, which builds the row's lanes; rows at or past next_lane_
   /// hold null. Engine e drains column e.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::uint32_t> lane_of_slot_;  ///< thread slot -> lane row
-  std::size_t next_lane_ = 0;                ///< next unbound lane row
+  /// (submitting fiber id, lane row) in first-publish order. Linear scan: a
+  /// rank hosts a handful of submitters. No fiber is freed during a run and
+  /// fiber ids are unique, so a binding lasts the channel's life.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> row_of_fiber_;
+  std::size_t next_lane_ = 0;  ///< next unbound lane row
   /// Communicators pinned to hash(comm) routing because a wildcard receive
   /// was posted on them (sticky; see engine_of).
   std::vector<int> wildcard_comms_;

@@ -23,16 +23,6 @@ const char* approach_name(Approach a) {
   return "?";
 }
 
-Approach approach_from_string(const std::string& s) {
-  if (s == "baseline") return Approach::kBaseline;
-  if (s == "iprobe") return Approach::kIprobe;
-  if (s == "commself" || s == "comm-self") return Approach::kCommSelf;
-  if (s == "offload") return Approach::kOffload;
-  throw std::invalid_argument(
-      "unknown approach: '" + s +
-      "' (valid: baseline, iprobe, comm-self (or commself), offload)");
-}
-
 smpi::ThreadLevel required_thread_level(Approach a) {
   // comm-self needs concurrent MPI calls (progress thread + master); the
   // others drive MPI from a single thread.

@@ -19,7 +19,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/offload_engine.hpp"
@@ -38,8 +37,6 @@ enum class Approach : std::uint8_t {
 };
 
 const char* approach_name(Approach a);
-/// Parse "baseline" / "iprobe" / "commself" / "offload".
-Approach approach_from_string(const std::string& s);
 /// Thread level the underlying MPI must be initialized with.
 smpi::ThreadLevel required_thread_level(Approach a);
 

@@ -60,9 +60,6 @@ sim::Fiber& Cluster::spawn_on(int rank, std::string name,
   sim::Fiber& f = engine_.spawn(std::move(name), std::move(body));
   f.set_user_data(rc);
   f.set_trace_pid(rank);
-  // Register the fiber in the rank's thread registry at spawn so per-thread
-  // offload submission lanes are bound deterministically, in spawn order.
-  rc->register_thread(f);
   trace::Tracer::instance().name_thread(rank, f.id() + 1, f.name());
   return f;
 }

@@ -214,7 +214,7 @@ void build_ring_allreduce(CollOp& op, const CommInfo& ci, std::byte* accum,
 // --------------------------------------------------------------- barrier ----
 
 Request RankCtx::ibarrier(Comm comm) {
-  MpiEntry entry(*this, false, "Ibarrier");
+  MpiEntry entry(*this, "Ibarrier");
   CommInfo& ci = comms_.get(comm);
   const int p = ci.size();
   auto op = new_op(ci, comm, CollectiveId::kBarrier,
@@ -242,7 +242,7 @@ void RankCtx::barrier(Comm comm) {
 
 Request RankCtx::ibcast(void* buf, std::size_t count, Datatype dt, int root,
                         Comm comm) {
-  MpiEntry entry(*this, false, "Ibcast");
+  MpiEntry entry(*this, "Ibcast");
   CommInfo& ci = comms_.get(comm);
   const std::size_t bytes = count * datatype_size(dt);
   const int p = ci.size();
@@ -268,7 +268,7 @@ Request RankCtx::ireduce(const void* sbuf, void* rbuf, std::size_t count,
   if (comms_.get(comm).my_rank == root) {
     check_reduce_buffers("Ireduce", sbuf, rbuf, bytes);
   }
-  MpiEntry entry(*this, false, "Ireduce");
+  MpiEntry entry(*this, "Ireduce");
   CommInfo& ci = comms_.get(comm);
   // Phantom (timing-only) reductions carry no data, so the schedule's
   // scratch buffers are not materialized either.
@@ -297,7 +297,7 @@ Request RankCtx::iallreduce(const void* sbuf, void* rbuf, std::size_t count,
   const std::size_t bytes = count * datatype_size(dt);
   check_reduce_op("Iallreduce", rop, dt);
   check_reduce_buffers("Iallreduce", sbuf, rbuf, bytes);
-  MpiEntry entry(*this, false, "Iallreduce");
+  MpiEntry entry(*this, "Iallreduce");
   CommInfo& ci = comms_.get(comm);
   const bool phantom = sbuf == nullptr;
   const std::size_t store = phantom ? 0 : bytes;
@@ -368,7 +368,7 @@ void RankCtx::allreduce(const void* sbuf, void* rbuf, std::size_t count,
 
 Request RankCtx::ialltoall(const void* sbuf, void* rbuf,
                            std::size_t count_per_rank, Datatype dt, Comm comm) {
-  MpiEntry entry(*this, false, "Ialltoall");
+  MpiEntry entry(*this, "Ialltoall");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();
@@ -431,7 +431,7 @@ void RankCtx::alltoall(const void* sbuf, void* rbuf, std::size_t count_per_rank,
 
 Request RankCtx::iallgather(const void* sbuf, void* rbuf,
                             std::size_t count_per_rank, Datatype dt, Comm comm) {
-  MpiEntry entry(*this, false, "Iallgather");
+  MpiEntry entry(*this, "Iallgather");
   CommInfo& ci = comms_.get(comm);
   const std::size_t blk = count_per_rank * datatype_size(dt);
   const int p = ci.size();

@@ -30,10 +30,6 @@ std::size_t datatype_size(Datatype dt) {
   throw std::logic_error("unknown datatype");
 }
 
-int Status::count(Datatype dt) const {
-  return static_cast<int>(bytes / datatype_size(dt));
-}
-
 namespace {
 
 template <typename T>

@@ -25,14 +25,13 @@ class MpiEntry {
   /// thin entry points that skip argument validation and envelope setup —
   /// Start on a persistent request replays a prebuilt envelope, so it pays
   /// Profile::persist_start instead. Locking behavior is unchanged.
-  MpiEntry(RankCtx& rc, bool internal, const char* call_name = nullptr,
+  MpiEntry(RankCtx& rc, const char* call_name,
            const sim::Time* call_cost = nullptr)
-      : rc_(rc), internal_(internal) {
-    if (internal_) return;
+      : rc_(rc) {
     const auto& p = rc_.profile();
     entered_at_ = sim::now();
     ++rc_.stats().calls;
-    if (trace::Tracer::on() && call_name != nullptr) {
+    if (trace::Tracer::on()) {
       call_span_ = true;
       begin_span(call_name);
     }
@@ -52,7 +51,6 @@ class MpiEntry {
   }
 
   ~MpiEntry() {
-    if (internal_) return;
     if (locked_) {
       close_hold_span();
       rc_.big_lock_.unlock();
@@ -72,13 +70,12 @@ class MpiEntry {
     }
   }
   void relock() {
-    if (!internal_ && rc_.thread_level() == ThreadLevel::kMultiple && !locked_) {
+    if (rc_.thread_level() == ThreadLevel::kMultiple && !locked_) {
       rc_.big_lock_.lock();
       open_hold_span();
       locked_ = true;
     }
   }
-  [[nodiscard]] bool internal() const { return internal_; }
 
  private:
   void begin_span(const char* name) {
@@ -101,7 +98,6 @@ class MpiEntry {
   }
 
   RankCtx& rc_;
-  bool internal_;
   bool locked_ = false;
   bool call_span_ = false;
   bool hold_span_ = false;

@@ -36,19 +36,15 @@ const machine::Profile& RankCtx::profile() const { return cluster_.profile(); }
 // ------------------------------------------------------------ internals ----
 
 Request RankCtx::isend_internal(const void* buf, std::size_t bytes,
-                                int dst_global, std::uint32_t ctx, int tag,
-                                Comm comm) {
+                                int dst_global, std::uint32_t ctx, int tag) {
   RequestImpl& r = reqs_.alloc();
-  post_send_into(r, buf, bytes, dst_global, ctx, tag, comm,
-                 /*registered=*/false);
+  post_send_into(r, buf, bytes, dst_global, ctx, tag, /*registered=*/false);
   return Request{r.idx};
 }
 
 void RankCtx::post_send_into(RequestImpl& r, const void* buf,
                              std::size_t bytes, int dst_global,
-                             std::uint32_t ctx, int tag, Comm comm,
-                             bool registered) {
-  (void)comm;
+                             std::uint32_t ctx, int tag, bool registered) {
   const auto& p = profile();
 
   if (dst_global == rank_) {
@@ -222,7 +218,7 @@ void RankCtx::start_internal(RequestImpl& r) {
     return;
   }
   if (r.p_send) {
-    post_send_into(r, r.p_buf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag, r.p_comm,
+    post_send_into(r, r.p_buf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag,
                    /*registered=*/true);
   } else {
     post_recv_into(r, r.p_rbuf, r.p_bytes, r.p_peer, r.p_ctx, r.p_tag,
@@ -328,7 +324,7 @@ void RankCtx::release_if_complete(Request& r, Status* st) {
 
 Request RankCtx::isend(const void* buf, std::size_t count, Datatype dt, int dst,
                        int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Isend");
+  MpiEntry entry(*this, "Isend");
   const CommInfo& ci = comms_.get(comm);
   if (dst == kProcNull) {
     RequestImpl& r = reqs_.alloc();
@@ -337,14 +333,14 @@ Request RankCtx::isend(const void* buf, std::size_t count, Datatype dt, int dst,
     return Request{r.idx};
   }
   Request rq = isend_internal(buf, count * datatype_size(dt), ci.to_global(dst),
-                              ci.context, tag, comm);
+                              ci.context, tag);
   progress_poll();  // an MPI entry is a progress opportunity
   return rq;
 }
 
 Request RankCtx::irecv(void* buf, std::size_t count, Datatype dt, int src,
                        int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Irecv");
+  MpiEntry entry(*this, "Irecv");
   const CommInfo& ci = comms_.get(comm);
   if (src == kProcNull) {
     RequestImpl& r = reqs_.alloc();
@@ -373,7 +369,7 @@ void RankCtx::recv(void* buf, std::size_t count, Datatype dt, int src, int tag,
 }
 
 bool RankCtx::test(Request& r, Status* st) {
-  MpiEntry entry(*this, false, "Test");
+  MpiEntry entry(*this, "Test");
   if (r.is_null()) {
     if (st != nullptr) *st = Status{};
     return true;
@@ -393,7 +389,7 @@ bool RankCtx::test(Request& r, Status* st) {
 }
 
 void RankCtx::wait(Request& r, Status* st) {
-  MpiEntry entry(*this, false, "Wait");
+  MpiEntry entry(*this, "Wait");
   if (r.is_null()) return;
   if (!handle_ok(r, "Wait")) {
     r = kRequestNull;
@@ -408,7 +404,7 @@ void RankCtx::wait(Request& r, Status* st) {
 }
 
 void RankCtx::waitall(std::span<Request> rs) {
-  MpiEntry entry(*this, false, "Waitall");
+  MpiEntry entry(*this, "Waitall");
   for (Request& r : rs) {
     if (!r.is_null() && !handle_ok(r, "Waitall")) {
       r = kRequestNull;
@@ -426,7 +422,7 @@ void RankCtx::waitall(std::span<Request> rs) {
 }
 
 int RankCtx::waitany(std::span<Request> rs, Status* st) {
-  MpiEntry entry(*this, false, "Waitany");
+  MpiEntry entry(*this, "Waitany");
   for (Request& r : rs) {
     if (!r.is_null() && !handle_ok(r, "Waitany")) {
       r = kRequestNull;
@@ -456,7 +452,7 @@ bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
     *index = -1;
     return true;
   }
-  MpiEntry entry(*this, false, "Testany");
+  MpiEntry entry(*this, "Testany");
   for (Request& r : rs) {
     if (!r.is_null() && !handle_ok(r, "Testany")) {
       r = kRequestNull;
@@ -478,7 +474,7 @@ bool RankCtx::testany(std::span<Request> rs, int* index, Status* st) {
 }
 
 bool RankCtx::testall(std::span<Request> rs) {
-  MpiEntry entry(*this, false, "Testall");
+  MpiEntry entry(*this, "Testall");
   for (Request& r : rs) {
     if (!r.is_null() && !handle_ok(r, "Testall")) {
       r = kRequestNull;
@@ -496,7 +492,7 @@ bool RankCtx::testall(std::span<Request> rs) {
 
 Request RankCtx::send_init(const void* buf, std::size_t count, Datatype dt,
                            int dst, int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Send_init");
+  MpiEntry entry(*this, "Send_init");
   const CommInfo& ci = comms_.get(comm);
   RequestImpl& r = reqs_.alloc();
   r.persistent = true;
@@ -512,7 +508,7 @@ Request RankCtx::send_init(const void* buf, std::size_t count, Datatype dt,
 
 Request RankCtx::recv_init(void* buf, std::size_t count, Datatype dt, int src,
                            int tag, Comm comm) {
-  MpiEntry entry(*this, false, "Recv_init");
+  MpiEntry entry(*this, "Recv_init");
   const CommInfo& ci = comms_.get(comm);
   RequestImpl& r = reqs_.alloc();
   r.persistent = true;
@@ -528,7 +524,7 @@ Request RankCtx::recv_init(void* buf, std::size_t count, Datatype dt, int src,
 
 void RankCtx::start(Request r) {
   const auto& p = profile();
-  MpiEntry entry(*this, false, "Start", &p.persist_start);
+  MpiEntry entry(*this, "Start", &p.persist_start);
   if (r.is_null()) {
     san::mpi_persist_misuse(rank_, "Start", "null request");
     throw std::logic_error("MPI_Start on the null request");
@@ -542,7 +538,7 @@ void RankCtx::start(Request r) {
 }
 
 void RankCtx::request_free(Request& r) {
-  MpiEntry entry(*this, false, "Request_free");
+  MpiEntry entry(*this, "Request_free");
   if (r.is_null()) return;
   if (!handle_ok(r, "Request_free")) {
     r = kRequestNull;
@@ -564,7 +560,7 @@ void RankCtx::request_free(Request& r) {
 }
 
 bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
-  MpiEntry entry(*this, false, "Iprobe");
+  MpiEntry entry(*this, "Iprobe");
   progress_poll();
   const CommInfo& ci = comms_.get(comm);
   const int src_global = (src == kAnySource) ? kAnySource : ci.to_global(src);
@@ -579,7 +575,7 @@ bool RankCtx::iprobe(int src, int tag, Comm comm, Status* st) {
 }
 
 void RankCtx::progress() {
-  MpiEntry entry(*this, false, "Progress");
+  MpiEntry entry(*this, "Progress");
   progress_poll();
 }
 
@@ -587,7 +583,7 @@ Comm RankCtx::comm_dup(Comm parent) {
   // Collective by MPI rules; synchronize like a barrier so no rank races
   // ahead and sends on the new context before everyone constructed it.
   barrier(parent);
-  MpiEntry entry(*this, false, "Comm_dup");
+  MpiEntry entry(*this, "Comm_dup");
   return comms_.dup(parent);
 }
 
@@ -599,7 +595,7 @@ Comm RankCtx::comm_split(Comm parent, int color, int key) {
   std::pair<int, int> mine{color, key};
   static_assert(sizeof(std::pair<int, int>) == 2 * sizeof(int));
   allgather(&mine, color_key.data(), 2, Datatype::kInt, parent);
-  MpiEntry entry(*this, false, "Comm_split");
+  MpiEntry entry(*this, "Comm_split");
   return comms_.split(parent, color_key);
 }
 

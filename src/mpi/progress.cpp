@@ -424,7 +424,7 @@ void RankCtx::post_coll_stage(RequestImpl& creq, std::size_t chain_idx) {
   }
   for (const auto& sd : st.sends) {
     ch.pending.push_back(isend_internal(sd.buf, sd.bytes, ci.to_global(sd.dst),
-                                        ictx, tag, op.comm));
+                                        ictx, tag));
   }
   coll_posting_ = false;
   ch.posted_at = sim::now();

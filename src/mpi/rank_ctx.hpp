@@ -76,18 +76,6 @@ class RankCtx {
   MatchingEngine& matching() { return match_; }
   sim::Notifier& arrivals() { return arrivals_; }
 
-  // ---------------- thread registry ----------------
-  /// Stable small integer identifying the calling fiber within this rank.
-  /// Slots are assigned at fiber spawn (Cluster::spawn_on calls
-  /// register_thread) or lazily on first use; the offload channel keys its
-  /// per-thread submission lanes off them.
-  int thread_slot() {
-    const sim::Fiber* f = sim::Engine::current()->current_fiber();
-    return slot_for(f != nullptr ? f->id() : 0);
-  }
-  /// Pre-assign a slot to `f` (idempotent).
-  void register_thread(const sim::Fiber& f) { slot_for(f.id()); }
-
   // ---------------- progress sharing ----------------
   /// Declare `f` a progress sharer: a fiber (an offload engine) that may
   /// enter the library concurrently with its siblings even below
@@ -209,7 +197,7 @@ class RankCtx {
 
   // Library-internal variants: no entry overhead/locking (already inside).
   Request isend_internal(const void* buf, std::size_t bytes, int dst_global,
-                         std::uint32_t ctx, int tag, Comm comm);
+                         std::uint32_t ctx, int tag);
   Request irecv_internal(void* buf, std::size_t bytes, int src_global,
                          std::uint32_t ctx, int tag, Comm comm);
   /// Post-into core shared by the one-shot and persistent paths: `r` is an
@@ -217,7 +205,7 @@ class RankCtx {
   /// marks a byte-stable buffer (persistent send, collective stage) whose
   /// eager path skips the CPU bounce-copy charge.
   void post_send_into(RequestImpl& r, const void* buf, std::size_t bytes,
-                      int dst_global, std::uint32_t ctx, int tag, Comm comm,
+                      int dst_global, std::uint32_t ctx, int tag,
                       bool registered);
   void post_recv_into(RequestImpl& r, void* buf, std::size_t bytes,
                       int src_global, std::uint32_t ctx, int tag, Comm comm);
@@ -264,16 +252,6 @@ class RankCtx {
            in_progress_fiber_ == sim::Engine::current()->current_fiber();
   }
 
-  /// Slot lookup/assignment for the thread registry. Linear scan: a rank
-  /// hosts a handful of fibers, and the offload channel caches the result.
-  int slot_for(std::uint64_t fiber_id) {
-    for (std::size_t i = 0; i < fiber_slots_.size(); ++i) {
-      if (fiber_slots_[i] == fiber_id) return static_cast<int>(i);
-    }
-    fiber_slots_.push_back(fiber_id);
-    return static_cast<int>(fiber_slots_.size() - 1);
-  }
-
   Cluster& cluster_;
   int rank_;
   ThreadLevel level_;
@@ -284,7 +262,6 @@ class RankCtx {
 
   sim::Mutex big_lock_;
   sim::Notifier arrivals_;
-  std::vector<std::uint64_t> fiber_slots_;  ///< slot index -> fiber id
   std::deque<machine::NetMessage> inbox_;
   std::vector<RequestImpl*> pending_rndv_send_;
   std::vector<RequestImpl*> pending_rndv_recv_;

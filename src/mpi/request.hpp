@@ -97,36 +97,6 @@ struct RequestImpl {
     dma_sent = dma_delivered = 0;
     rndv_received = 0;
   }
-
-  void reset() {
-    kind = ReqKind::kNull;
-    active = complete = false;
-    status = Status{};
-    rbuf = nullptr;
-    rbytes = 0;
-    ctx = 0;
-    src_global = kAnySource;
-    tag = kAnyTag;
-    comm = Comm{};
-    matched_rndv = data_arrived = false;
-    coll_internal = false;
-    sbuf = nullptr;
-    sbytes = 0;
-    dst_global = -1;
-    cts_received = false;
-    peer_rreq = 0;
-    dma_sent = dma_delivered = 0;
-    rndv_received = 0;
-    coll.reset();
-    persistent = p_started = p_send = false;
-    p_buf = nullptr;
-    p_rbuf = nullptr;
-    p_bytes = 0;
-    p_peer = -1;
-    p_ctx = 0;
-    p_tag = 0;
-    p_comm = Comm{};
-  }
 };
 
 /// Per-rank request table. Handles are indices; 0 is reserved for the null
@@ -139,18 +109,15 @@ class RequestTable {
   }
 
   RequestImpl& alloc() {
-    if (!free_.empty()) {
-      int idx = free_.back();
-      free_.pop_back();
-      RequestImpl& r = *slots_[static_cast<std::size_t>(idx)];
-      r.reset();
-      r.idx = idx;
-      r.active = true;
-      return r;
-    }
     int idx = static_cast<int>(slots_.size());
-    slots_.push_back(std::make_unique<RequestImpl>());
-    RequestImpl& r = *slots_.back();
+    if (free_.empty()) {
+      slots_.push_back(std::make_unique<RequestImpl>());
+    } else {
+      idx = free_.back();
+      free_.pop_back();
+      *slots_[static_cast<std::size_t>(idx)] = RequestImpl{};
+    }
+    RequestImpl& r = *slots_[static_cast<std::size_t>(idx)];
     r.idx = idx;
     r.active = true;
     return r;

@@ -73,9 +73,6 @@ struct Status {
   int source = kAnySource;  ///< rank within the receive's communicator
   int tag = kAnyTag;
   std::uint64_t bytes = 0;  ///< received byte count
-
-  /// Element count for a given datatype, MPI_Get_count style.
-  [[nodiscard]] int count(Datatype dt) const;
 };
 
 /// Size in bytes of one element of `dt`.

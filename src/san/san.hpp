@@ -24,8 +24,7 @@
 //
 // Gating: zero-cost when off. Every hook is an inline one-branch test of a
 // plain bool that is false outside a session; a session only starts when an
-// MPIOFF_SAN spec (or ClusterConfig::san_spec) enables it. Configuring CMake
-// with -DMPIOFFLOAD_ENABLE_SAN=OFF compiles the hooks out entirely.
+// MPIOFF_SAN spec (or ClusterConfig::san_spec) enables it.
 //
 // Determinism: the sanitizer never advances virtual time and never perturbs
 // scheduling, so a run's MPI-visible behavior (payloads, timings, traces) is
@@ -102,8 +101,6 @@ void end_session();
 /// fiber. Records an "engine-block" report when the lint is armed, and
 /// always returns the message the caller must throw as std::logic_error.
 [[nodiscard]] std::string engine_block_message(const char* what);
-
-#ifndef MPIOFFLOAD_NO_SAN
 
 namespace detail {
 extern bool g_on;     // session active
@@ -231,31 +228,5 @@ inline void mpi_persist_misuse(int rank, const char* call, const char* what) {
 inline void mpi_teardown(int rank, std::size_t leaked) {
   if (detail::g_usage) detail::teardown_slow(rank, leaked);
 }
-
-#else  // MPIOFFLOAD_NO_SAN: hooks compile to nothing.
-
-[[nodiscard]] inline bool on() { return false; }
-[[nodiscard]] inline bool race_on() { return false; }
-[[nodiscard]] inline bool usage_on() { return false; }
-inline void on_switch(std::uint64_t, const char*, std::int64_t) {}
-inline void on_fork(std::uint64_t, const char*) {}
-inline void on_wake(std::uint64_t) {}
-inline void event_post(std::uint64_t) {}
-inline void event_fire(std::uint64_t, std::int64_t) {}
-inline void acquire(const void*, std::uint64_t = 0) {}
-inline void release(const void*, std::uint64_t = 0) {}
-inline void channel_push(const void*, std::uint64_t = 1) {}
-inline void channel_pop(const void*) {}
-inline void check_read(const void*, std::size_t, const char*) {}
-inline void check_write(const void*, std::size_t, const char*) {}
-inline void mpi_post_send(int, int, const void*, std::size_t) {}
-inline void mpi_post_recv(int, int, const void*, std::size_t) {}
-inline void mpi_complete(int, int) {}
-inline bool mpi_handle_ok(int, int, bool, const char*) { return true; }
-inline void mpi_coll_posted(int, std::uint32_t, int, int, const char*) {}
-inline void mpi_persist_misuse(int, const char*, const char*) {}
-inline void mpi_teardown(int, std::size_t) {}
-
-#endif  // MPIOFFLOAD_NO_SAN
 
 }  // namespace san

@@ -10,6 +10,7 @@
 
 using namespace benchlib;
 using core::Approach;
+using smpi::CollectiveId;
 
 TEST(Table, AlignsColumnsToTheWidestCell) {
   Table t({"a", "long-header", "c"});
@@ -95,10 +96,10 @@ TEST(OverlapKernel, PaperOrderingAtLargeMessages) {
 TEST(OverlapKernel, CollectiveOverlapOrderedByApproach) {
   const auto prof = machine::xeon_fdr();
   const double base = overlap_collective(Approach::kBaseline, prof,
-                                         CollKind::kIallreduce, 8, 16384, 5, 1)
+                                         CollectiveId::kAllreduce, 8, 16384, 5, 1)
                           .overlap_frac;
   const double off = overlap_collective(Approach::kOffload, prof,
-                                        CollKind::kIallreduce, 8, 16384, 5, 1)
+                                        CollectiveId::kAllreduce, 8, 16384, 5, 1)
                          .overlap_frac;
   EXPECT_GT(off, base);
   EXPECT_GT(off, 0.7);
@@ -106,7 +107,8 @@ TEST(OverlapKernel, CollectiveOverlapOrderedByApproach) {
 
 TEST(OverlapKernel, IcollectivePostCheapestUnderOffload) {
   const auto prof = machine::xeon_fdr();
-  for (CollKind k : {CollKind::kIallreduce, CollKind::kIalltoall, CollKind::kIbarrier}) {
+  for (CollectiveId k :
+       {CollectiveId::kAllreduce, CollectiveId::kAlltoall, CollectiveId::kBarrier}) {
     const double base = icollective_post_us(Approach::kBaseline, prof, k, 8, 8192, 5, 1);
     const double off = icollective_post_us(Approach::kOffload, prof, k, 8, 8192, 5, 1);
     EXPECT_LT(off, base) << coll_name(k);
@@ -115,7 +117,8 @@ TEST(OverlapKernel, IcollectivePostCheapestUnderOffload) {
 }
 
 TEST(OverlapKernel, CollNamesResolve) {
-  EXPECT_STREQ(coll_name(CollKind::kIbcast), "Ibcast");
-  EXPECT_STREQ(coll_name(CollKind::kIbarrier), "Ibarrier");
-  EXPECT_STREQ(coll_name(CollKind::kIalltoall), "Ialltoall");
+  // fig03 and fig05 label each row "I" + coll_name: Ibcast ... Ibarrier.
+  EXPECT_STREQ(coll_name(CollectiveId::kBcast), "bcast");
+  EXPECT_STREQ(coll_name(CollectiveId::kBarrier), "barrier");
+  EXPECT_STREQ(coll_name(CollectiveId::kAlltoall), "alltoall");
 }

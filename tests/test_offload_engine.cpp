@@ -154,7 +154,7 @@ TEST(OffloadEngine, StatusPropagatesThroughProxy) {
       p.wait(r, &st);
       EXPECT_EQ(st.source, 1);
       EXPECT_EQ(st.tag, 17);
-      EXPECT_EQ(st.count(Datatype::kDouble), 8);
+      EXPECT_EQ(st.bytes, 8 * sizeof(double));
     } else {
       double data[8] = {0};
       p.send(data, 8, Datatype::kDouble, 0, 17);

@@ -209,27 +209,6 @@ INSTANTIATE_TEST_SUITE_P(Approaches, ProxyMatrix,
                            return n;
                          });
 
-TEST(ProxyFactory, NamesRoundTrip) {
-  for (Approach a : {Approach::kBaseline, Approach::kIprobe, Approach::kCommSelf,
-                     Approach::kOffload}) {
-    EXPECT_EQ(approach_from_string(approach_name(a)), a);
-  }
-  // Both spellings of comm-self parse to the same approach.
-  EXPECT_EQ(approach_from_string("commself"), Approach::kCommSelf);
-  EXPECT_EQ(approach_from_string("comm-self"), Approach::kCommSelf);
-  // The rejection names every valid choice, so a CLI typo is self-explaining.
-  try {
-    approach_from_string("bogus");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("bogus"), std::string::npos);
-    for (const char* name : {"baseline", "iprobe", "comm-self", "offload"}) {
-      EXPECT_NE(msg.find(name), std::string::npos) << name << ": " << msg;
-    }
-  }
-}
-
 TEST(ProxyFactory, RequiredThreadLevels) {
   EXPECT_EQ(required_thread_level(Approach::kBaseline), ThreadLevel::kFunneled);
   EXPECT_EQ(required_thread_level(Approach::kIprobe), ThreadLevel::kFunneled);

@@ -10,12 +10,6 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
-#ifdef MPIOFFLOAD_NO_SAN
-#define SAN_OR_SKIP() GTEST_SKIP() << "built with MPIOFFLOAD_ENABLE_SAN=OFF"
-#else
-#define SAN_OR_SKIP()
-#endif
-
 namespace {
 
 /// Scoped sanitizer session for tests that drive the hooks manually (the
@@ -105,7 +99,6 @@ TEST(SanSpec, BoolAndCountValuesValidated) {
 // ---------------------------------------------------------- session gating --
 
 TEST(SanSession, FlagsFollowTheSpec) {
-  SAN_OR_SKIP();
   EXPECT_FALSE(san::on());
   EXPECT_FALSE(san::begin_session("0"));
   EXPECT_FALSE(san::on());
@@ -119,7 +112,6 @@ TEST(SanSession, FlagsFollowTheSpec) {
 }
 
 TEST(SanSession, NestedSessionsJoinTheOuterOne) {
-  SAN_OR_SKIP();
   Session outer("1");
   EXPECT_TRUE(san::begin_session("1,race:0"));  // nested: joins, no reset
   EXPECT_TRUE(san::race_on());                  // outer options still rule
@@ -156,7 +148,6 @@ std::vector<std::string> run_racy_engine() {
 }  // namespace
 
 TEST(SanRace, UnsyncedFiberWritesAreReported) {
-  SAN_OR_SKIP();
   const std::vector<std::string> reps = run_racy_engine();
   ASSERT_EQ(reps.size(), 1u);
   EXPECT_TRUE(contains(reps[0], "race: ")) << reps[0];
@@ -167,7 +158,6 @@ TEST(SanRace, UnsyncedFiberWritesAreReported) {
 }
 
 TEST(SanRace, NotifierSignalOrdersTheAccesses) {
-  SAN_OR_SKIP();
   Session s("1,usage:0");
   int x = 0;
   sim::Engine e;
@@ -188,7 +178,6 @@ TEST(SanRace, NotifierSignalOrdersTheAccesses) {
 }
 
 TEST(SanRace, ForkEdgeOrdersParentWritesBeforeChild) {
-  SAN_OR_SKIP();
   Session s("1,usage:0");
   int x = 0;
   sim::Engine e;
@@ -206,7 +195,6 @@ TEST(SanRace, ForkEdgeOrdersParentWritesBeforeChild) {
 }
 
 TEST(SanRace, ReportStreamIsDeterministic) {
-  SAN_OR_SKIP();
   const std::vector<std::string> a = run_racy_engine();
   const std::vector<std::string> b = run_racy_engine();
   ASSERT_FALSE(a.empty());
@@ -216,7 +204,6 @@ TEST(SanRace, ReportStreamIsDeterministic) {
 // --------------------------------------------------------------- reporter --
 
 TEST(SanReporter, DedupesRepeatsAndCapsStoredReports) {
-  SAN_OR_SKIP();
   std::vector<char> buf(32, 'x');
   Session s("1,race:0,max_reports:1");
   san::mpi_post_recv(0, 1, buf.data(), buf.size());
@@ -229,7 +216,6 @@ TEST(SanReporter, DedupesRepeatsAndCapsStoredReports) {
 }
 
 TEST(SanReporter, FailModeThrowsSanErrorWhichIsLogicError) {
-  SAN_OR_SKIP();
   std::vector<char> buf(16, 'x');
   Session s("1,race:0,fail:1");
   san::mpi_post_recv(0, 1, buf.data(), buf.size());
@@ -249,7 +235,6 @@ TEST(SanReporter, EngineBlockMessageNamesTheCall) {
 // ------------------------------------------------------------------- stats --
 
 TEST(SanStats, CountersTrackTheWorkDone) {
-  SAN_OR_SKIP();
   std::vector<char> buf(64, 'x');
   {
     Session s("1");

@@ -18,12 +18,6 @@ using namespace smpi;
 using core::Approach;
 using core::PReq;
 
-#ifdef MPIOFFLOAD_NO_SAN
-#define SAN_OR_SKIP() GTEST_SKIP() << "built with MPIOFFLOAD_ENABLE_SAN=OFF"
-#else
-#define SAN_OR_SKIP()
-#endif
-
 namespace {
 
 // 2x the 128 KiB eager threshold: forces the rendezvous path, whose send
@@ -43,7 +37,6 @@ ClusterConfig san_cfg(int n, const char* spec) {
 }  // namespace
 
 TEST(SanNegative, WriteWhileInflightSendIsReported) {
-  SAN_OR_SKIP();
   {
     Cluster c(san_cfg(2, "1,race:0"));
     c.run([&](RankCtx& rc) {
@@ -64,7 +57,6 @@ TEST(SanNegative, WriteWhileInflightSendIsReported) {
 }
 
 TEST(SanNegative, ReadOfInflightRecvBufferIsReported) {
-  SAN_OR_SKIP();
   {
     Cluster c(san_cfg(2, "1,race:0"));
     c.run([&](RankCtx& rc) {
@@ -89,7 +81,6 @@ TEST(SanNegative, ReadOfInflightRecvBufferIsReported) {
 }
 
 TEST(SanNegative, RequestLeakAtTeardownIsReported) {
-  SAN_OR_SKIP();
   {
     Cluster c(san_cfg(2, "1,race:0"));
     c.run([&](RankCtx& rc) {
@@ -115,7 +106,6 @@ TEST(SanNegative, RequestLeakAtTeardownIsReported) {
 }
 
 TEST(SanNegative, DoubleWaitOnReleasedHandleIsReported) {
-  SAN_OR_SKIP();
   {
     Cluster c(san_cfg(2, "1,race:0"));
     c.run([&](RankCtx& rc) {
@@ -139,7 +129,6 @@ TEST(SanNegative, DoubleWaitOnReleasedHandleIsReported) {
 }
 
 TEST(SanNegative, BlockingWaitInEngineContextIsReported) {
-  SAN_OR_SKIP();
   bool threw = false;
   {
     ClusterConfig cfg = san_cfg(2, "1,race:0");
@@ -177,7 +166,6 @@ TEST(SanNegative, BlockingWaitInEngineContextIsReported) {
 }
 
 TEST(SanNegative, CleanWorkloadProducesNoReports) {
-  SAN_OR_SKIP();
   {
     // fail:1 — any diagnostic would throw out of run() and fail the test.
     Cluster c(san_cfg(4, "1,fail:1"));
